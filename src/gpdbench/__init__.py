@@ -14,7 +14,8 @@ from .distance import (ROBUST_MINIMIZER, ROBUST_STABLE_RANGE,
                        deceptive_term, max_first_orthant_angle,
                        normalized_angle, radial_profile, robust_g,
                        robust_term, valley_center, valley_radius)
-from .evaluator import BatchError, Evaluation, evaluate, evaluate_batch
+from .evaluator import (BatchError, Evaluation, EvaluationArrays, evaluate,
+                        evaluate_arrays, evaluate_batch)
 from .position import (dissimilarize, meta_variables, p_norm,
                        position_objectives, position_point, realize_position,
                        spherical_map)
@@ -39,6 +40,7 @@ __all__ = [
     "ConstraintReport",
     "ConstraintSpec",
     "Evaluation",
+    "EvaluationArrays",
     "FrontSample",
     "PerturbReport",
     "ProblemSpec",
@@ -54,6 +56,7 @@ __all__ = [
     "dominance_filter",
     "dominance_mask",
     "evaluate",
+    "evaluate_arrays",
     "evaluate_batch",
     "evaluate_constraints",
     "front_sample",

@@ -5,7 +5,7 @@ output uses 17 significant digits so doubles survive a write/read round trip.
 
     gpdbench new --spec problem.spec
     gpdbench eval --spec problem.spec --in x.csv --out f.csv
-    gpdbench front --spec problem.spec --resolution 100 --out front.csv
+    gpdbench front --spec problem.spec [--resolution N] --out front.csv
     gpdbench pset --spec problem.spec --n 500 --out pset.csv
     gpdbench suite --seed 7 --count 20 --ranges ranges.txt --out-dir suite/
     gpdbench perturb --spec problem.spec --in x.csv --radius 0.1 --samples 500
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluator import BatchError, evaluate_batch
+from .evaluator import BatchError, evaluate_arrays
 from .reference import (dominance_filter, front_sample, igd,
                         pareto_set_sample, perturb_experiment)
 from .spec import SpecError, generate_suite, parse_ranges, parse_spec, render_spec
@@ -96,24 +96,33 @@ def cmd_new(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = _load_spec(args.spec)
-    rows = _read_rows(args.infile)
-    evals = evaluate_batch(rows, spec)
+    ev = evaluate_arrays(_read_rows(args.infile), spec)
     m = spec.objectives
     c = len(spec.constraints)
     header = ([f"f{j}" for j in range(1, m + 1)]
               + [f"phi{j}" for j in range(1, c + 1)]
               + [f"violation{j}" for j in range(1, c + 1)]
               + ["feasible"])
-    out = (list(e.objectives) + list(e.phi_per_constraint)
-           + list(e.report.violations) + [1.0 if e.report.feasible else 0.0]
-           for e in evals)
-    _write_rows(args.out, header, out)
+    table = np.column_stack([ev.objectives, ev.phi_per_constraint,
+                             ev.violations, ev.feasible.astype(float)])
+    _write_rows(args.out, header, table.tolist())
     return 0
+
+
+def _resolution(args, spec) -> int:
+    """--resolution when given, else an M-aware default.
+
+    The default keeps the reference front at a few hundred points for every
+    M, so front and search finish in bounded time.
+    """
+    if args.resolution is not None:
+        return args.resolution
+    return {2: 200, 3: 24, 4: 9}.get(spec.objectives, 9)
 
 
 def cmd_front(args) -> int:
     spec = _load_spec(args.spec)
-    front = front_sample(spec, args.resolution)
+    front = front_sample(spec, _resolution(args, spec))
     if front.points.shape[0] == 0:
         print("warning: feasible front is empty", file=sys.stderr)
     header = [f"f{j}" for j in range(1, spec.objectives + 1)]
@@ -164,11 +173,6 @@ def cmd_igd(args) -> int:
     return 0
 
 
-def _default_resolution(m: int) -> int:
-    # Keep lattice fronts at a desk-scale point count for any M.
-    return {2: 200, 3: 24, 4: 9}.get(m, 9)
-
-
 def cmd_search(args) -> int:
     spec = _load_spec(args.spec)
     if args.budget < 1:
@@ -178,17 +182,16 @@ def cmd_search(args) -> int:
     xs = np.empty((args.budget, spec.total_dim))
     xs[:, :r] = rng.uniform(-1.0, 1.0, size=(args.budget, r))
     xs[:, r:] = rng.uniform(0.0, 1.0, size=(args.budget, s))
-    evals = evaluate_batch(xs, spec)
-    feasible = [e.objectives for e in evals if e.report.feasible]
+    ev = evaluate_arrays(xs, spec)
+    feasible = ev.objectives[ev.feasible]
     header = [f"f{j}" for j in range(1, spec.objectives + 1)]
-    if not feasible:
+    if len(feasible) == 0:
         _write_rows(args.out, header, [])
         print("feasible = 0")
         return 0
-    archive = dominance_filter(np.asarray(feasible))
+    archive = dominance_filter(feasible)
     _write_rows(args.out, header, archive)
-    resolution = args.resolution or _default_resolution(spec.objectives)
-    front = front_sample(spec, resolution)
+    front = front_sample(spec, _resolution(args, spec))
     print(f"feasible = {len(feasible)}")
     print(f"archive = {archive.shape[0]}")
     print(f"igd = {_fmt(igd(archive, front))}")
@@ -214,7 +217,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("front", help="sample the known Pareto front to CSV")
     p.add_argument("--spec", required=True, metavar="PATH")
-    p.add_argument("--resolution", type=int, default=100, metavar="N")
+    p.add_argument("--resolution", type=int, metavar="N")
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_front)
 

@@ -19,9 +19,9 @@ from scipy.stats import qmc
 from .constraints import constraint_table
 from .distance import (ROBUST_MINIMIZER, compose, normalized_angle,
                        radial_profile, valley_center)
-from .evaluator import evaluate, evaluate_batch
-from .position import (dissimilarize, meta_variables, p_norm, realize_position,
-                       spherical_map)
+from .evaluator import evaluate, evaluate_arrays
+from .position import (dissimilarize, meta_variables, position_point,
+                       realize_position)
 from .spec import ProblemSpec
 
 
@@ -110,10 +110,12 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     strictly better in at least one (minimization).  Exact duplicates do not
     eliminate each other.
 
-    Any dominating point has a strictly smaller coordinate sum, so points are
-    swept in ascending sum order and tested against the nondominated archive
-    built so far; by transitivity a dominated dominator is always covered by
-    whichever archive point dominates it.  Same answer as the quadratic
+    A dominating point never has a larger rounded coordinate sum (rounded
+    addition is monotone), and among equal sums it comes first in
+    lexicographic order, so points are swept in (sum, lexicographic) order
+    and tested against the nondominated archive built so far; by
+    transitivity a dominated dominator is always covered by whichever
+    archive point dominates it.  Same answer as the quadratic
     all-pairs filter, but the inner comparisons shrink to the archive size.
     """
     pts = np.asarray(points, dtype=float)
@@ -122,7 +124,7 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     if n == 0:
         return np.ones(0, dtype=bool)
-    order = np.argsort(pts.sum(axis=-1), kind="stable")
+    order = np.lexsort((*pts.T[::-1], pts.sum(axis=-1)))
     sorted_pts = pts[order]
     keep_sorted = np.empty(n, dtype=bool)
     archive = np.empty((0, pts.shape[1]))
@@ -180,9 +182,7 @@ def front_sample(spec: ProblemSpec, resolution: int,
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
-    y = _front_targets(spec.objectives, resolution)
-    t = spherical_map(y)
-    f_p = t / p_norm(t, spec.norm_p)[..., None]
+    f_p = position_point(_front_targets(spec.objectives, resolution), spec.norm_p)
     phi = normalized_angle(f_p, spec.distance_reference)
     f_d = radial_profile(np.zeros_like(phi), phi, spec.distance_kind,
                          spec.composition)
@@ -217,13 +217,9 @@ def pareto_set_sample(spec: ProblemSpec, n: int) -> SetSample:
     x_p = np.stack([realize_position(row, q, t) for row in targets])
     y = meta_variables(x_p, q, t)
     residuals = np.max(np.abs(y - targets), axis=-1)
-    big_t = spherical_map(y)
-    f_p = big_t / p_norm(big_t, spec.norm_p)[..., None]
-    phi = normalized_angle(f_p, spec.distance_reference)
-    kind = spec.distance_kind
-    g_kind = kind if kind in ("deceptive", "robust") else spec.mixed_landscape
+    phi = normalized_angle(position_point(y, spec.norm_p), spec.distance_reference)
     s = spec.distance_vars
-    if g_kind == "deceptive":
+    if spec.g_landscape == "deceptive":
         idx = np.arange(1, s + 1, dtype=float)
         x_d = valley_center(phi[:, None], idx)
     else:
@@ -252,9 +248,7 @@ def perturb_experiment(x, radius: float, samples: int, spec: ProblemSpec,
     delta = rng.uniform(-radius, radius, size=(int(samples), spec.distance_vars))
     rows = np.tile(x, (int(samples), 1))
     rows[:, r:] = np.clip(rows[:, r:] + delta, 0.0, 1.0)
-    evals = evaluate_batch(rows, spec)
-    base_f = np.asarray(base.objectives)
-    moved = np.asarray([e.objectives for e in evals]) - base_f
+    moved = evaluate_arrays(rows, spec).objectives - np.asarray(base.objectives)
     disp = np.sqrt(np.sum(moved * moved, axis=-1))
     return PerturbReport(worst=float(disp.max()), mean=float(disp.mean()),
                          base_objectives=base.objectives,

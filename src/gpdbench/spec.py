@@ -257,6 +257,17 @@ class ProblemSpec:
         return self.position_dim + self.distance_vars
 
     @property
+    def g_landscape(self) -> str:
+        """Landscape that supplies g: deceptive or robust.
+
+        The deceptive and robust kinds are their own landscape; the
+        shape-bending kinds take theirs from mixed_landscape.
+        """
+        if self.distance_kind in ("deceptive", "robust"):
+            return self.distance_kind
+        return self.mixed_landscape
+
+    @property
     def is_quasi_norm(self) -> bool:
         """True when 0 < p < 1, where the front surface is a quasi-norm sphere."""
         return self.norm_p < 1.0

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, CSV formats, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpdbench
 from gpdbench import evaluate_batch, front_sample, parse_spec
 from gpdbench.cli import main
 
@@ -122,6 +125,17 @@ def test_front_rows_match_library(tmp_path, capsys, m2):
     assert np.array_equal(got, want)
 
 
+def test_front_default_resolution_is_bounded_at_m4(tmp_path, capsys):
+    spec = tmp_path / "m4.spec"
+    spec.write_text("objectives = 4\ndistance_vars = 2\ndistance = deceptive\n")
+    dst = tmp_path / "front.csv"
+    code, _, _ = run(["front", "--spec", str(spec), "--out", str(dst)], capsys)
+    assert code == 0
+    got = read_rows(dst)
+    assert got.shape[1] == 4
+    assert 0 < got.shape[0] <= 9 ** 3
+
+
 def test_pset_row_shape(tmp_path, capsys, m2):
     dst = tmp_path / "pset.csv"
     assert run(["pset", "--spec", str(m2), "--n", "6",
@@ -209,10 +223,31 @@ def test_usage_errors_exit_1(tmp_path, capsys, m2):
     assert run(["eval", "--spec", str(m2), "--nope"], capsys)[0] == 1
 
 
+def console_script_target(pyproject_text):
+    """The [project.scripts] entry for gpdbench, as 'module:function'."""
+    if sys.version_info >= (3, 11):
+        import tomllib
+        return tomllib.loads(pyproject_text)["project"]["scripts"]["gpdbench"]
+    section = None  # Python 3.10 has no tomllib: read the one line
+    for line in pyproject_text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and line.partition("=")[0].strip() == "gpdbench":
+            return line.partition("=")[2].strip().strip('"')
+    return None
+
+
 def test_console_script_is_wired(tmp_path):
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert console_script_target(pyproject.read_text()) == "gpdbench.cli:main"
     p = tmp_path / "m2.spec"
     p.write_text(M2_SPEC)
-    proc = subprocess.run(["gpdbench", "new", "--spec", str(p)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+    # Run the package from wherever this test imported it, installed or not.
+    src = str(Path(gpdbench.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "gpdbench", "new", "--spec", str(p)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
     assert "# N = 2" in proc.stdout

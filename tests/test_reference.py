@@ -124,6 +124,16 @@ def test_dominance_filter_matches_brute_force():
         np.testing.assert_array_equal(got, want)
 
 
+def test_dominance_filter_float_sum_tie_across_chunks():
+    # fl(1e-20 + 1) == fl(0 + 1): the dominated point ends the first
+    # 512-row chunk unless equal sums are ordered lexicographically.
+    x = np.arange(1, 512) / 1024.0
+    pts = np.concatenate([np.column_stack([x, 0.5 - x]),
+                          [[1e-20, 1.0], [0.0, 1.0]]])
+    np.testing.assert_array_equal(dominance_filter(pts),
+                                  pts[brute_force_nondominated(pts)])
+
+
 def test_dominance_filter_is_idempotent_and_order_stable():
     rng = np.random.default_rng(41)
     pts = np.round(rng.uniform(0, 1, size=(200, 3)), 1)

@@ -112,35 +112,84 @@ def position_objectives(x_p: np.ndarray, spec) -> np.ndarray:
     return position_point(y, spec.norm_p)
 
 
+def _shared_intervals(w: np.ndarray, n_excl: np.ndarray, t: int, g: int):
+    """Reachable shared-block sums for signed window targets, row by row.
+
+    w holds the signed targets of the first k <= g windows, shaped (n, k).
+    Column i of lo/hi bounds the shared sum after window i+1, with the
+    virtual boundary sums pinned to zero; ok marks the rows whose intervals
+    are all nonempty.  The np.where forms break ties like Python's max and
+    min (first argument wins), which keeps the sign of zero.
+    """
+    n, k = w.shape
+    lo = np.empty((n, k))
+    hi = np.empty((n, k))
+    ok = np.ones(n, dtype=bool)
+    lo_prev = hi_prev = np.zeros(n)
+    for i in range(k):
+        cap = float(t) if i < g - 1 else 0.0
+        low = w[:, i] - hi_prev - n_excl[i]
+        high = w[:, i] - lo_prev + n_excl[i]
+        lo[:, i] = np.where(-cap > low, -cap, low)
+        hi[:, i] = np.where(cap < high, cap, high)
+        ok &= ~(lo[:, i] > hi[:, i] + 1e-12)
+        lo_prev, hi_prev = lo[:, i], hi[:, i]
+    return lo, hi, ok
+
+
+def _sign_search(target: np.ndarray, n_excl: np.ndarray, t: int) -> np.ndarray:
+    """First feasible sign pattern of one row, depth-first, +1 branch first."""
+    g = target.shape[0]
+    # Only feasible prefixes are pushed, so the first full pattern popped wins.
+    stack: list[list[int]] = [[]]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == g:
+            return np.array(prefix, dtype=float)
+        branches = (1,) if target[len(prefix)] == 0.0 else (-1, 1)
+        for sgn in branches:  # pushed so that +1 is explored first
+            cand = prefix + [sgn]
+            w = np.array(cand, dtype=float) * target[:len(cand)]
+            if _shared_intervals(w[None, :], n_excl, t, g)[2][0]:
+                stack.append(cand)
+    raise ValueError("no sign pattern realizes these meta-variables")
+
+
 def realize_position(y: np.ndarray, q: int, t: int) -> np.ndarray:
-    """Construct a position vector whose meta-variables equal y exactly.
+    """Construct position vectors whose meta-variables equal y exactly.
 
     Inverts meta_variables up to floating-point rounding.  Window sums are
     coupled through the t shared coordinates between neighbours, so one
-    window's sign choice can force its neighbour's: the solver searches sign
-    patterns depth-first (positive branch first) while propagating the exact
-    feasible interval of each shared-block sum, then walks backwards picking
-    the shared sums closest to zero and assigns block-constant coordinates.
+    window's sign choice can force its neighbour's.  Each row takes the
+    first feasible sign pattern of a depth-first search that tries the
+    positive branch first, while propagating the exact feasible interval of
+    each shared-block sum; then a backward walk picks the shared sums
+    closest to zero and assigns block-constant coordinates.  The interval
+    pass and the backward walk run over all rows at once.  The search
+    itself runs only for rows whose all-positive pattern is infeasible: for
+    every other row it would return that pattern.
 
     Args:
-        y: meta-variable targets shaped (M-1,), entries in [0, 1].
+        y: meta-variable targets shaped (..., M-1), entries in [0, 1].
         q: window stride.
         t: window overlap.
 
     Returns:
-        Position vector shaped ((M-1)*q + t,) with entries in [-1, 1].
+        Position vectors shaped (..., (M-1)*q + t) with entries in [-1, 1];
+        a single target of shape (M-1,) gives one vector of shape (R,).
 
     Raises:
-        ValueError: if y leaves [0, 1] or no sign pattern is feasible.
+        ValueError: if any target leaves [0, 1] or no sign pattern is
+            feasible for some row.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] < 1:
-        raise ValueError("y must be a 1-d array of meta-variables")
+    if y.ndim < 1 or y.shape[-1] < 1:
+        raise ValueError("y must be an array of meta-variables shaped (..., M-1)")
     if np.any(y < 0.0) or np.any(y > 1.0) or not np.all(np.isfinite(y)):
         raise ValueError("meta-variables must lie in [0, 1]")
-    g = y.shape[0]
+    g = y.shape[-1]
     width = q + t
-    target = y * width
+    target = y.reshape(-1, g) * width
     # Exclusive-block capacities: end windows give up one shared block,
     # middle windows two.  2t + 1 < q keeps every capacity positive.
     n_excl = np.full(g, width, dtype=float)
@@ -150,66 +199,35 @@ def realize_position(y: np.ndarray, q: int, t: int) -> np.ndarray:
         if g > 2:
             n_excl[1:-1] -= 2 * t
 
-    def propagate(signs: list[int]) -> list[tuple[float, float]] | None:
-        # intervals[i] = reachable values of the shared sum after window i+1,
-        # with the virtual boundary sums pinned to zero.
-        lo_prev, hi_prev = 0.0, 0.0
-        intervals = []
-        for i, sgn in enumerate(signs):
-            cap = float(t) if i < g - 1 else 0.0
-            w = sgn * target[i]
-            lo = max(w - hi_prev - n_excl[i], -cap)
-            hi = min(w - lo_prev + n_excl[i], cap)
-            if lo > hi + 1e-12:
-                return None
-            intervals.append((lo, hi))
-            lo_prev, hi_prev = lo, hi
-        return intervals
+    signs = np.ones_like(target)
+    lo, hi, ok = _shared_intervals(target, n_excl, t, g)
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        signs[redo] = [_sign_search(target[i], n_excl, t) for i in redo]
+        lo[redo], hi[redo], _ = _shared_intervals(
+            signs[redo] * target[redo], n_excl, t, g)
+    w = signs * target
 
-    # Plain iterative DFS over sign patterns, positive branch first.  Only
-    # feasible prefixes are pushed, so the first full pattern popped wins.
-    stack: list[list[int]] = [[]]
-    signs: list[int] | None = None
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == g:
-            signs = prefix
-            break
-        branches = (1,) if target[len(prefix)] == 0.0 else (-1, 1)
-        for sgn in branches:  # pushed so that +1 is explored first
-            cand = prefix + [sgn]
-            if propagate(cand) is not None:
-                stack.append(cand)
-    if signs is None:
-        raise ValueError("no sign pattern realizes these meta-variables")
-    intervals = propagate(signs)
-    assert intervals is not None
-
-    shared = np.zeros(g, dtype=float)  # shared[i] = sum after window i+1
-    eps = np.zeros(g, dtype=float)
-    nxt = 0.0
+    x = np.zeros((target.shape[0], (g - 1) * q + width))
+    nxt = np.zeros(target.shape[0])  # shared sum after window i+1
     for i in range(g - 1, -1, -1):
-        w = signs[i] * target[i]
-        lo_prev, hi_prev = (0.0, 0.0) if i == 0 else intervals[i - 1]
+        lo_prev, hi_prev = (0.0, 0.0) if i == 0 else (lo[:, i - 1], hi[:, i - 1])
         # previous shared sum must let the exclusive block close the gap
-        lo = max(lo_prev, w - nxt - n_excl[i])
-        hi = min(hi_prev, w - nxt + n_excl[i])
-        prev = min(max(0.0, lo), hi)
-        eps[i] = w - nxt - prev
-        if i > 0:
-            shared[i - 1] = prev
-        nxt = prev
-
-    x = np.zeros((g - 1) * q + width, dtype=float)
-    for i in range(g):
+        low = w[:, i] - nxt - n_excl[i]
+        high = w[:, i] - nxt + n_excl[i]
+        low = np.where(low > lo_prev, low, lo_prev)
+        high = np.where(high < hi_prev, high, hi_prev)
+        prev = np.where(low > 0.0, low, 0.0)
+        prev = np.where(high < prev, high, prev)
         start = i * q
-        if t > 0 and i > 0:
-            x[start:start + t] = shared[i - 1] / t
         excl_lo = start + (t if i > 0 else 0)
         excl_hi = start + width - (t if i < g - 1 else 0)
-        x[excl_lo:excl_hi] = eps[i] / n_excl[i]
+        x[:, excl_lo:excl_hi] = ((w[:, i] - nxt - prev) / n_excl[i])[:, None]
+        if t > 0 and i > 0:
+            x[:, start:start + t] = (prev / t)[:, None]
+        nxt = prev
     # Tight sign patterns can overshoot the box by interval-tolerance crumbs.
-    return np.clip(x, -1.0, 1.0)
+    return np.clip(x, -1.0, 1.0).reshape(y.shape[:-1] + x.shape[-1:])
 
 
 def dissimilarize(f: np.ndarray) -> np.ndarray:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import qmc
 
 from .constraints import constraint_table
 from .distance import (ROBUST_MINIMIZER, compose, normalized_angle,
@@ -71,9 +69,33 @@ def _lattice(m: int, resolution: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def _halton(m: int, count: int) -> np.ndarray:
-    sampler = qmc.Halton(d=m - 1, scramble=False)
-    return sampler.random(count)
+    """The first `count` points of the unscrambled Halton sequence in M-1 dims.
+
+    Column d is the radical inverse of 0, 1, ... in the d-th prime base.
+    Digits are added least significant first, each times a weight divided
+    down from 1/base step by step, which is scipy.stats.qmc.Halton's order
+    of operations, so the points are bit-identical to its unscrambled ones.
+    """
+    out = np.zeros((count, m - 1))
+    for col, base in enumerate(_primes(m - 1)):
+        quotient = np.arange(count)
+        weight = 1.0 / base
+        while quotient.any():
+            out[:, col] += (quotient % base) * weight
+            weight /= base
+            quotient //= base
+    return out
 
 
 def _front_targets(m: int, resolution: int) -> np.ndarray:
@@ -103,6 +125,10 @@ def _set_targets(m: int, n: int) -> np.ndarray:
     return _halton(m, n)
 
 
+_CHUNK = 512  # candidate rows tested against the archive at a time
+_IGD_BLOCK = 1 << 16  # distance entries held at a time by igd
+
+
 def dominance_mask(points: np.ndarray) -> np.ndarray:
     """Boolean mask of points not dominated by any other point.
 
@@ -115,32 +141,53 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     lexicographic order, so points are swept in (sum, lexicographic) order
     and tested against the nondominated archive built so far; by
     transitivity a dominated dominator is always covered by whichever
-    archive point dominates it.  Same answer as the quadratic
-    all-pairs filter, but the inner comparisons shrink to the archive size.
+    archive point dominates it.  Equal rows are adjacent in that order, so
+    only the first of each run is swept and the rest share its verdict.
+    Between distinct points "no worse in every objective" already implies
+    "strictly better in one", so each chunk of candidates needs a single
+    boolean block against archive + chunk, ANDed in place one objective at
+    a time, with each candidate's pairing with itself masked out.  The
+    answer equals the all-pairs filter's; the work is candidates times
+    archive size times M byte comparisons, in blocks of at most 512 rows.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("expected a 2-d array of points")
-    n = pts.shape[0]
-    if n == 0:
-        return np.ones(0, dtype=bool)
-    order = np.lexsort((*pts.T[::-1], pts.sum(axis=-1)))
+    n, m = pts.shape
+    if n == 0 or m == 0:  # without objectives all rows are equal
+        return np.ones(n, dtype=bool)
+    # Clipping is monotone, and it stops +inf and -inf in one row from
+    # summing to NaN, which would sort a dominator last.
+    big = np.finfo(float).max / (2 * m)
+    order = np.lexsort((*pts.T[::-1], np.clip(pts, -big, big).sum(axis=-1)))
     sorted_pts = pts[order]
-    keep_sorted = np.empty(n, dtype=bool)
-    archive = np.empty((0, pts.shape[1]))
-    for start in range(0, n, 512):
-        chunk = sorted_pts[start:start + 512]
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(sorted_pts[1:] != sorted_pts[:-1], axis=-1)
+    distinct = np.ascontiguousarray(sorted_pts[first].T)  # one row per objective
+    count = distinct.shape[1]
+    archive = np.empty_like(distinct)
+    size = 0
+    alive = np.empty(count, dtype=bool)
+    for start in range(0, count, _CHUNK):
+        chunk = distinct[:, start:start + _CHUNK]
+        rows = chunk.shape[1]
         # Within the chunk the sum order already rules out later-dominates-
-        # earlier pairs, so a full pairwise test against chunk + archive is
+        # earlier pairs, so a full pairwise test against archive + chunk is
         # safe and vectorizes cleanly.
-        against = np.concatenate([archive, chunk]) if archive.size else chunk
-        le = np.all(against[None, :, :] <= chunk[:, None, :], axis=-1)
-        lt = np.any(against[None, :, :] < chunk[:, None, :], axis=-1)
-        alive = ~np.any(le & lt, axis=1)
-        keep_sorted[start:start + 512] = alive
-        archive = np.concatenate([archive, chunk[alive]])
+        archive[:, size:size + rows] = chunk
+        against = archive[:, :size + rows]
+        covered = np.less_equal(against[0], chunk[0][:, None])
+        scratch = np.empty_like(covered)
+        for j in range(1, m):
+            covered &= np.less_equal(against[j], chunk[j][:, None], out=scratch)
+        covered[np.arange(rows), size + np.arange(rows)] = False
+        survive = ~covered.any(axis=1)
+        alive[start:start + rows] = survive
+        kept = int(survive.sum())
+        archive[:, size:size + kept] = chunk[:, survive]
+        size += kept
     keep = np.empty(n, dtype=bool)
-    keep[order] = keep_sorted
+    keep[order] = alive[np.cumsum(first) - 1]
     return keep
 
 
@@ -157,6 +204,13 @@ def igd(approximation, reference) -> float:
 
     Accepts plain arrays or FrontSample objects.  Lower is better; zero iff
     every reference point coincides with some approximation point.
+
+    The nearest-neighbour search is exact and blocked: it holds at most
+    65536 squared distances at a time (about 1 MB), so memory stays
+    O(r + a) while time is O(r * a * M).  Squared differences accumulate
+    one coordinate at a time, in scipy's cdist order, and the square root
+    is taken after the minimum; being monotone and correctly rounded, it
+    gives the same doubles as the minimum over the cdist matrix.
     """
     a = np.asarray(getattr(approximation, "points", approximation), dtype=float)
     r = np.asarray(getattr(reference, "points", reference), dtype=float)
@@ -167,7 +221,28 @@ def igd(approximation, reference) -> float:
     if a.shape[1] != r.shape[1]:
         raise ValueError(
             f"dimension mismatch: approximation is {a.shape[1]}-d, reference {r.shape[1]}-d")
-    return float(cdist(r, a).min(axis=1).mean())
+    if r.shape[1] == 0:  # zero-dimensional points all coincide
+        return 0.0
+    r_cols, a_cols = r.T.copy(), a.T.copy()
+    a_step = min(a.shape[0], _IGD_BLOCK)
+    r_step = max(1, _IGD_BLOCK // a_step)
+    total = np.empty((r_step, a_step))
+    term = np.empty_like(total)
+    nearest = np.full(r.shape[0], np.inf)
+    for r0 in range(0, r.shape[0], r_step):
+        near = nearest[r0:r0 + r_step]
+        rb = r_cols[:, r0:r0 + r_step, None]
+        for a0 in range(0, a.shape[0], a_step):
+            ab = a_cols[:, a0:a0 + a_step]
+            acc = total[:rb.shape[1], :ab.shape[1]]
+            tmp = term[:rb.shape[1], :ab.shape[1]]
+            np.subtract(rb[0], ab[0], out=acc)
+            np.multiply(acc, acc, out=acc)
+            for j in range(1, r.shape[1]):
+                np.subtract(rb[j], ab[j], out=tmp)
+                acc += np.multiply(tmp, tmp, out=tmp)
+            np.minimum(near, acc.min(axis=1), out=near)
+    return float(np.sqrt(nearest).mean())
 
 
 def front_sample(spec: ProblemSpec, resolution: int,
@@ -214,7 +289,7 @@ def pareto_set_sample(spec: ProblemSpec, n: int) -> SetSample:
         raise ValueError(f"need at least one sample, got {n}")
     targets = _set_targets(spec.objectives, n)
     q, t = spec.meta_q, spec.meta_t
-    x_p = np.stack([realize_position(row, q, t) for row in targets])
+    x_p = realize_position(targets, q, t)
     y = meta_variables(x_p, q, t)
     residuals = np.max(np.abs(y - targets), axis=-1)
     phi = normalized_angle(position_point(y, spec.norm_p), spec.distance_reference)

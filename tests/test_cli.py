@@ -238,16 +238,30 @@ def console_script_target(pyproject_text):
     return None
 
 
+def package_env():
+    """Environment that imports gpdbench from wherever this test did."""
+    src = str(Path(gpdbench.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_is_wired(tmp_path):
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert console_script_target(pyproject.read_text()) == "gpdbench.cli:main"
     p = tmp_path / "m2.spec"
     p.write_text(M2_SPEC)
-    # Run the package from wherever this test imported it, installed or not.
-    src = str(Path(gpdbench.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "gpdbench", "new", "--spec", str(p)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "# N = 2" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # The runtime dependency is numpy alone; scipy is a test-only oracle.
+    code = ("import sys, gpdbench, gpdbench.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

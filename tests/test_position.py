@@ -193,6 +193,22 @@ def test_realize_residual_contract():
     assert worst <= 1e-9
 
 
+def test_realize_stacked_targets_keep_their_leading_shape():
+    q, t = 8, 3
+    y = np.array([[1.0, 0.0, 1.0], [0.2, 0.7, 0.4]])
+    one = realize_position(y[0], q, t)
+    assert one.shape == (2 * q + q + t,)
+    many = realize_position(y, q, t)
+    assert many.shape == (2, one.shape[0])
+    np.testing.assert_array_equal(many[0], one)
+    assert realize_position(y[None], q, t).shape == (1,) + many.shape
+    assert realize_position(np.zeros((0, 3)), q, t).shape == (0, one.shape[0])
+    for bad in ([0.5, 1.5, 0.0], [[0.5, 0.5, 0.5], [0.5, -0.1, 0.5]],
+                [[0.5, np.nan, 0.5]]):
+        with pytest.raises(ValueError, match="^meta-variables must lie in \\[0, 1\\]$"):
+            realize_position(np.array(bad), q, t)
+
+
 def test_realize_rejects_targets_outside_unit_interval():
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         realize_position(np.array([0.5, 1.5]), 3, 1)

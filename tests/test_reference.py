@@ -1,5 +1,7 @@
 """Reference machinery: fronts, Pareto-set realization, filtering, metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,19 @@ def test_igd_accepts_front_samples():
     fs = front_sample(spec, 30)
     assert igd(fs, fs) == 0.0
     assert igd(fs.points[:10], fs) > 0.0
+
+
+def test_igd_memory_is_bounded():
+    rng = np.random.default_rng(43)
+    a, r = rng.uniform(size=(4000, 3)), rng.uniform(size=(4000, 3))
+    tracemalloc.start()
+    try:
+        igd(a, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a full 4000 x 4000 distance matrix alone would be 128 MB
+    assert peak < 16 * 2**20
 
 
 def test_igd_errors():

@@ -1,0 +1,257 @@
+"""The reference layer's kernels against slow oracles, bit for bit.
+
+dominance_mask is checked against the all-pairs filter, igd against scipy's
+cdist, _halton against scipy's unscrambled Halton sampler, and the batched
+realize_position against the one-row-at-a-time solver it replaced (copied
+below).  scipy is a test-only dependency: the library itself never imports
+it.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
+from scipy.stats import qmc
+
+from gpdbench import dominance_mask, igd, meta_variables, realize_position
+from gpdbench.reference import _halton
+
+
+def all_pairs_nondominated(pts):
+    le = np.all(pts[None, :, :] <= pts[:, None, :], axis=-1)
+    lt = np.any(pts[None, :, :] < pts[:, None, :], axis=-1)
+    return ~np.any(le & lt, axis=1)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64),
+                                                      want.view(np.int64))
+
+
+def reference_realize(y, q, t):
+    """The per-row solver: depth-first sign search, then a backward walk.
+
+    Returns the position vector and the sign pattern the search chose.
+    """
+    y = np.asarray(y, dtype=float)
+    g = y.shape[0]
+    width = q + t
+    target = y * width
+    n_excl = np.full(g, width, dtype=float)
+    if g > 1:
+        n_excl[0] -= t
+        n_excl[-1] -= t
+        if g > 2:
+            n_excl[1:-1] -= 2 * t
+
+    def propagate(signs):
+        lo_prev, hi_prev = 0.0, 0.0
+        intervals = []
+        for i, sgn in enumerate(signs):
+            cap = float(t) if i < g - 1 else 0.0
+            w = sgn * target[i]
+            lo = max(w - hi_prev - n_excl[i], -cap)
+            hi = min(w - lo_prev + n_excl[i], cap)
+            if lo > hi + 1e-12:
+                return None
+            intervals.append((lo, hi))
+            lo_prev, hi_prev = lo, hi
+        return intervals
+
+    stack = [[]]
+    signs = None
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == g:
+            signs = prefix
+            break
+        branches = (1,) if target[len(prefix)] == 0.0 else (-1, 1)
+        for sgn in branches:
+            cand = prefix + [sgn]
+            if propagate(cand) is not None:
+                stack.append(cand)
+    if signs is None:
+        raise ValueError("no sign pattern realizes these meta-variables")
+    intervals = propagate(signs)
+
+    shared = np.zeros(g, dtype=float)
+    eps = np.zeros(g, dtype=float)
+    nxt = 0.0
+    for i in range(g - 1, -1, -1):
+        w = signs[i] * target[i]
+        lo_prev, hi_prev = (0.0, 0.0) if i == 0 else intervals[i - 1]
+        lo = max(lo_prev, w - nxt - n_excl[i])
+        hi = min(hi_prev, w - nxt + n_excl[i])
+        prev = min(max(0.0, lo), hi)
+        eps[i] = w - nxt - prev
+        if i > 0:
+            shared[i - 1] = prev
+        nxt = prev
+
+    x = np.zeros((g - 1) * q + width, dtype=float)
+    for i in range(g):
+        start = i * q
+        if t > 0 and i > 0:
+            x[start:start + t] = shared[i - 1] / t
+        excl_lo = start + (t if i > 0 else 0)
+        excl_hi = start + width - (t if i < g - 1 else 0)
+        x[excl_lo:excl_hi] = eps[i] / n_excl[i]
+    return np.clip(x, -1.0, 1.0), signs
+
+
+# --- dominance_mask -----------------------------------------------------------
+
+POINT_SETS = ("uniform", "rounded", "duplicated", "front", "dominated", "sum_tie")
+
+
+def point_set(kind, m, n, rng):
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, size=(n, m))
+    if kind == "rounded":  # a coarse grid: ties in every coordinate, many equal rows
+        return np.round(rng.uniform(0.0, 1.0, size=(n, m)) * 3.0) / 3.0
+    if kind == "duplicated":  # every row repeated, some many times
+        base = rng.uniform(0.0, 1.0, size=(max(1, n // 4), m))
+        return base[rng.integers(0, base.shape[0], size=n)]
+    front = np.abs(rng.normal(size=(n, m)))
+    front /= np.linalg.norm(front, axis=1, keepdims=True) + 1e-300
+    if kind == "front":  # mutually nondominated up to rounding
+        return front
+    if kind == "dominated":  # a few front points dominate most of the rest
+        pts = front * rng.uniform(1.0, 2.0, size=(n, 1))
+        pts[:max(1, n // 50)] = front[:max(1, n // 50)]
+        return pts
+    # fl(1e-20 + 1) == fl(0 + 1): the dominated one of the two tie points
+    # sorts last among 512*c - 1 lighter rows, so it ends a 512-row chunk
+    # unless equal sums are ordered lexicographically.  Constant padding
+    # columns change neither sums nor dominance.
+    chunks = 1 + n // 800
+    x = np.arange(1, 512 * chunks) / (1024.0 * chunks)
+    pts = np.concatenate([np.column_stack([x, 0.5 - x]),
+                          [[1e-20, 1.0], [0.0, 1.0]]])
+    pts = np.column_stack([pts, np.zeros((pts.shape[0], m - 2))])
+    return pts[rng.permutation(pts.shape[0])]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(POINT_SETS), m=st.integers(2, 10),
+       n=st.one_of(st.integers(1, 40), st.integers(400, 1600)),
+       seed=st.integers(0, 2**32 - 1))
+def test_dominance_mask_equals_all_pairs_oracle(kind, m, n, seed):
+    pts = point_set(kind, m, n, np.random.default_rng(seed))
+    got = dominance_mask(pts)
+    assert got.dtype == bool and got.shape == (pts.shape[0],)
+    np.testing.assert_array_equal(got, all_pairs_nondominated(pts))
+
+
+def test_dominance_mask_non_finite_rows_and_signed_zeros():
+    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 0.0], [np.nan, 0.0],
+                    [0.5, np.nan], [1.0, 1.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(dominance_mask(pts), all_pairs_nondominated(pts))
+    # [inf, -inf] dominates every [inf, k] from beyond the first chunk,
+    # although its coordinate sum is NaN.
+    inf = np.inf
+    pts = np.array([[inf, float(k)] for k in range(600)]
+                   + [[inf, -inf], [-inf, inf], [1e308, 1e308], [inf, 1e308]])
+    np.testing.assert_array_equal(dominance_mask(pts), all_pairs_nondominated(pts))
+
+
+# --- igd ---------------------------------------------------------------------
+
+def cdist_igd(a, r):
+    return float(cdist(r, a).min(axis=1).mean())
+
+
+def assert_same_igd(a, r):
+    got, want = igd(a, r), cdist_igd(a, r)
+    if np.isnan(want):
+        assert np.isnan(got)
+    else:
+        assert same_bits(got, want), (got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 10), n_a=st.integers(1, 400), n_r=st.integers(1, 400),
+       coincide=st.booleans(), nan_in=st.sampled_from((None, "a", "r")),
+       scale=st.sampled_from((1e-3, 1.0, 1e6)), seed=st.integers(0, 2**32 - 1))
+def test_igd_equals_cdist_bit_for_bit(m, n_a, n_r, coincide, nan_in, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_a, m)) * scale
+    r = rng.normal(size=(n_r, m)) * scale
+    if coincide:  # exact zero distances for some reference points
+        k = min(n_a, n_r)
+        a[:k // 2] = r[:k // 2]
+    if nan_in == "a":
+        a[rng.integers(n_a), rng.integers(m)] = np.nan
+    elif nan_in == "r":
+        r[rng.integers(n_r), rng.integers(m)] = np.nan
+    assert_same_igd(a, r)
+
+
+def test_igd_equals_cdist_across_blocks():
+    rng = np.random.default_rng(3)
+    # more approximation points than one block holds, and many reference blocks
+    assert_same_igd(rng.uniform(size=(70000, 3)), rng.uniform(size=(5, 3)))
+    assert_same_igd(rng.uniform(size=(300, 4)), rng.uniform(size=(1000, 4)))
+
+
+# --- _halton -----------------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(2, 31))
+def test_halton_equals_scipy_unscrambled(m):
+    for n in (1, 17, 3375):
+        want = qmc.Halton(d=m - 1, scramble=False).random(n)
+        assert same_bits(_halton(m, n), want)
+
+
+# --- realize_position --------------------------------------------------------
+
+def window_shapes():
+    # 2t + 1 < q keeps every exclusive block nonempty
+    return st.integers(0, 4).flatmap(
+        lambda t: st.tuples(st.integers(2 * t + 2, 2 * t + 8), st.just(t)))
+
+
+TARGET_VALUE = st.one_of(st.sampled_from((0.0, 1.0, 0.5)), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=window_shapes(), g=st.integers(1, 8),
+       data=st.data(), lead=st.sampled_from(((), (5,), (2, 3))))
+def test_batched_realize_equals_per_row_solver(shape, g, data, lead):
+    q, t = shape
+    rows = int(np.prod(lead, dtype=int))
+    y = np.array(data.draw(st.lists(st.lists(TARGET_VALUE, min_size=g, max_size=g),
+                                    min_size=max(rows, 1), max_size=max(rows, 1))))
+    y = y.reshape(lead + (g,))
+    flat = y.reshape(-1, g)
+    try:
+        want = np.stack([reference_realize(row, q, t)[0] for row in flat])
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            realize_position(y, q, t)
+        return
+    got = realize_position(y, q, t)
+    assert same_bits(got, want.reshape(lead + want.shape[-1:]))
+
+
+def test_batched_realize_covers_the_search_fallback():
+    corners = [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]]
+    rng = np.random.default_rng(11)
+    # zero targets among random ones pin some shared sums away from zero
+    mixed = np.where(rng.uniform(size=(2000, 5)) < 0.2, 0.0, rng.uniform(size=(2000, 5)))
+    cases = [(np.array([[1.0, 0.0]]), 3, 1), (np.array(corners), 8, 3),
+             (rng.choice([0.0, 0.25, 1.0], size=(300, 4)), 6, 2), (mixed, 10, 4)]
+    fallback = 0
+    for y, q, t in cases:
+        reference = [reference_realize(row, q, t) for row in y]
+        fallback += sum(min(signs) < 0 for _, signs in reference)
+        got = realize_position(y, q, t)
+        assert same_bits(got, np.stack([x for x, _ in reference]))
+        np.testing.assert_allclose(meta_variables(got, q, t), y, atol=1e-12)
+    # rows whose all-positive sign pattern is infeasible take the search
+    assert fallback > 0

@@ -194,8 +194,6 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
 def dominance_filter(points) -> np.ndarray:
     """The nondominated subset, in stable input order."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("expected a 2-d array of points")
     return pts[dominance_mask(pts)]
 
 

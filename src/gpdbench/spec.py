@@ -19,13 +19,18 @@ Repeatable ``[constraint]`` section headers introduce constraint blocks::
     type = min_angle
     reference = e1
     threshold_a = 0.5
+
+Suite ranges files share this grammar and its diagnostics; only their
+top-level values differ.  Each is a comma-separated choice list or, for
+integer keys only, an inclusive span lo..hi.  distance_reference is taken
+whole, because its commas separate vector components, not choices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -275,56 +280,95 @@ class ProblemSpec:
 
 def validate(spec: ProblemSpec) -> ProblemSpec:
     """Re-run every validation check on an existing instance."""
-    return ProblemSpec(
-        objectives=spec.objectives, distance_vars=spec.distance_vars,
-        distance_kind=spec.distance_kind, meta_q=spec.meta_q, meta_t=spec.meta_t,
-        use_meta=spec.use_meta, norm_p=spec.norm_p, composition=spec.composition,
-        valleys_k=spec.valleys_k, dissimilar=spec.dissimilar,
-        distance_reference=spec.distance_reference,
-        mixed_landscape=spec.mixed_landscape, constraints=spec.constraints,
-    )
+    return replace(spec)
 
 
-_TOP_KEYS = ("objectives", "meta_q", "meta_t", "use_meta", "distance_vars",
-             "norm_p", "composition", "distance", "valleys_k", "dissimilar",
-             "distance_reference", "mixed_landscape")
+# Top-level keys, in the order generate_suite draws them: the order fixes
+# which instances a seed gives.
+_RANGE_ORDER = ("objectives", "meta_q", "meta_t", "use_meta", "distance_vars",
+                "norm_p", "composition", "distance", "valleys_k", "dissimilar",
+                "mixed_landscape", "distance_reference")
 _BLOCK_KEYS = ("type", "reference", "threshold_a", "threshold_b", "axis_j")
+# The typed keys; every other key holds text.
+_VALUE_TYPES = {
+    **dict.fromkeys(("objectives", "meta_q", "meta_t", "distance_vars", "valleys_k",
+                     "axis_j"), int),
+    **dict.fromkeys(("use_meta", "dissimilar"), bool),
+    **dict.fromkeys(("threshold_a", "threshold_b"), float),
+}
+_EXPECTED = {int: "an integer", float: "a real number", bool: "true or false"}
 
-_INT_KEYS = {"objectives", "meta_q", "meta_t", "distance_vars", "valleys_k"}
-_BOOL_KEYS = {"use_meta", "dissimilar"}
 
-
-def _parse_bool(token: str, where: str, errors: list[str]):
-    low = token.strip().lower()
-    if low in ("true", "false"):
-        return low == "true"
-    errors.append(f"{where}: expected true or false, got {token!r}")
+def _parse_value(key: str, token: str, where: str, errors: list[str]):
+    """Type one value by its key; on failure report it and return None."""
+    kind = _VALUE_TYPES.get(key, str)
+    if kind is str:
+        return token
+    text = token.strip()
+    if kind is bool:
+        if text.lower() in ("true", "false"):
+            return text.lower() == "true"
+    else:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    errors.append(f"{where}: expected {_EXPECTED[kind]}, got {token!r}")
     return None
 
 
-def _parse_int(token: str, where: str, errors: list[str]):
-    try:
-        return int(token.strip())
-    except ValueError:
-        errors.append(f"{where}: expected an integer, got {token!r}")
-        return None
+def _read(text: str, top_value: Callable[[str, str, str, list[str]], object]
+          ) -> tuple[dict[str, object], tuple[ConstraintSpec, ...]]:
+    """Read the shared spec/ranges grammar into (top-level values, constraints).
 
+    top_value(key, value, where, errors) reads one top-level value, the only
+    step in which spec and ranges files differ; it reports a bad value and
+    returns None.  Keys under an unknown section are discarded.  Every
+    syntax diagnostic is collected, with its line number, before raising.
+    """
+    errors: list[str] = []
+    top: dict[str, object] = {}
+    blocks: list[dict[str, object]] = []
+    current: dict[str, object] | None = top
 
-def _parse_float(token: str, where: str, errors: list[str]):
-    try:
-        return float(token.strip())
-    except ValueError:
-        errors.append(f"{where}: expected a real number, got {token!r}")
-        return None
-
-
-def _split_lines(text: str):
-    """Yield (line_number, key, value) triples plus section markers."""
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        yield ln, line, raw
+        where = f"line {ln}"
+        if line == "[constraint]":
+            current = {}
+            blocks.append(current)
+            continue
+        if line.startswith("["):
+            errors.append(f"{where}: unknown section {line!r}")
+            current = None
+            continue
+        if "=" not in line:
+            errors.append(f"{where}: expected 'key = value', got {raw.strip()!r}")
+            continue
+        if current is None:
+            continue
+        key, value = (part.strip() for part in line.split("=", 1))
+        if current is top:
+            known, label, read = _RANGE_ORDER, "key", top_value
+        else:
+            known, label, read = _BLOCK_KEYS, "constraint key", _parse_value
+        if key not in known:
+            errors.append(f"{where}: unknown {label} {key!r}")
+        elif key in current:
+            errors.append(f"{where}: duplicate {label} {key!r}")
+        else:
+            parsed = read(key, value, where, errors)
+            if parsed is not None:
+                current[key] = parsed
+
+    for i, block in enumerate(blocks):
+        if "type" not in block:
+            errors.append(f"constraint {i + 1}: missing required field 'type'")
+    if errors:
+        raise SpecError(errors)
+    return top, tuple(ConstraintSpec(block.pop("type"), **block) for block in blocks)
 
 
 def parse_spec(text: str) -> ProblemSpec:
@@ -334,92 +378,12 @@ def parse_spec(text: str) -> ProblemSpec:
     syntax problems are collected before raising, and validation problems
     are collected by the instance constructor.
     """
-    errors: list[str] = []
-    top: dict[str, object] = {}
-    blocks: list[dict[str, object]] = []
-    current: dict[str, object] | None = None
-    discard = False
-
-    for ln, line, raw in _split_lines(text):
-        if line == "[constraint]":
-            current = {}
-            blocks.append(current)
-            discard = False
-            continue
-        if line.startswith("["):
-            errors.append(f"line {ln}: unknown section {line!r}")
-            discard = True
-            continue
-        if "=" not in line:
-            errors.append(f"line {ln}: expected 'key = value', got {raw.strip()!r}")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if discard:
-            continue
-        where = f"line {ln}"
-        if current is None:
-            if key not in _TOP_KEYS:
-                errors.append(f"{where}: unknown key {key!r}")
-                continue
-            if key in top:
-                errors.append(f"{where}: duplicate key {key!r}")
-                continue
-            if key in _INT_KEYS:
-                parsed = _parse_int(value, where, errors)
-            elif key in _BOOL_KEYS:
-                parsed = _parse_bool(value, where, errors)
-            else:
-                parsed = value
-            if parsed is not None:
-                top[key] = parsed
-        else:
-            if key not in _BLOCK_KEYS:
-                errors.append(f"{where}: unknown constraint key {key!r}")
-                continue
-            if key in current:
-                errors.append(f"{where}: duplicate constraint key {key!r}")
-                continue
-            if key in ("threshold_a", "threshold_b"):
-                parsed = _parse_float(value, where, errors)
-            elif key == "axis_j":
-                parsed = _parse_int(value, where, errors)
-            else:
-                parsed = value
-            if parsed is not None:
-                current[key] = parsed
-
-    for i, block in enumerate(blocks):
-        if "type" not in block:
-            errors.append(f"constraint {i + 1}: missing required field 'type'")
-
-    if errors:
-        raise SpecError(errors)
-
+    top, constraints = _read(text, _parse_value)
     missing = [key for key in ("objectives", "distance_vars", "distance") if key not in top]
     if missing:
         raise SpecError([f"missing required key {key!r}" for key in missing])
-
-    constraints = tuple(
-        ConstraintSpec(
-            kind=str(block.get("type")),
-            reference=block.get("reference"),
-            threshold_a=block.get("threshold_a"),
-            threshold_b=block.get("threshold_b"),
-            axis_j=block.get("axis_j"),
-        )
-        for block in blocks
-    )
-    kwargs: dict[str, object] = {
-        "objectives": top["objectives"],
-        "distance_vars": top["distance_vars"],
-        "distance_kind": top["distance"],
-        "constraints": constraints,
-    }
-    for key in ("meta_q", "meta_t", "use_meta", "norm_p", "composition",
-                "valleys_k", "dissimilar", "distance_reference", "mixed_landscape"):
-        if key in top:
-            kwargs[key] = top[key]
-    return ProblemSpec(**kwargs)
+    top["distance_kind"] = top.pop("distance")
+    return ProblemSpec(**top, constraints=constraints)
 
 
 def render_spec(spec: ProblemSpec) -> str:
@@ -452,9 +416,26 @@ def render_spec(spec: ProblemSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RANGE_ORDER = ("objectives", "meta_q", "meta_t", "use_meta", "distance_vars",
-                "norm_p", "composition", "distance", "valleys_k", "dissimilar",
-                "mixed_landscape", "distance_reference")
+def _read_choices(key: str, value: str, where: str, errors: list[str]):
+    """A ranges-file value: a choice list, an integer span, or one reference."""
+    if key == "distance_reference":
+        return [value]
+    if ".." in value and _VALUE_TYPES.get(key) is int:
+        lo_s, hi_s = value.split("..", 1)
+        lo = _parse_value(key, lo_s, where, errors)
+        hi = _parse_value(key, hi_s, where, errors)
+        if lo is None or hi is None:
+            return None
+        if lo > hi:
+            errors.append(f"{where}: empty span {value!r}")
+            return None
+        return list(range(lo, hi + 1))
+    tokens = [tok.strip() for tok in value.split(",")]
+    if not all(tokens):
+        errors.append(f"{where}: empty choice in {value!r}")
+        return None
+    choices = [_parse_value(key, tok, where, errors) for tok in tokens]
+    return [c for c in choices if c is not None] or None
 
 
 def parse_ranges(text: str) -> dict:
@@ -465,91 +446,10 @@ def parse_ranges(text: str) -> dict:
     are not sampled; they apply verbatim to every generated instance and are
     returned under the "constraints" key.
     """
-    errors: list[str] = []
-    ranges: dict[str, object] = {}
-    blocks: list[dict[str, object]] = []
-    current: dict[str, object] | None = None
-
-    for ln, line, raw in _split_lines(text):
-        if line == "[constraint]":
-            current = {}
-            blocks.append(current)
-            continue
-        if line.startswith("["):
-            errors.append(f"line {ln}: unknown section {line!r}")
-            continue
-        if "=" not in line:
-            errors.append(f"line {ln}: expected 'key = value', got {raw.strip()!r}")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        where = f"line {ln}"
-        if current is not None:
-            if key not in _BLOCK_KEYS:
-                errors.append(f"{where}: unknown constraint key {key!r}")
-                continue
-            if key in ("threshold_a", "threshold_b"):
-                parsed = _parse_float(value, where, errors)
-            elif key == "axis_j":
-                parsed = _parse_int(value, where, errors)
-            else:
-                parsed = value
-            if parsed is not None:
-                current[key] = parsed
-            continue
-        if key not in _RANGE_ORDER:
-            errors.append(f"{where}: unknown key {key!r}")
-            continue
-        if key in ranges:
-            errors.append(f"{where}: duplicate key {key!r}")
-            continue
-        if key == "distance_reference":
-            ranges[key] = [value]
-            continue
-        if ".." in value and key in _INT_KEYS:
-            lo_s, hi_s = value.split("..", 1)
-            lo = _parse_int(lo_s, where, errors)
-            hi = _parse_int(hi_s, where, errors)
-            if lo is not None and hi is not None:
-                if lo > hi:
-                    errors.append(f"{where}: empty span {value!r}")
-                else:
-                    ranges[key] = list(range(lo, hi + 1))
-            continue
-        tokens = [tok.strip() for tok in value.split(",")]
-        if any(not tok for tok in tokens):
-            errors.append(f"{where}: empty choice in {value!r}")
-            continue
-        choices: list[object] = []
-        for tok in tokens:
-            if key in _INT_KEYS:
-                parsed = _parse_int(tok, where, errors)
-            elif key in _BOOL_KEYS:
-                parsed = _parse_bool(tok, where, errors)
-            else:
-                parsed = tok
-            if parsed is not None:
-                choices.append(parsed)
-        if choices:
-            ranges[key] = choices
-
-    if errors:
-        raise SpecError(errors)
-    out: dict[str, object] = dict(ranges)
-    if blocks:
-        for i, block in enumerate(blocks):
-            if "type" not in block:
-                raise SpecError([f"constraint {i + 1}: missing required field 'type'"])
-        out["constraints"] = tuple(
-            ConstraintSpec(
-                kind=str(block.get("type")),
-                reference=block.get("reference"),
-                threshold_a=block.get("threshold_a"),
-                threshold_b=block.get("threshold_b"),
-                axis_j=block.get("axis_j"),
-            )
-            for block in blocks
-        )
-    return out
+    ranges, constraints = _read(text, _read_choices)
+    if constraints:
+        ranges["constraints"] = constraints
+    return ranges
 
 
 def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[ProblemSpec]:

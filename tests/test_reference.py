@@ -111,6 +111,8 @@ def test_dominance_filter_examples():
     np.testing.assert_allclose(dominance_filter(single), single)
     dupes = np.array([[1.0, 0.0], [1.0, 0.0]])
     assert dominance_filter(dupes).shape == (2, 2)  # duplicates both survive
+    with pytest.raises(ValueError, match="2-d array"):
+        dominance_filter(np.array([1.0, 0.0]))
 
 
 def test_dominance_filter_matches_brute_force():

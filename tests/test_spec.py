@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from test_array_pipeline import specs
 
 from gpdbench import (
     ConstraintSpec,
@@ -117,11 +119,26 @@ def test_parse_comments_and_case():
     assert parse_spec(text) == parse_spec(MINIMAL)
 
 
+def assert_errors(parse, text, errors):
+    with pytest.raises(SpecError) as exc:
+        parse(text)
+    assert exc.value.errors == errors
+
+
 def test_parse_diagnostics_carry_line_numbers():
-    with pytest.raises(SpecError, match="line 2: unknown key 'bogus_key'"):
-        parse_spec("objectives = 3\nbogus_key = 1\n")
-    with pytest.raises(SpecError, match="line 4: duplicate key 'objectives'"):
-        parse_spec(MINIMAL + "objectives = 4\n")
+    cases = [
+        ("objectives = 3\nbogus_key = 1\n", ["line 2: unknown key 'bogus_key'"]),
+        (MINIMAL + "objectives = 4\n", ["line 4: duplicate key 'objectives'"]),
+        # keys under an unknown section are discarded, not read as top-level keys
+        (MINIMAL + "[extra]\nobjectives = 4\n", ["line 4: unknown section '[extra]'"]),
+        # every block without a type is reported, also after a syntax error
+        (MINIMAL + "bogus_key = 1\n[constraint]\naxis_j = 1\n[constraint]\nreference = e1\n",
+         ["line 4: unknown key 'bogus_key'", "constraint 1: missing required field 'type'",
+          "constraint 2: missing required field 'type'"]),
+    ]
+    for parse in (parse_spec, parse_ranges):
+        for text, errors in cases:
+            assert_errors(parse, text, errors)
     with pytest.raises(SpecError, match="missing required key"):
         parse_spec("objectives = 3\n")
 
@@ -139,9 +156,15 @@ def test_parse_constraint_block():
 
 
 def test_parse_constraint_block_bad_key():
-    text = MINIMAL + "\n[constraint]\nkind = band\n"
-    with pytest.raises(SpecError, match="unknown constraint key 'kind'"):
-        parse_spec(text)
+    cases = [
+        (MINIMAL + "\n[constraint]\nkind = band\n",
+         ["line 6: unknown constraint key 'kind'", "constraint 1: missing required field 'type'"]),
+        (MINIMAL + "\n[constraint]\ntype = band\ntype = min_angle\n",
+         ["line 7: duplicate constraint key 'type'"]),
+    ]
+    for parse in (parse_spec, parse_ranges):
+        for text, errors in cases:
+            assert_errors(parse, text, errors)
 
 
 def test_render_round_trip():
@@ -161,6 +184,15 @@ def test_render_round_trip():
     ]
     for s in specs:
         assert parse_spec(render_spec(s)) == s
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(specs())
+def test_render_round_trip_property(s):
+    text = render_spec(s)
+    assert parse_spec(text) == s
+    # a rendered spec is a one-instance ranges file
+    assert generate_suite(0, 1, parse_ranges(text)) == [s]
 
 
 def test_render_is_plain_text():

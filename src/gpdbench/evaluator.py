@@ -9,12 +9,14 @@ Every evaluation goes through ``evaluate_arrays``, which validates a whole
 batch at once and returns one array per result field.  ``evaluate`` and
 ``evaluate_batch`` only pack those arrays into per-row ``Evaluation``
 objects; a single evaluation runs the batch kernel on one row, so the two
-paths are bit-identical by construction.
+paths are bit-identical by construction.  ``perturb_experiment`` runs the
+distance stage alone on samples that share one position part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -91,11 +93,21 @@ def _validate(rows, spec: ProblemSpec):
 
     Returns (matrix, good, errors): good lists the input index of each
     matrix row, errors the (index, message) pairs of rejected rows, both in
-    input order.  Shape and width are checked per row; the box and
-    finiteness checks run once over the stacked well-shaped rows.
+    input order.  A (B, N) array, or a list or tuple of rows that converts
+    to one, is taken whole; otherwise shape and width are checked per row.
+    The box and finiteness checks run once over the stacked well-shaped rows.
     """
     n = spec.total_dim
     errors: list[tuple[int, str]] = []
+    if isinstance(rows, (list, tuple)):
+        # Ragged, nested or wrong-width rows take the per-row path and its
+        # messages.
+        try:
+            stacked = np.asarray(rows, dtype=float)
+        except (ValueError, TypeError, OverflowError):
+            stacked = None
+        if stacked is not None and stacked.ndim == 2 and stacked.shape[1] == n:
+            rows = stacked
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == n:
         matrix = np.ascontiguousarray(rows, dtype=float)
         good = list(range(matrix.shape[0]))
@@ -129,12 +141,13 @@ def _validate(rows, spec: ProblemSpec):
     return matrix[keep], [i for i, k in zip(good, keep.tolist()) if k], errors
 
 
-def _pipeline(x: np.ndarray, spec: ProblemSpec) -> EvaluationArrays:
-    """Evaluate a validated (B, N) matrix; every reduction is row-local."""
-    r = spec.position_dim
-    x_d = x[:, r:]
-    f_p = position_objectives(x[:, :r], spec)
-    phi = normalized_angle(f_p, spec.distance_reference)
+def _distance_stage(x_d: np.ndarray, f_p: np.ndarray, phi: np.ndarray,
+                    spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """F_d and the final objectives of distance parts (B, S) at f_p and phi.
+
+    Covers g, the radial profile, composition and dissimilarity; f_p (B, M)
+    may be a broadcast view of one position point.
+    """
     if spec.g_landscape == "deceptive":
         g = deceptive_g(x_d, phi, spec.valleys_k)
     else:
@@ -143,6 +156,15 @@ def _pipeline(x: np.ndarray, spec: ProblemSpec) -> EvaluationArrays:
     f = compose(f_p, f_d, spec.composition)
     if spec.dissimilar:
         f = dissimilarize(f)
+    return f_d, f
+
+
+def _pipeline(x: np.ndarray, spec: ProblemSpec) -> EvaluationArrays:
+    """Evaluate a validated (B, N) matrix; every reduction is row-local."""
+    r = spec.position_dim
+    f_p = position_objectives(x[:, :r], spec)
+    phi = normalized_angle(f_p, spec.distance_reference)
+    f_d, f = _distance_stage(x[:, r:], f_p, phi, spec)
     phis, viol = constraint_table(f_p, spec.constraints)
     return EvaluationArrays(
         objectives=f, position_point=f_p, distance_value=f_d, distance_phi=phi,
@@ -151,19 +173,32 @@ def _pipeline(x: np.ndarray, spec: ProblemSpec) -> EvaluationArrays:
         feasible=np.all(viol == 0.0, axis=-1))
 
 
+def _row_tuples(col: np.ndarray):
+    """Row tuples of a (B, K) array, built from its K column lists.
+
+    tolist() yields the same Python floats as float() per element.
+    """
+    if col.shape[1] == 0:
+        return repeat((), col.shape[0])
+    return zip(*col.T.tolist())
+
+
 def _evaluations(a: EvaluationArrays) -> list[Evaluation]:
-    # tolist() yields the same Python floats as float() per element.
-    reports = [ConstraintReport(violations=v, feasible=ok, nearest_axis_of_point=k)
-               for v, ok, k in zip(map(tuple, a.violations.tolist()),
-                                   a.feasible.tolist(),
-                                   a.nearest_axis_of_point.tolist())]
-    return [Evaluation(objectives=f, position_point=p, distance_value=d,
-                       distance_phi=phi, phi_per_constraint=c, report=rep)
-            for f, p, d, phi, c, rep in zip(
-                map(tuple, a.objectives.tolist()),
-                map(tuple, a.position_point.tolist()),
-                a.distance_value.tolist(), a.distance_phi.tolist(),
-                map(tuple, a.phi_per_constraint.tolist()), reports)]
+    axes = a.nearest_axis_of_point.tolist()
+    if a.violations.shape[1] == 0:
+        # Without constraints every report is ((), True, axis): share one per
+        # axis, since reports are frozen.  Reports are not memoised on their
+        # values in general: a tuple key equates -0.0 with 0.0.
+        m = a.position_point.shape[1]
+        shared = {k: ConstraintReport((), True, k) for k in range(1, m + 1)}
+        reports = map(shared.__getitem__, axes)
+    else:
+        reports = map(ConstraintReport, _row_tuples(a.violations),
+                      a.feasible.tolist(), axes)
+    return list(map(Evaluation, _row_tuples(a.objectives),
+                    _row_tuples(a.position_point), a.distance_value.tolist(),
+                    a.distance_phi.tolist(), _row_tuples(a.phi_per_constraint),
+                    reports))
 
 
 def evaluate_arrays(rows, spec: ProblemSpec) -> EvaluationArrays:

@@ -17,7 +17,7 @@ import numpy as np
 from .constraints import constraint_table
 from .distance import (ROBUST_MINIMIZER, compose, normalized_angle,
                        radial_profile, valley_center)
-from .evaluator import evaluate, evaluate_arrays
+from .evaluator import _distance_stage, evaluate
 from .position import (dissimilarize, meta_variables, position_point,
                        realize_position)
 from .spec import ProblemSpec
@@ -315,15 +315,19 @@ def perturb_experiment(x, radius: float, samples: int, spec: ProblemSpec,
     if samples < 1:
         raise ValueError(f"need at least one perturbation sample, got {samples}")
     base = evaluate(x, spec)
-    x = np.asarray(x, dtype=float)
-    r = spec.position_dim
+    x_d = np.asarray(x, dtype=float)[spec.position_dim:]
+    n = int(samples)
     rng = np.random.default_rng(seed)
-    delta = rng.uniform(-radius, radius, size=(int(samples), spec.distance_vars))
-    rows = np.tile(x, (int(samples), 1))
-    rows[:, r:] = np.clip(rows[:, r:] + delta, 0.0, 1.0)
-    moved = evaluate_arrays(rows, spec).objectives - np.asarray(base.objectives)
+    delta = rng.uniform(-radius, radius, size=(n, spec.distance_vars))
+    # Every sample shares the position part, so only the distance stage runs
+    # per sample.  phi is a filled column, not a broadcast view, so the ufuncs
+    # that read it directly see the layout a full batch gives them.
+    f_p = np.broadcast_to(np.asarray(base.position_point), (n, spec.objectives))
+    phi = np.full(n, base.distance_phi)
+    _, f = _distance_stage(np.clip(x_d + delta, 0.0, 1.0), f_p, phi, spec)
+    moved = f - np.asarray(base.objectives)
     disp = np.sqrt(np.sum(moved * moved, axis=-1))
     return PerturbReport(worst=float(disp.max()), mean=float(disp.mean()),
                          base_objectives=base.objectives,
-                         radius=float(radius), samples=int(samples),
+                         radius=float(radius), samples=n,
                          seed=int(seed))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -288,6 +288,8 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
 _RANGE_ORDER = ("objectives", "meta_q", "meta_t", "use_meta", "distance_vars",
                 "norm_p", "composition", "distance", "valleys_k", "dissimilar",
                 "mixed_landscape", "distance_reference")
+# Longest lo..hi span: len() of a range and rng.integers both stop at int64.
+_MAX_SPAN = int(np.iinfo(np.int64).max)
 _BLOCK_KEYS = ("type", "reference", "threshold_a", "threshold_b", "axis_j")
 # The typed keys; every other key holds text.
 _VALUE_TYPES = {
@@ -429,7 +431,10 @@ def _read_choices(key: str, value: str, where: str, errors: list[str]):
         if lo > hi:
             errors.append(f"{where}: empty span {value!r}")
             return None
-        return list(range(lo, hi + 1))
+        if hi - lo >= _MAX_SPAN:
+            errors.append(f"{where}: span {value!r} has more than {_MAX_SPAN} values")
+            return None
+        return range(lo, hi + 1)
     tokens = [tok.strip() for tok in value.split(",")]
     if not all(tokens):
         errors.append(f"{where}: empty choice in {value!r}")
@@ -442,9 +447,10 @@ def parse_ranges(text: str) -> dict:
     """Parse a suite ranges file.
 
     Each top-level value is either a single literal, a comma-separated choice
-    list, or an inclusive integer span written lo..hi.  [constraint] blocks
-    are not sampled; they apply verbatim to every generated instance and are
-    returned under the "constraints" key.
+    list, or an inclusive integer span written lo..hi, returned as a range
+    so a long span costs no memory.  [constraint] blocks are not sampled;
+    they apply verbatim to every generated instance and are returned under
+    the "constraints" key.
     """
     ranges, constraints = _read(text, _read_choices)
     if constraints:
@@ -464,11 +470,13 @@ def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[
     if count < 1:
         raise SpecError([f"suite count must be >= 1, got {count}"])
     fixed_constraints = tuple(ranges.get("constraints", ()))
-    sampled: list[tuple[str, list]] = []
+    sampled: list[tuple[str, Sequence]] = []
     for key in _RANGE_ORDER:
         if key not in ranges:
             continue
-        choices = list(ranges[key])
+        choices = ranges[key]
+        if not isinstance(choices, range):
+            choices = list(choices)
         if not choices:
             raise SpecError([f"empty choice set for {key!r}"])
         sampled.append((key, choices))

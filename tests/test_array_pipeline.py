@@ -4,16 +4,20 @@ Batches mix valid rows with injected bad ones (non-finite values, values one
 ulp outside a box edge, wrong widths, ragged and nested rows) and with rows
 sitting exactly on the box edges, as lists and as arrays.  The vectorized validator must agree with
 a plain per-row loop, the packed results must equal the array columns bit
-for bit, and single evaluation must reproduce every batch row.
+for bit and the row-wise packer the column-wise one replaced (copied below),
+and single evaluation must reproduce every batch row.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gpdbench import (COMPOSITIONS, DISTANCE_KINDS, MIXED_LANDSCAPES,
-                      BatchError, ConstraintSpec, ProblemSpec, evaluate,
-                      evaluate_arrays, evaluate_batch)
+                      BatchError, ConstraintReport, ConstraintSpec, Evaluation,
+                      EvaluationArrays, ProblemSpec, evaluate, evaluate_arrays,
+                      evaluate_batch)
+from gpdbench.evaluator import _evaluations
 
 VALUE_INJECTIONS = ("nan", "inf", "-inf", "below", "above")
 SHAPE_INJECTIONS = ("wide", "narrow", "nested")
@@ -32,6 +36,21 @@ def reference_row_error(row, spec):
         if not lo <= v <= 1.0:  # NaN fails both comparisons
             return f"coordinate {i + 1} is {v:g}, outside [{lo:g}, 1]"
     return None
+
+
+def reference_evaluations(a):
+    """The row-wise packer: one tuple per row, one report per row."""
+    reports = [ConstraintReport(violations=v, feasible=ok, nearest_axis_of_point=k)
+               for v, ok, k in zip(map(tuple, a.violations.tolist()),
+                                   a.feasible.tolist(),
+                                   a.nearest_axis_of_point.tolist())]
+    return [Evaluation(objectives=f, position_point=p, distance_value=d,
+                       distance_phi=phi, phi_per_constraint=c, report=rep)
+            for f, p, d, phi, c, rep in zip(
+                map(tuple, a.objectives.tolist()),
+                map(tuple, a.position_point.tolist()),
+                a.distance_value.tolist(), a.distance_phi.tolist(),
+                map(tuple, a.phi_per_constraint.tolist()), reports)]
 
 
 @st.composite
@@ -164,3 +183,51 @@ def test_batch_validation_packing_and_single_row_agree(case):
             assert repr(err.results) == repr(results)
         else:
             raise AssertionError("evaluate_arrays accepted a bad batch")
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(cases())
+def test_packing_matches_row_wise_packer(case):
+    spec, rows = case
+    try:
+        results = evaluate_batch(rows, spec)
+        bad = set()
+    except BatchError as err:
+        results = err.results
+        bad = {i for i, _ in err.row_errors}
+    good_rows = [row for i, row in enumerate(rows) if i not in bad]
+    packed = iter(reference_evaluations(evaluate_arrays(good_rows, spec)))
+    want = [None if i in bad else next(packed) for i in range(len(rows))]
+    assert repr(results) == repr(want)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_packing_of_zero_rows(constrained):
+    cons = (ConstraintSpec(kind="nearest_axis", axis_j=1),) if constrained else ()
+    spec = ProblemSpec(objectives=3, distance_vars=2, distance_kind="robust",
+                       constraints=cons)
+    for rows in ([], np.empty((0, spec.total_dim))):
+        assert evaluate_batch(rows, spec) == []
+        a = evaluate_arrays(rows, spec)
+        assert _evaluations(a) == reference_evaluations(a) == []
+
+
+@pytest.mark.parametrize("c", [0, 1, 3])
+def test_packing_keeps_negative_zero_bits(c):
+    # Rows that differ only in the sign of a zero must keep their own bits.
+    rng = np.random.default_rng(c)
+    b, m = 6, 4
+    violations = np.where(rng.random((b, c)) < 0.5, -0.0, 0.0)
+    phis = np.where(rng.random((b, c)) < 0.5, -0.0, 0.0)
+    a = EvaluationArrays(
+        objectives=np.where(rng.random((b, m)) < 0.5, -0.0, 0.0),
+        position_point=rng.random((b, m)),
+        distance_value=np.array([0.0, -0.0] * (b // 2)),
+        distance_phi=np.array([-0.0, 0.0] * (b // 2)),
+        phi_per_constraint=phis, violations=violations,
+        nearest_axis_of_point=rng.integers(1, m + 1, size=b),
+        feasible=np.all(violations == 0.0, axis=-1))
+    got, want = _evaluations(a), reference_evaluations(a)
+    assert repr(got) == repr(want)
+    assert "-0.0" in repr(got)

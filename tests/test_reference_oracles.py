@@ -1,9 +1,10 @@
 """The reference layer's kernels against slow oracles, bit for bit.
 
 dominance_mask is checked against the all-pairs filter, igd against scipy's
-cdist, _halton against scipy's unscrambled Halton sampler, and the batched
-realize_position against the one-row-at-a-time solver it replaced (copied
-below).  scipy is a test-only dependency: the library itself never imports
+cdist, _halton against scipy's unscrambled Halton sampler, the batched
+realize_position against the one-row-at-a-time solver it replaced, and
+perturb_experiment against the tile-and-evaluate body it replaced (both
+copied below).  scipy is a test-only dependency: the library itself never imports
 it.
 """
 
@@ -16,7 +17,12 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 from scipy.stats import qmc
 
-from gpdbench import dominance_mask, igd, meta_variables, realize_position
+from test_array_pipeline import specs
+
+import gpdbench.evaluator
+from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
+                      igd, meta_variables, pareto_set_sample, perturb_experiment,
+                      realize_position)
 from gpdbench.reference import _halton
 
 
@@ -255,3 +261,52 @@ def test_batched_realize_covers_the_search_fallback():
         np.testing.assert_allclose(meta_variables(got, q, t), y, atol=1e-12)
     # rows whose all-positive sign pattern is infeasible take the search
     assert fallback > 0
+
+
+def reference_perturb(x, radius, samples, spec, seed=0):
+    """Every sample as a full row through the whole evaluation pipeline."""
+    base = evaluate(x, spec)
+    x = np.asarray(x, dtype=float)
+    r = spec.position_dim
+    rng = np.random.default_rng(seed)
+    delta = rng.uniform(-radius, radius, size=(int(samples), spec.distance_vars))
+    rows = np.tile(x, (int(samples), 1))
+    rows[:, r:] = np.clip(rows[:, r:] + delta, 0.0, 1.0)
+    moved = evaluate_arrays(rows, spec).objectives - np.asarray(base.objectives)
+    disp = np.sqrt(np.sum(moved * moved, axis=-1))
+    return float(disp.max()), float(disp.mean()), base.objectives
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=specs(), radius=st.sampled_from([1e-9, 0.05, 0.7, 1e300]),
+       samples=st.sampled_from([1, 257]), on_set=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_perturb_equals_tile_and_evaluate(spec, radius, samples, on_set, seed):
+    rng = np.random.default_rng(seed)
+    if on_set:  # distance part in the valley or on the brittle minimizer
+        x = pareto_set_sample(spec, 3).vectors[rng.integers(3)]
+    else:
+        r = spec.position_dim
+        x = np.concatenate([rng.uniform(-1.0, 1.0, r),
+                            rng.uniform(0.0, 1.0, spec.distance_vars)])
+    got = perturb_experiment(x, radius, samples, spec, seed=seed)
+    worst, mean, base = reference_perturb(x, radius, samples, spec, seed=seed)
+    assert same_bits(got.worst, worst) and same_bits(got.mean, mean)
+    assert same_bits(got.base_objectives, base)
+
+
+def test_perturb_evaluates_the_position_part_once(monkeypatch):
+    rows = []
+    inner = gpdbench.evaluator.position_objectives
+
+    def counted(x_p, spec):
+        rows.append(len(x_p))
+        return inner(x_p, spec)
+
+    monkeypatch.setattr(gpdbench.evaluator, "position_objectives", counted)
+    spec = ProblemSpec(objectives=5, distance_vars=4, distance_kind="robust")
+    x = pareto_set_sample(spec, 1).vectors[0]
+    report = perturb_experiment(x, 0.05, 10000, spec, seed=2)
+    assert report.samples == 10000 and report.worst > 0.0
+    assert sum(rows) == 1

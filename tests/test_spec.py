@@ -1,5 +1,7 @@
 """Spec records: validation, parsing, rendering, ranges, suite generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -206,7 +208,7 @@ def test_render_is_plain_text():
 
 def test_parse_ranges():
     r = parse_ranges("objectives = 2..4\ndistance_vars = 5\ndistance = deceptive, robust\n")
-    assert r["objectives"] == [2, 3, 4]
+    assert r["objectives"] == range(2, 5)
     assert r["distance_vars"] == [5]
     assert r["distance"] == ["deceptive", "robust"]
 
@@ -244,3 +246,40 @@ def test_generate_suite_exhaustion():
               "meta_q": [4], "meta_t": [2]}
     with pytest.raises(SpecError, match="no valid specification"):
         generate_suite(0, 1, ranges)
+
+
+def test_long_span_costs_no_memory():
+    tracemalloc.start()
+    try:
+        ranges = parse_ranges("objectives = 2..4\ndistance_vars = 1..10000000000\n"
+                              "distance = robust\n")
+        suite = generate_suite(5, 3, ranges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ranges["distance_vars"] == range(1, 10000000001)
+    assert len(suite) == 3 and all(1 <= s.distance_vars <= 10 ** 10 for s in suite)
+    assert peak < 1 << 20
+
+
+def test_span_draws_match_list_choices():
+    ranges = parse_ranges("objectives = 2..4\ndistance_vars = 1..300\n"
+                          "distance = deceptive, robust\n")
+    # The draw loop over plain lists, in the order generate_suite draws keys.
+    objectives, distance_vars = list(range(2, 5)), list(range(1, 301))
+    kinds = ["deceptive", "robust"]
+    rng = np.random.default_rng(11)
+    want = []
+    for _ in range(40):
+        m = objectives[int(rng.integers(len(objectives)))]
+        s = distance_vars[int(rng.integers(len(distance_vars)))]
+        kind = kinds[int(rng.integers(len(kinds)))]
+        want.append(ProblemSpec(objectives=m, distance_vars=s, distance_kind=kind))
+    assert generate_suite(11, 40, ranges) == want
+
+
+def test_span_too_long_is_a_spec_error():
+    top = 2 ** 63
+    with pytest.raises(SpecError, match=r"line 2: span '1\.\.%d'" % top):
+        parse_ranges(f"objectives = 3\ndistance_vars = 1..{top}\n")
+    assert len(parse_ranges(f"distance_vars = 1..{top - 1}\n")["distance_vars"]) == top - 1

@@ -27,7 +27,8 @@ import numpy as np
 from .evaluator import BatchError, evaluate_arrays
 from .reference import (dominance_filter, front_sample, igd,
                         pareto_set_sample, perturb_experiment)
-from .spec import SpecError, generate_suite, parse_ranges, parse_spec, render_spec
+from .spec import (SpecError, _fmt, generate_suite, parse_ranges, parse_spec,
+                   render_spec)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
 
 
 def _read_rows(path: str) -> list[list[float]]:

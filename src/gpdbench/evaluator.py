@@ -10,7 +10,8 @@ batch at once and returns one array per result field.  ``evaluate`` and
 ``evaluate_batch`` only pack those arrays into per-row ``Evaluation``
 objects; a single evaluation runs the batch kernel on one row, so the two
 paths are bit-identical by construction.  ``perturb_experiment`` runs the
-distance stage alone on samples that share one position part.
+distance stage alone on samples that share one position part, and the
+reference samplers run the position stage on chosen meta-variables.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .constraints import ConstraintReport, constraint_table
 from .distance import (compose, deceptive_g, normalized_angle, radial_profile,
                        robust_g)
-from .position import dissimilarize, position_objectives
+from .position import dissimilarize, meta_variables, position_point
 from .spec import ProblemSpec
 
 
@@ -141,6 +142,18 @@ def _validate(rows, spec: ProblemSpec):
     return matrix[keep], [i for i, k in zip(good, keep.tolist()) if k], errors
 
 
+def _position_stage(y: np.ndarray, spec: ProblemSpec
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """F_p and its normalized angle phi for meta-variables y (B, M-1).
+
+    The one map from meta-variables to the front; the evaluator runs it on
+    the meta-variables of decision vectors, the reference samplers on chosen
+    targets.
+    """
+    f_p = position_point(y, spec.norm_p)
+    return f_p, normalized_angle(f_p, spec.distance_reference)
+
+
 def _distance_stage(x_d: np.ndarray, f_p: np.ndarray, phi: np.ndarray,
                     spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """F_d and the final objectives of distance parts (B, S) at f_p and phi.
@@ -162,8 +175,8 @@ def _distance_stage(x_d: np.ndarray, f_p: np.ndarray, phi: np.ndarray,
 def _pipeline(x: np.ndarray, spec: ProblemSpec) -> EvaluationArrays:
     """Evaluate a validated (B, N) matrix; every reduction is row-local."""
     r = spec.position_dim
-    f_p = position_objectives(x[:, :r], spec)
-    phi = normalized_angle(f_p, spec.distance_reference)
+    y = meta_variables(x[:, :r], spec.meta_q, spec.meta_t)
+    f_p, phi = _position_stage(y, spec)
     f_d, f = _distance_stage(x[:, r:], f_p, phi, spec)
     phis, viol = constraint_table(f_p, spec.constraints)
     return EvaluationArrays(

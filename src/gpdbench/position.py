@@ -106,12 +106,6 @@ def position_point(y: np.ndarray, p: float) -> np.ndarray:
     return t / p_norm(t, p)[..., None]
 
 
-def position_objectives(x_p: np.ndarray, spec) -> np.ndarray:
-    """F_p for a validated instance: meta-variables, sphere, p-norm scaling."""
-    y = meta_variables(x_p, spec.meta_q, spec.meta_t)
-    return position_point(y, spec.norm_p)
-
-
 def _shared_intervals(w: np.ndarray, n_excl: np.ndarray, t: int, g: int):
     """Reachable shared-block sums for signed window targets, row by row.
 

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import constraint_table
-from .distance import (ROBUST_MINIMIZER, compose, normalized_angle,
-                       radial_profile, valley_center)
-from .evaluator import _distance_stage, evaluate
-from .position import (dissimilarize, meta_variables, position_point,
-                       realize_position)
+from .distance import ROBUST_MINIMIZER, compose, radial_profile, valley_center
+from .evaluator import _distance_stage, _position_stage, evaluate
+from .position import dissimilarize, meta_variables, realize_position
 from .spec import ProblemSpec
 
 
@@ -255,8 +253,7 @@ def front_sample(spec: ProblemSpec, resolution: int,
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
-    f_p = position_point(_front_targets(spec.objectives, resolution), spec.norm_p)
-    phi = normalized_angle(f_p, spec.distance_reference)
+    f_p, phi = _position_stage(_front_targets(spec.objectives, resolution), spec)
     f_d = radial_profile(np.zeros_like(phi), phi, spec.distance_kind,
                          spec.composition)
     pts = compose(f_p, f_d, spec.composition)
@@ -280,8 +277,9 @@ def pareto_set_sample(spec: ProblemSpec, n: int) -> SetSample:
     parts sit at the landscape optimum, which depends on the angle of the
     realized position point for the deceptive landscape (per-variable valley
     centers) and is the constant brittle minimizer for the robust one.  The
-    angle is recomputed from the realized position through the evaluation
-    ops, so the evaluator sees the distance variables exactly on target.
+    angle is recomputed from the realized position through the evaluator's
+    position stage, so the evaluator sees the distance variables exactly on
+    target.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
@@ -290,7 +288,7 @@ def pareto_set_sample(spec: ProblemSpec, n: int) -> SetSample:
     x_p = realize_position(targets, q, t)
     y = meta_variables(x_p, q, t)
     residuals = np.max(np.abs(y - targets), axis=-1)
-    phi = normalized_angle(position_point(y, spec.norm_p), spec.distance_reference)
+    _, phi = _position_stage(y, spec)
     s = spec.distance_vars
     if spec.g_landscape == "deceptive":
         idx = np.arange(1, s + 1, dtype=float)

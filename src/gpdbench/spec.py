@@ -29,7 +29,7 @@ whole, because its commas separate vector components, not choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -272,16 +272,6 @@ class ProblemSpec:
             return self.distance_kind
         return self.mixed_landscape
 
-    @property
-    def is_quasi_norm(self) -> bool:
-        """True when 0 < p < 1, where the front surface is a quasi-norm sphere."""
-        return self.norm_p < 1.0
-
-
-def validate(spec: ProblemSpec) -> ProblemSpec:
-    """Re-run every validation check on an existing instance."""
-    return replace(spec)
-
 
 # Top-level keys, in the order generate_suite draws them: the order fixes
 # which instances a seed gives.
@@ -462,20 +452,30 @@ def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[
     """Draw a deterministic list of valid instances from choice sets.
 
     Every field present in ranges is drawn uniformly from its choices; absent
-    fields keep their defaults.  Draws that fail validation (for example an
+    fields keep their defaults.  Keys are those parse_ranges returns; any
+    other key is a SpecError.  Draws that fail validation (for example an
     invalid q, t pair) are rejected and redrawn, up to a bounded number of
     attempts per instance.  Equal (seed, count, ranges) always produce the
     identical list.
     """
     if count < 1:
         raise SpecError([f"suite count must be >= 1, got {count}"])
+    unknown = [key for key in ranges if key not in _RANGE_ORDER and key != "constraints"]
+    if unknown:
+        raise SpecError([f"unknown ranges key {key!r}" for key in unknown])
     fixed_constraints = tuple(ranges.get("constraints", ()))
     sampled: list[tuple[str, Sequence]] = []
     for key in _RANGE_ORDER:
         if key not in ranges:
             continue
         choices = ranges[key]
-        if not isinstance(choices, range):
+        if isinstance(choices, range):
+            try:
+                len(choices)
+            except OverflowError:
+                raise SpecError([f"choice set for {key!r} has more than "
+                                 f"{_MAX_SPAN} values"]) from None
+        else:
             choices = list(choices)
         if not choices:
             raise SpecError([f"empty choice set for {key!r}"])

@@ -25,8 +25,8 @@ from gpdbench import (
     meta_variables,
     pareto_set_sample,
     perturb_experiment,
-    position_objectives,
     p_norm,
+    position_point,
     radial_profile,
     robust_term,
     valley_center,
@@ -52,7 +52,8 @@ def test_criterion_01_position_points_sit_on_unit_surface():
         spec = ProblemSpec(objectives=m, distance_vars=1, distance_kind="robust",
                            meta_q=q, meta_t=t, norm_p=p)
         x_p = rng.uniform(-1.0, 1.0, size=(500, spec.position_dim))
-        f_p = position_objectives(x_p, spec)
+        f_p = position_point(meta_variables(x_p, spec.meta_q, spec.meta_t),
+                             spec.norm_p)
         worst = max(worst, float(np.max(np.abs(p_norm(f_p, spec.norm_p) - 1.0))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0
@@ -252,7 +253,8 @@ def test_criterion_10_random_search_stalls_on_the_deceptive_landscape():
     searched = igd(dominance_filter(objs), front)
     # counterfactual: the same position draws with the distance part solved
     zeros = np.zeros(len(x_p))
-    f_p = position_objectives(x_p, spec)
+    f_p = position_point(meta_variables(x_p, spec.meta_q, spec.meta_t),
+                         spec.norm_p)
     solved = compose(f_p, radial_profile(zeros, zeros, "deceptive",
                                          spec.composition), spec.composition)
     baseline = igd(dominance_filter(solved), front)

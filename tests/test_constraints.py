@@ -6,12 +6,12 @@ import pytest
 from gpdbench import (
     ConstraintSpec,
     ProblemSpec,
-    axis_angles,
     constraint_table,
     evaluate_constraints,
     nearest_axis,
     normalized_angle,
 )
+from gpdbench.constraints import axis_angles
 
 DIAG3 = np.ones(3) / np.sqrt(3.0)
 

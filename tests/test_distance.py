@@ -6,11 +6,9 @@ import pytest
 from gpdbench import (
     ROBUST_MINIMIZER,
     ROBUST_STABLE_RANGE,
-    angle_to_reference,
     compose,
     deceptive_g,
     deceptive_term,
-    max_first_orthant_angle,
     normalized_angle,
     radial_profile,
     robust_g,
@@ -18,6 +16,7 @@ from gpdbench import (
     valley_center,
     valley_radius,
 )
+from gpdbench.distance import angle_to_reference, max_first_orthant_angle
 
 DIAG3 = np.ones(3) / np.sqrt(3.0)
 

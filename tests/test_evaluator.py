@@ -10,9 +10,10 @@ from gpdbench import (
     compose,
     evaluate,
     evaluate_batch,
+    meta_variables,
     normalized_angle,
     pareto_set_sample,
-    position_objectives,
+    position_point,
     radial_profile,
 )
 
@@ -71,8 +72,8 @@ def test_evaluation_fields_are_consistent():
                         rng.uniform(0, 1, spec.distance_vars)])
     ev = evaluate(x, spec)
     f_p = np.asarray(ev.position_point)
-    np.testing.assert_allclose(f_p, position_objectives(x[:spec.position_dim], spec),
-                               rtol=1e-12)
+    y = meta_variables(x[:spec.position_dim], spec.meta_q, spec.meta_t)
+    np.testing.assert_allclose(f_p, position_point(y, spec.norm_p), rtol=1e-12)
     np.testing.assert_allclose(
         ev.distance_phi,
         normalized_angle(f_p, np.asarray(spec.distance_reference)), rtol=1e-12)

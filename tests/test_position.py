@@ -7,12 +7,13 @@ from gpdbench import (
     ProblemSpec,
     dissimilarize,
     meta_variables,
+    normalized_angle,
     p_norm,
-    position_objectives,
     position_point,
     realize_position,
     spherical_map,
 )
+from gpdbench.evaluator import _position_stage
 
 
 def test_meta_window_example():
@@ -137,16 +138,17 @@ def test_position_point_unit_p_norm():
         np.testing.assert_allclose(p_norm(f, p), 1.0, rtol=1e-12)
 
 
-def test_position_objectives_uses_spec_settings():
+def test_position_stage_uses_spec_settings():
     spec = ProblemSpec(objectives=2, distance_vars=1, distance_kind="robust")
-    np.testing.assert_allclose(position_objectives(np.array([0.0]), spec),
-                               [1.0, 0.0], atol=1e-12)
+    f_p, phi = _position_stage(np.zeros((1, 1)), spec)
+    np.testing.assert_allclose(f_p, [[1.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(phi, [1.0], rtol=1e-12)
     spec3 = ProblemSpec(objectives=3, distance_vars=1, distance_kind="robust",
-                        meta_q=5, meta_t=1, norm_p=1.0)
-    x_p = np.linspace(-1.0, 1.0, 11)
-    y = meta_variables(x_p, 5, 1)
-    np.testing.assert_allclose(position_objectives(x_p, spec3),
-                               position_point(y, 1.0), rtol=1e-12)
+                        meta_q=5, meta_t=1, norm_p=1.0, distance_reference="e2")
+    y = meta_variables(np.linspace(-1.0, 1.0, 11), 5, 1)
+    f_p, phi = _position_stage(y, spec3)
+    np.testing.assert_array_equal(f_p, position_point(y, 1.0))
+    np.testing.assert_array_equal(phi, normalized_angle(f_p, np.eye(3)[1]))
 
 
 def test_dissimilarize_examples():

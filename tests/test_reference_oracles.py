@@ -298,13 +298,13 @@ def test_perturb_equals_tile_and_evaluate(spec, radius, samples, on_set, seed):
 
 def test_perturb_evaluates_the_position_part_once(monkeypatch):
     rows = []
-    inner = gpdbench.evaluator.position_objectives
+    inner = gpdbench.evaluator._position_stage
 
-    def counted(x_p, spec):
-        rows.append(len(x_p))
-        return inner(x_p, spec)
+    def counted(y, spec):
+        rows.append(len(y))
+        return inner(y, spec)
 
-    monkeypatch.setattr(gpdbench.evaluator, "position_objectives", counted)
+    monkeypatch.setattr(gpdbench.evaluator, "_position_stage", counted)
     spec = ProblemSpec(objectives=5, distance_vars=4, distance_kind="robust")
     x = pareto_set_sample(spec, 1).vectors[0]
     report = perturb_experiment(x, 0.05, 10000, spec, seed=2)

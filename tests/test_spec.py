@@ -15,8 +15,8 @@ from gpdbench import (
     parse_ranges,
     parse_spec,
     render_spec,
-    suggested_norm,
 )
+from gpdbench.spec import suggested_norm
 
 MINIMAL = "objectives = 3\ndistance_vars = 2\ndistance = robust\n"
 
@@ -60,8 +60,6 @@ def test_auto_norm_resolution():
     assert make(objectives=2, norm_p="auto").norm_p == 1.0
     assert make(objectives=8, norm_p="auto").norm_p == 3.0
     assert make(norm_p=0.5).norm_p == 0.5
-    assert make(norm_p=0.5).is_quasi_norm is True
-    assert make().is_quasi_norm is False
 
 
 def test_window_overlap_rule():
@@ -283,3 +281,17 @@ def test_span_too_long_is_a_spec_error():
     with pytest.raises(SpecError, match=r"line 2: span '1\.\.%d'" % top):
         parse_ranges(f"objectives = 3\ndistance_vars = 1..{top}\n")
     assert len(parse_ranges(f"distance_vars = 1..{top - 1}\n")["distance_vars"]) == top - 1
+
+
+def test_suite_range_too_long_is_a_spec_error():
+    with pytest.raises(SpecError) as exc:
+        generate_suite(0, 1, {"distance_vars": range(1, 2 ** 64)})
+    assert exc.value.errors == [f"choice set for 'distance_vars' has more than "
+                                f"{2 ** 63 - 1} values"]
+
+
+def test_suite_unknown_key_is_a_spec_error():
+    with pytest.raises(SpecError) as exc:
+        generate_suite(0, 1, {"distance_var": [3], "objectives": [3], "kind": ["robust"]})
+    assert exc.value.errors == ["unknown ranges key 'distance_var'",
+                                "unknown ranges key 'kind'"]

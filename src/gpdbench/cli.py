@@ -186,12 +186,16 @@ def cmd_search(args) -> int:
         _write_rows(args.out, header, [])
         print("feasible = 0")
         return 0
+    front = front_sample(spec, _resolution(args, spec))
+    empty_front = front.points.shape[0] == 0
+    if empty_front:
+        print("warning: feasible front is empty", file=sys.stderr)
     archive = dominance_filter(feasible)
     _write_rows(args.out, header, archive)
-    front = front_sample(spec, _resolution(args, spec))
     print(f"feasible = {len(feasible)}")
     print(f"archive = {archive.shape[0]}")
-    print(f"igd = {_fmt(igd(archive, front))}")
+    if not empty_front:
+        print(f"igd = {_fmt(igd(archive, front))}")
     return 0
 
 

@@ -125,6 +125,9 @@ def _set_targets(m: int, n: int) -> np.ndarray:
 
 _CHUNK = 512  # candidate rows tested against the archive at a time
 _IGD_BLOCK = 1 << 16  # distance entries held at a time by igd
+_SCREEN_DIMS = 5  # igd screens candidates with a matrix product from here up
+_SCREEN_CAP = 16  # screened candidates per reference row before a block is recomputed
+_SCREEN_NORM_MAX = np.finfo(float).max / 8  # larger squared norms skip the screen
 
 
 def dominance_mask(points: np.ndarray) -> np.ndarray:
@@ -195,18 +198,94 @@ def dominance_filter(points) -> np.ndarray:
     return pts[dominance_mask(pts)]
 
 
+def _squared_distances(rb, ab, acc, tmp):
+    """Fill acc with rb - ab squared and summed one coordinate at a time.
+
+    rb and ab hold one row per coordinate and broadcast against each other;
+    the order of the sum is scipy cdist's.
+    """
+    np.subtract(rb[0], ab[0], out=acc)
+    np.multiply(acc, acc, out=acc)
+    for j in range(1, rb.shape[0]):
+        np.subtract(rb[j], ab[j], out=tmp)
+        acc += np.multiply(tmp, tmp, out=tmp)
+    return acc
+
+
+def _screen_terms(r, a):
+    """(-2r, squared norms of a, twice the slack e) for igd's screen.
+
+    None when a squared norm is NaN, infinite or near overflow, which
+    covers every non-finite coordinate.
+    """
+    r_sq = np.einsum("ij,ij->i", r, r)
+    a_sq = np.einsum("ij,ij->i", a, a)
+    a_max = a_sq.max()
+    if not r_sq.max() + a_max <= _SCREEN_NORM_MAX:
+        return None
+    finfo = np.finfo(float)
+    e = 4 * (r.shape[1] + 4) * (finfo.eps / 2 * (r_sq + a_max) + finfo.smallest_subnormal)
+    return -2.0 * r, a_sq, 2 * e
+
+
+def _screened_block(screen, r0, a0, rb, ab, near, out, mask):
+    """Lower near to the exact minima of the block at (r0, a0) via the screen.
+
+    Returns False, leaving near alone, when the block keeps more than
+    _SCREEN_CAP candidates per reference row.
+    """
+    r2, a_sq, slack = screen
+    rows, cols = out.shape
+    s = np.matmul(r2[r0:r0 + rows], ab, out=out)
+    s += a_sq[a0:a0 + cols]
+    limit = s.min(axis=1)
+    limit += slack[r0:r0 + rows]
+    flat = np.flatnonzero(np.less_equal(s, limit[:, None], out=mask))
+    if flat.size > _SCREEN_CAP * rows:
+        return False
+    ri, cj = np.divmod(flat, cols)
+    d = _squared_distances(rb[:, ri], ab[:, cj], np.empty(flat.size), np.empty(flat.size))
+    starts = np.flatnonzero(np.diff(ri, prepend=-1))
+    hit = ri[starts]
+    near[hit] = np.minimum(near[hit], np.minimum.reduceat(d, starts))
+    return True
+
+
 def igd(approximation, reference) -> float:
     """Mean distance from each reference point to its nearest approximation.
 
     Accepts plain arrays or FrontSample objects.  Lower is better; zero iff
     every reference point coincides with some approximation point.
 
-    The nearest-neighbour search is exact and blocked: it holds at most
-    65536 squared distances at a time (about 1 MB), so memory stays
-    O(r + a) while time is O(r * a * M).  Squared differences accumulate
-    one coordinate at a time, in scipy's cdist order, and the square root
-    is taken after the minimum; being monotone and correctly rounded, it
-    gives the same doubles as the minimum over the cdist matrix.
+    The result is exact: the same double as the row minima of scipy's cdist
+    matrix, averaged.  Squared differences are summed one coordinate at a
+    time, in cdist's order, and the square root is taken after the minimum;
+    being monotone and correctly rounded, it commutes with the minimum.
+    Blocks hold 65536 distance entries at a time (two float blocks and one
+    bool block, about 1.1 MB), so memory stays O(r + a); time is
+    O(r * a * M).
+
+    From five objectives up a BLAS screen picks the candidates first.  One
+    matrix product per block gives s_ij = |a_j|^2 - 2 r_i.a_j, which is
+    |r_i - a_j|^2 - |r_i|^2 and so orders the j like the distance does.
+    Why it keeps the cdist minimum: let N_i = |r_i|^2 + max_j |a_j|^2 and u
+    the unit roundoff.  In any summation order, so for any BLAS thread
+    count, the computed s_ij is within (2M + 2) u N_i of its true value, and
+    the cdist-order d_ij within (2M + 4) u N_i of the true squared distance,
+    which is at most 2 N_i (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1; to first order in u).  Gradual
+    underflow adds at most 3M/2 smallest subnormals.  So if j* minimizes
+    d_ij and j0 minimizes the computed s_ij, then s_ij* <= s_ij0 +
+    2 (4M + 6) u N_i + 3M subnormals.  The screen keeps every j with
+    s_ij <= min_k s_ik + 2 e_i, e_i = 4 (M + 4) (u N_i + one subnormal),
+    which covers j* with room for the rounding of the threshold itself and
+    for the higher-order terms.  Only the kept pairs are recomputed, in
+    cdist order, so every row minimum is unchanged.
+
+    Fallbacks: below five objectives the screen is slower than the plain
+    blocks and is skipped.  Any NaN or infinite input, or a squared norm
+    near overflow, skips it for the whole call.  A block keeping more than
+    16 candidates per reference row (near-ties) computes all its distances.
     """
     a = np.asarray(getattr(approximation, "points", approximation), dtype=float)
     r = np.asarray(getattr(reference, "points", reference), dtype=float)
@@ -219,24 +298,25 @@ def igd(approximation, reference) -> float:
             f"dimension mismatch: approximation is {a.shape[1]}-d, reference {r.shape[1]}-d")
     if r.shape[1] == 0:  # zero-dimensional points all coincide
         return 0.0
+    screen = _screen_terms(r, a) if r.shape[1] >= _SCREEN_DIMS else None
     r_cols, a_cols = r.T.copy(), a.T.copy()
     a_step = min(a.shape[0], _IGD_BLOCK)
     r_step = max(1, _IGD_BLOCK // a_step)
-    total = np.empty((r_step, a_step))
+    total = np.empty(r_step * a_step)
     term = np.empty_like(total)
+    mask = np.empty(total.shape, dtype=bool)
     nearest = np.full(r.shape[0], np.inf)
     for r0 in range(0, r.shape[0], r_step):
         near = nearest[r0:r0 + r_step]
-        rb = r_cols[:, r0:r0 + r_step, None]
+        rb = r_cols[:, r0:r0 + r_step]
         for a0 in range(0, a.shape[0], a_step):
             ab = a_cols[:, a0:a0 + a_step]
-            acc = total[:rb.shape[1], :ab.shape[1]]
-            tmp = term[:rb.shape[1], :ab.shape[1]]
-            np.subtract(rb[0], ab[0], out=acc)
-            np.multiply(acc, acc, out=acc)
-            for j in range(1, r.shape[1]):
-                np.subtract(rb[j], ab[j], out=tmp)
-                acc += np.multiply(tmp, tmp, out=tmp)
+            shape = (rb.shape[1], ab.shape[1])
+            out = total[:shape[0] * shape[1]].reshape(shape)
+            if screen is not None and _screened_block(
+                    screen, r0, a0, rb, ab, near, out, mask[:out.size].reshape(shape)):
+                continue
+            acc = _squared_distances(rb[:, :, None], ab, out, term[:out.size].reshape(shape))
             np.minimum(near, acc.min(axis=1), out=near)
     return float(np.sqrt(nearest).mean())
 

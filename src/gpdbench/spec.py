@@ -448,14 +448,31 @@ def parse_ranges(text: str) -> dict:
     return ranges
 
 
+def _choices(ranges: Mapping[str, object], key: str) -> Sequence:
+    """ranges[key] as a sequence of values; a SpecError for any other shape."""
+    choices = ranges[key]
+    if isinstance(choices, range):
+        try:
+            len(choices)
+        except OverflowError:
+            raise SpecError([f"choice set for {key!r} has more than "
+                             f"{_MAX_SPAN} values"]) from None
+        return choices
+    if isinstance(choices, (str, bytes)) or not isinstance(choices, Iterable):
+        raise SpecError([f"choice set for {key!r} must be a collection of values, "
+                         f"got {type(choices).__name__} {choices!r}"])
+    return list(choices)
+
+
 def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[ProblemSpec]:
     """Draw a deterministic list of valid instances from choice sets.
 
     Every field present in ranges is drawn uniformly from its choices; absent
     fields keep their defaults.  Keys are those parse_ranges returns; any
-    other key is a SpecError.  Draws that fail validation (for example an
-    invalid q, t pair) are rejected and redrawn, up to a bounded number of
-    attempts per instance.  Equal (seed, count, ranges) always produce the
+    other key is a SpecError, and so is a value that is not a collection of
+    choices (a bare string or a scalar).  Draws that fail validation (for
+    example an invalid q, t pair) are rejected and redrawn, up to a bounded
+    number of attempts per instance.  Equal (seed, count, ranges) always produce the
     identical list.
     """
     if count < 1:
@@ -463,20 +480,12 @@ def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[
     unknown = [key for key in ranges if key not in _RANGE_ORDER and key != "constraints"]
     if unknown:
         raise SpecError([f"unknown ranges key {key!r}" for key in unknown])
-    fixed_constraints = tuple(ranges.get("constraints", ()))
+    fixed_constraints = tuple(_choices(ranges, "constraints")) if "constraints" in ranges else ()
     sampled: list[tuple[str, Sequence]] = []
     for key in _RANGE_ORDER:
         if key not in ranges:
             continue
-        choices = ranges[key]
-        if isinstance(choices, range):
-            try:
-                len(choices)
-            except OverflowError:
-                raise SpecError([f"choice set for {key!r} has more than "
-                                 f"{_MAX_SPAN} values"]) from None
-        else:
-            choices = list(choices)
+        choices = _choices(ranges, key)
         if not choices:
             raise SpecError([f"empty choice set for {key!r}"])
         sampled.append((key, choices))

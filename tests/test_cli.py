@@ -216,6 +216,22 @@ def test_search_deterministic(tmp_path, capsys, m2):
     assert "igd = " in outs[0][0]
 
 
+def test_search_with_an_empty_front_warns_and_omits_igd(tmp_path, capsys):
+    # A band too thin for a resolution-2 front: some sampled rows are
+    # feasible, but no front point is.
+    p = tmp_path / "thin.spec"
+    p.write_text("objectives = 3\ndistance_vars = 2\ndistance = robust\n\n"
+                 "[constraint]\ntype = band\nreference = diagonal\n"
+                 "threshold_a = 0.5\nthreshold_b = 0.5001\n")
+    dst = tmp_path / "archive.csv"
+    code, out, err = run(["search", "--spec", str(p), "--budget", "20000",
+                          "--resolution", "2", "--out", str(dst)], capsys)
+    assert code == 0
+    assert err == "warning: feasible front is empty\n"
+    assert out == "feasible = 1\narchive = 1\n"
+    assert read_rows(dst).shape == (1, 3)
+
+
 def test_usage_errors_exit_1(tmp_path, capsys, m2):
     assert run(["bogus"], capsys)[0] == 1
     assert run([], capsys)[0] == 1

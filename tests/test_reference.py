@@ -175,15 +175,16 @@ def test_igd_accepts_front_samples():
 
 def test_igd_memory_is_bounded():
     rng = np.random.default_rng(43)
-    a, r = rng.uniform(size=(4000, 3)), rng.uniform(size=(4000, 3))
-    tracemalloc.start()
-    try:
-        igd(a, r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a full 4000 x 4000 distance matrix alone would be 128 MB
-    assert peak < 16 * 2**20
+    for m in (3, 10):  # the plain blocks, then the screen
+        a, r = rng.uniform(size=(4000, m)), rng.uniform(size=(4000, m))
+        tracemalloc.start()
+        try:
+            igd(a, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full 4000 x 4000 distance matrix alone would be 128 MB
+        assert peak < 16 * 2**20, (m, peak)
 
 
 def test_igd_errors():

@@ -8,7 +8,11 @@ copied below).  scipy is a test-only dependency: the library itself never import
 it.
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from scipy.stats import qmc
 from test_array_pipeline import specs
 
 import gpdbench.evaluator
+import gpdbench.reference
 from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
                       igd, meta_variables, pareto_set_sample, perturb_experiment,
                       realize_position)
@@ -180,11 +185,12 @@ def assert_same_igd(a, r):
         assert same_bits(got, want), (got, want)
 
 
-@settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, 10), n_a=st.integers(1, 400), n_r=st.integers(1, 400),
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 10), n_a=st.integers(1, 3000), n_r=st.integers(1, 400),
        coincide=st.booleans(), nan_in=st.sampled_from((None, "a", "r")),
+       block=st.sampled_from((None, 1000)),
        scale=st.sampled_from((1e-3, 1.0, 1e6)), seed=st.integers(0, 2**32 - 1))
-def test_igd_equals_cdist_bit_for_bit(m, n_a, n_r, coincide, nan_in, scale, seed):
+def test_igd_equals_cdist_bit_for_bit(m, n_a, n_r, coincide, nan_in, block, scale, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_a, m)) * scale
     r = rng.normal(size=(n_r, m)) * scale
@@ -195,7 +201,10 @@ def test_igd_equals_cdist_bit_for_bit(m, n_a, n_r, coincide, nan_in, scale, seed
         a[rng.integers(n_a), rng.integers(m)] = np.nan
     elif nan_in == "r":
         r[rng.integers(n_r), rng.integers(m)] = np.nan
-    assert_same_igd(a, r)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:  # approximations then span up to three blocks
+            mp.setattr(gpdbench.reference, "_IGD_BLOCK", block)
+        assert_same_igd(a, r)
 
 
 def test_igd_equals_cdist_across_blocks():
@@ -203,6 +212,110 @@ def test_igd_equals_cdist_across_blocks():
     # more approximation points than one block holds, and many reference blocks
     assert_same_igd(rng.uniform(size=(70000, 3)), rng.uniform(size=(5, 3)))
     assert_same_igd(rng.uniform(size=(300, 4)), rng.uniform(size=(1000, 4)))
+
+
+@pytest.fixture
+def screened(monkeypatch):
+    """Outcome of every screened igd block: True kept, False recomputed in full.
+
+    An empty list after a call at M >= 5 means the whole call skipped the
+    screen and took the blocked path.
+    """
+    outcomes = []
+    real = gpdbench.reference._screened_block
+
+    def spy(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(gpdbench.reference, "_screened_block", spy)
+    return outcomes
+
+
+@pytest.mark.parametrize("m", range(5, 11))
+def test_screened_igd_keeps_exact_ties(m, screened):
+    # The origin is equally far from every +-e_k, so all 2M are candidates;
+    # the other reference rows keep the block under its cap.
+    rng = np.random.default_rng(m)
+    ties = np.concatenate([np.eye(m), -np.eye(m)])
+    a = np.concatenate([ties, rng.uniform(2.0, 3.0, size=(200, m))])
+    r = np.concatenate([np.zeros((1, m)), rng.uniform(2.0, 3.0, size=(99, m))])
+    assert_same_igd(a, r)
+    assert screened == [True]
+
+
+def test_screened_igd_on_rings_far_from_the_origin(screened):
+    # Twelve approximations at distance 1 around each far-off reference
+    # point: the screen's rounding (relative to |r|^2 ~ 1e6) is larger than
+    # the spread of their rounded distances, so only the slack keeps the
+    # cdist argmin among the candidates.
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        r = 100.0 + rng.uniform(size=(50, 6)) * 1000
+        rays = rng.normal(size=(50, 12, 6))
+        rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
+        assert_same_igd((r[:, None, :] + rays).reshape(-1, 6), r)
+    assert screened and all(screened)
+
+
+def test_screened_igd_recomputes_only_blocks_over_the_cap(screened, monkeypatch):
+    m = 10
+    rng = np.random.default_rng(5)
+    a = np.concatenate([np.eye(m), -np.eye(m), rng.uniform(2.0, 3.0, size=(200, m))])
+    # 20 tied candidates per origin row pass the cap of 16 per row.
+    r = np.concatenate([np.zeros((10, m)), rng.uniform(2.0, 3.0, size=(30, m))])
+    monkeypatch.setattr(gpdbench.reference, "_IGD_BLOCK", 10 * a.shape[0])  # 10 rows a block
+    assert_same_igd(a, r)
+    assert screened == [False, True, True, True]
+
+
+@pytest.mark.parametrize("m", (5, 10))
+def test_screened_igd_with_duplicated_rows(m, screened):
+    rng = np.random.default_rng(m)
+    a = np.repeat(rng.uniform(size=(400, m)), 3, axis=0)
+    r = np.concatenate([a[::7], rng.uniform(size=(300, m))])
+    assert_same_igd(a, r)
+    assert screened and all(screened)
+
+
+@pytest.mark.parametrize("scale, screens", [(1e-150, True), (1e-160, True), (1e150, True),
+                                            (1e155, False)])
+def test_screened_igd_at_extreme_scales(scale, screens, screened):
+    # Squares underflow into subnormals at 1e-160 and overflow at 1e155,
+    # where the whole call takes the blocked path.
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(500, 6)) * scale
+    r = rng.normal(size=(300, 6)) * scale
+    a[:50] = r[:50]
+    with np.errstate(over="ignore"):
+        assert_same_igd(a, r)
+    assert (bool(screened) and all(screened)) if screens else (screened == [])
+
+
+@pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("side", ("a", "r"))
+def test_non_finite_igd_takes_the_blocked_path(value, side, screened):
+    rng = np.random.default_rng(11)
+    a, r = rng.uniform(size=(300, 7)), rng.uniform(size=(200, 7))
+    (a if side == "a" else r)[17, 3] = value
+    assert_same_igd(a, r)
+    assert screened == []
+
+
+def test_igd_does_not_depend_on_the_blas_thread_count():
+    code = ("import numpy as np, gpdbench; rng = np.random.default_rng(19); "
+            "r = np.abs(rng.normal(size=(3375, 10))); a = r[:2000] + rng.normal(size=(2000, 10)) * 0.01; "
+            "print(repr(gpdbench.igd(a, r)))")
+    src = str(Path(gpdbench.reference.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rng = np.random.default_rng(19)
+    r = np.abs(rng.normal(size=(3375, 10)))
+    a = r[:2000] + rng.normal(size=(2000, 10)) * 0.01
+    assert float(proc.stdout) == igd(a, r) == cdist_igd(a, r)
 
 
 # --- _halton -----------------------------------------------------------------

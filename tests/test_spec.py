@@ -290,6 +290,21 @@ def test_suite_range_too_long_is_a_spec_error():
                                 f"{2 ** 63 - 1} values"]
 
 
+def test_suite_string_value_is_a_spec_error():
+    # A bare string used to be drawn from letter by letter.
+    with pytest.raises(SpecError) as exc:
+        generate_suite(0, 1, {"distance": "robust"})
+    assert exc.value.errors == ["choice set for 'distance' must be a collection "
+                                "of values, got str 'robust'"]
+
+
+def test_suite_scalar_value_is_a_spec_error():
+    with pytest.raises(SpecError) as exc:
+        generate_suite(0, 1, {"objectives": 3})
+    assert exc.value.errors == ["choice set for 'objectives' must be a collection "
+                                "of values, got int 3"]
+
+
 def test_suite_unknown_key_is_a_spec_error():
     with pytest.raises(SpecError) as exc:
         generate_suite(0, 1, {"distance_var": [3], "objectives": [3], "kind": ["robust"]})

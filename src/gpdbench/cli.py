@@ -150,6 +150,7 @@ def cmd_suite(args) -> int:
 def cmd_perturb(args) -> int:
     spec = _load_spec(args.spec)
     rows = _read_rows(args.infile)
+    evaluate_arrays(rows, spec)  # a bad row fails here, named by its number
     lines = ["# worst,mean"]
     for row in rows:
         report = perturb_experiment(row, args.radius, args.samples, spec,

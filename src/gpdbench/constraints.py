@@ -30,15 +30,6 @@ class ConstraintReport:
     nearest_axis_of_point: int
 
 
-def axis_angles(f: np.ndarray) -> np.ndarray:
-    """Angle of f to every canonical axis, shaped (..., M), in radians."""
-    f = np.asarray(f, dtype=float)
-    norm = np.sqrt(np.sum(f * f, axis=-1))
-    if np.any(norm == 0.0):
-        raise ValueError("cannot take axis angles of a zero vector")
-    return np.arccos(np.clip(f / norm[..., None], -1.0, 1.0))
-
-
 def nearest_axis(f: np.ndarray):
     """1-based index of the axis with the smallest angle to f.
 
@@ -47,7 +38,7 @@ def nearest_axis(f: np.ndarray):
     stack of points.
     """
     f = np.asarray(f, dtype=float)
-    if np.any(np.sqrt(np.sum(f * f, axis=-1)) == 0.0):
+    if np.any(np.all(f == 0.0, axis=-1)):
         raise ValueError("nearest axis of a zero vector is undefined")
     idx = np.argmax(f, axis=-1) + 1
     return int(idx) if np.ndim(idx) == 0 else idx
@@ -74,10 +65,11 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
             axis = np.zeros(m)
             axis[con.axis_j - 1] = 1.0
             phis[..., col] = normalized_angle(f_p, axis)
-            angles = axis_angles(f_p)
-            gap = angles[..., con.axis_j - 1] - angles.min(axis=-1)
-            hit = np.argmax(f_p, axis=-1) == con.axis_j - 1
-            viol[..., col] = np.where(hit, 0.0, gap)
+            # arccos is decreasing, so the largest cosine is the smallest angle.
+            norm = np.sqrt(np.sum(f_p * f_p, axis=-1))
+            cos = np.clip(f_p / norm[..., None], -1.0, 1.0)
+            gap = np.arccos(cos[..., con.axis_j - 1]) - np.arccos(cos.max(axis=-1))
+            viol[..., col] = np.where(nearest_axis(f_p) == con.axis_j, 0.0, gap)
             continue
         phi = normalized_angle(f_p, con.reference)
         phis[..., col] = phi

@@ -108,12 +108,11 @@ def _set_targets(m: int, n: int) -> np.ndarray:
 
     For lattice dimensions the largest full lattice fitting inside n comes
     first and low-discrepancy points pad the remainder, so a front sampled at
-    resolution floor(n**(1/(M-1))) is a subset of these targets.
+    the largest resolution r with r**(M-1) <= n is a subset of these targets.
     """
-    if m == 2:
-        return np.linspace(0.0, 1.0, n)[:, None]
     if m <= 4:
-        res = max(2, int(np.floor(n ** (1.0 / (m - 1)))))
+        # Exact integer root: the float root can land just below a perfect power.
+        res = max(2, round(n ** (1.0 / (m - 1))))
         while res > 2 and res ** (m - 1) > n:
             res -= 1
         grid = _lattice(m, res)

@@ -203,6 +203,23 @@ def test_perturb_stdout_matches_out_file(tmp_path, capsys):
     assert worst[1] > 10 * worst[0]  # needle sits under the noise, plateau does not
 
 
+@pytest.mark.parametrize("second_row, message", [
+    ("0.3,2,0.5", "data row 2: coordinate 2 is 2, outside [0, 1]"),
+    ("0.3,0.5", "data row 2: decision vector has 2 coordinates, expected 3"),
+])
+def test_perturb_bad_row_exits_3_with_one_based_row(tmp_path, capsys,
+                                                    second_row, message):
+    spec = tmp_path / "robust.spec"
+    spec.write_text("objectives = 2\ndistance_vars = 2\ndistance = robust\n")
+    src = tmp_path / "pts.csv"
+    src.write_text(f"# x1,x2,x3\n0.3,0.2,0.2\n{second_row}\n")
+    code, out, err = run(["perturb", "--spec", str(spec), "--in", str(src),
+                          "--radius", "0.1", "--samples", "10"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_search_deterministic(tmp_path, capsys, m2):
     outs = []
     for name in ("a.csv", "b.csv"):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpdbench import (
     ConstraintSpec,
@@ -11,7 +13,6 @@ from gpdbench import (
     nearest_axis,
     normalized_angle,
 )
-from gpdbench.constraints import axis_angles
 
 DIAG3 = np.ones(3) / np.sqrt(3.0)
 
@@ -21,11 +22,11 @@ def spec_with(*constraints):
                        constraints=tuple(constraints))
 
 
-def test_axis_angles_shape_and_values():
-    a = axis_angles(np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(a, [0.0, np.pi / 2, np.pi / 2], atol=1e-7)
-    with pytest.raises(ValueError):
-        axis_angles(np.zeros(3))
+def axis_angles(f):
+    """Angle of f to every canonical axis, shaped (..., M): the gap oracle."""
+    f = np.asarray(f, dtype=float)
+    norm = np.sqrt(np.sum(f * f, axis=-1))
+    return np.arccos(np.clip(f / norm[..., None], -1.0, 1.0))
 
 
 def test_nearest_axis_examples():
@@ -34,12 +35,48 @@ def test_nearest_axis_examples():
     assert nearest_axis(np.array([0.0, 1.0, 0.0])) == 2
 
 
+def test_nearest_axis_rejects_only_all_zero_rows():
+    # The squared norm of these rows underflows to 0; their argmax does not.
+    assert nearest_axis(np.array([1e-170, 0.0, 0.0])) == 1
+    assert nearest_axis(np.array([[0.0, 1e-170], [1e-300, 5e-324]])).tolist() == [2, 1]
+    with pytest.raises(ValueError, match="nearest axis of a zero vector is undefined"):
+        nearest_axis(np.zeros(3))
+    with pytest.raises(ValueError, match="nearest axis of a zero vector is undefined"):
+        nearest_axis(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
 def test_nearest_axis_matches_angle_argmin():
     rng = np.random.default_rng(20)
     f = rng.uniform(0.01, 1.0, size=(200, 4))
     for row in f:
         j = nearest_axis(row)
         assert j == int(np.argmin(axis_angles(row))) + 1
+
+
+@st.composite
+def nearest_axis_cases(draw):
+    """Position-like rows with ties, zeros and axis points, at one scale."""
+    m = draw(st.integers(2, 12))
+    value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=8))
+    f = np.vstack([np.array(rows, dtype=float), np.eye(m)])
+    f *= draw(st.sampled_from([1.0, 1e-5, 1e-100, 1e-150, 1e-160, 1e100, 1e150]))
+    # The angle is undefined for zero rows and for rows whose norm underflows.
+    f = f[np.sum(f * f, axis=-1) > 0.0]
+    return f, draw(st.integers(1, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearest_axis_cases())
+def test_nearest_axis_violation_is_the_angular_gap_bit_for_bit(case):
+    f, j = case
+    phis, viol = constraint_table(f, (ConstraintSpec(kind="nearest_axis", axis_j=j),))
+    angles = axis_angles(f)
+    gap = angles[:, j - 1] - angles.min(axis=-1)
+    want = np.where(np.argmax(f, axis=-1) == j - 1, 0.0, gap)
+    assert viol[:, 0].tobytes() == want.tobytes()
+    axis = np.eye(f.shape[1])[j - 1]
+    assert phis[:, 0].tobytes() == normalized_angle(f, axis).tobytes()
 
 
 def test_min_angle_violation():

@@ -22,6 +22,7 @@ from gpdbench import (
     robust_term,
     valley_center,
 )
+from gpdbench.reference import _front_targets, _set_targets
 
 
 def brute_force_nondominated(pts):
@@ -238,6 +239,19 @@ def test_pareto_set_meta_realization_round_trip():
     for vec in ss.vectors:
         y = meta_variables(vec[:spec.position_dim], 10, 4)
         assert np.all((y >= 0.0) & (y <= 1.0))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_set_targets_start_with_the_largest_full_lattice(m):
+    # At M = 4 the float cube root of 64, 125, ... lands just below the
+    # integer, so flooring it would start with the next smaller lattice.
+    r = 2
+    for n in range(2 ** (m - 1), 3001):
+        while (r + 1) ** (m - 1) <= n:
+            r += 1
+        targets = _set_targets(m, n)
+        assert targets.shape == (n, m - 1)
+        assert targets[:r ** (m - 1)].tobytes() == _front_targets(m, r).tobytes()
 
 
 def test_pareto_set_needs_positive_count():

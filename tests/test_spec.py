@@ -310,3 +310,91 @@ def test_suite_unknown_key_is_a_spec_error():
         generate_suite(0, 1, {"distance_var": [3], "objectives": [3], "kind": ["robust"]})
     assert exc.value.errors == ["unknown ranges key 'distance_var'",
                                 "unknown ranges key 'kind'"]
+
+
+@pytest.mark.parametrize("text, errors", [
+    ("objectives = three\ndistance_vars = 2\ndistance = robust\n",
+     ["line 1: expected an integer, got 'three'"]),
+    (MINIMAL + "[constraint]\ntype = min_angle\nthreshold_a = wide\n",
+     ["line 6: expected a real number, got 'wide'"]),
+    (MINIMAL + "dissimilar = maybe\n", ["line 4: expected true or false, got 'maybe'"]),
+])
+def test_parse_value_diagnostics(text, errors):
+    assert_errors(parse_spec, text, errors)
+
+
+@pytest.mark.parametrize("parse", [parse_spec, parse_ranges])
+def test_read_diagnostics(parse):
+    assert_errors(parse, "objectives 3\n", ["line 1: expected 'key = value', got 'objectives 3'"])
+
+
+@pytest.mark.parametrize("text, errors", [
+    ("objectives = 4..2\n", ["line 1: empty span '4..2'"]),
+    ("distance = robust,,deceptive\n", ["line 1: empty choice in 'robust,,deceptive'"]),
+])
+def test_read_choices_diagnostics(text, errors):
+    assert_errors(parse_ranges, text, errors)
+
+
+@pytest.mark.parametrize("count, ranges, errors", [
+    (0, {"objectives": [3]}, ["suite count must be >= 1, got 0"]),
+    (1, {"objectives": []}, ["empty choice set for 'objectives'"]),
+])
+def test_generate_suite_diagnostics(count, ranges, errors):
+    with pytest.raises(SpecError) as exc:
+        generate_suite(0, count, ranges)
+    assert exc.value.errors == errors
+
+
+@pytest.mark.parametrize("fields, errors", [
+    (dict(meta_q=0), ["meta_q must be an integer >= 1, got 0"]),
+    (dict(meta_t=-1), ["meta_t must be an integer >= 0, got -1"]),
+    (dict(valleys_k=0), ["valleys_k must be an integer >= 1, got 0"]),
+    (dict(use_meta=False, meta_q=5, meta_t=1),
+     ["use_meta=false requires meta_q=1 and meta_t=0, got q=5, t=1"]),
+    (dict(composition="sum"),
+     ["unknown composition 'sum'; expected one of multiplicative, additive"]),
+    (dict(mixed_landscape="flat"),
+     ["unknown mixed_landscape 'flat'; expected one of robust, deceptive"]),
+    (dict(norm_p="wide"), ["norm_p must be a positive real or 'auto', got 'wide'"]),
+    (dict(norm_p=float("inf")), ["norm_p must be positive and finite, got inf"]),
+    (dict(norm_p="nan"), ["norm_p must be positive and finite, got nan"]),
+])
+def test_problem_spec_diagnostics(fields, errors):
+    with pytest.raises(SpecError) as exc:
+        make(**fields)
+    assert exc.value.errors == errors
+
+
+@pytest.mark.parametrize("reference, message", [
+    ("e4", "axis label 'e4' out of range 1..3"),
+    ("1,x,2", "cannot read reference '1,x,2'"),
+    ((1.0, None, 2.0), "cannot read reference (1.0, None, 2.0)"),
+    ("inf,1,1", "reference must be finite"),
+    ((1.0, float("nan"), 1.0), "reference must be finite"),
+])
+def test_resolve_reference_diagnostics(reference, message):
+    with pytest.raises(SpecError) as exc:
+        make(distance_reference=reference)
+    assert exc.value.errors == [f"distance_reference: {message}"]
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind="nearest_axis", axis_j=1, threshold_a=0.2), "nearest_axis takes no thresholds"),
+    (dict(kind="nearest_axis", axis_j=1, threshold_b=0.2), "nearest_axis takes no thresholds"),
+    (dict(kind="nearest_axis"), "nearest_axis requires axis_j"),
+    (dict(kind="min_angle", reference="e1", threshold_a=0.2, axis_j=1),
+     "axis_j only applies to nearest_axis constraints"),
+    (dict(kind="max_angle", reference="e1"), "max_angle requires threshold_a"),
+    (dict(kind="min_angle", reference="e1", threshold_a=1.0),
+     "threshold_a must lie strictly inside (0, 1), got 1.0"),
+    (dict(kind="band", reference="e1", threshold_a=0.2), "band requires threshold_b"),
+    (dict(kind="band", reference="e1", threshold_a=0.2, threshold_b=1.5),
+     "threshold_b must lie strictly inside (0, 1), got 1.5"),
+    (dict(kind="max_angle", reference="e1", threshold_a=0.2, threshold_b=0.5),
+     "threshold_b only applies to band constraints"),
+])
+def test_constraint_spec_diagnostics(fields, message):
+    with pytest.raises(SpecError) as exc:
+        make(constraints=(ConstraintSpec(**fields),))
+    assert exc.value.errors == [f"constraint 1: {message}"]

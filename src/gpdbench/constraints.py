@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import normalized_angle
+from .distance import normalized_angle, _scaled_rows
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
             axis[con.axis_j - 1] = 1.0
             phis[..., col] = normalized_angle(f_p, axis)
             # arccos is decreasing, so the largest cosine is the smallest angle.
-            norm = np.sqrt(np.sum(f_p * f_p, axis=-1))
-            cos = np.clip(f_p / norm[..., None], -1.0, 1.0)
+            f, sq = _scaled_rows(f_p)
+            cos = np.clip(f / np.sqrt(sq)[..., None], -1.0, 1.0)
             gap = np.arccos(cos[..., con.axis_j - 1]) - np.arccos(cos.max(axis=-1))
             viol[..., col] = np.where(nearest_axis(f_p) == con.axis_j, 0.0, gap)
             continue

@@ -19,17 +19,39 @@ ROBUST_MINIMIZER = 0.600066066066066
 ROBUST_STABLE_RANGE = (0.1, 0.3)
 
 
+def _scaled_rows(v) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of v and their squared norms, safe to take angles with.
+
+    A finite nonzero row whose squared norm underflows to zero or overflows
+    is first divided by its largest magnitude, which leaves its direction
+    alone.  Every other row, and its squared norm, keeps its bits.
+    """
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        sq = np.sum(v * v, axis=-1)
+    # One vector skips the reductions, which cost more than the rest here.
+    lo, hi = (sq, sq) if sq.ndim == 0 else (sq.min(initial=np.inf), sq.max(initial=0.0))
+    if 0.0 < lo and hi < np.inf:
+        return v, sq
+    big = np.max(np.abs(v), axis=-1, keepdims=True)
+    bad = (sq == 0.0) | (sq == np.inf)
+    bad &= (big[..., 0] > 0.0) & (big[..., 0] < np.inf)
+    v = np.where(bad[..., None], v / np.where(bad[..., None], big, 1.0), v)
+    return v, np.sum(v * v, axis=-1)
+
+
 def angle_to_reference(f: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Angle in radians between each row of f and the reference vector d.
 
     The cosine is clamped to [-1, 1] before arccos, so rounding noise on
     parallel vectors cannot produce NaN.  Plain Euclidean geometry is used
-    regardless of which p-norm shaped the front.
+    regardless of which p-norm shaped the front.  Vectors too small or too
+    large to square are rescaled first (see _scaled_rows).
     """
-    f = np.asarray(f, dtype=float)
-    d = np.asarray(d, dtype=float)
-    fn = np.sqrt(np.sum(f * f, axis=-1))
-    dn = np.sqrt(np.sum(d * d))
+    f, f_sq = _scaled_rows(f)
+    d, d_sq = _scaled_rows(d)
+    fn = np.sqrt(f_sq)
+    dn = np.sqrt(d_sq)
     if dn == 0.0:
         raise ValueError("reference vector has zero length")
     if np.any(fn == 0.0):
@@ -46,8 +68,8 @@ def max_first_orthant_angle(d: np.ndarray) -> float:
     angle is arccos(min_i d_i / ||d||).  For the diagonal this is
     arccos(1/sqrt(M)); for an axis vector it is pi/2.
     """
-    d = np.asarray(d, dtype=float)
-    dn = np.sqrt(np.sum(d * d))
+    d, d_sq = _scaled_rows(d)
+    dn = np.sqrt(d_sq)
     if dn == 0.0:
         raise ValueError("reference vector has zero length")
     return float(np.arccos(np.clip(d.min() / dn, -1.0, 1.0)))

@@ -127,6 +127,8 @@ _IGD_BLOCK = 1 << 16  # distance entries held at a time by igd
 _SCREEN_DIMS = 5  # igd screens candidates with a matrix product from here up
 _SCREEN_CAP = 16  # screened candidates per reference row before a block is recomputed
 _SCREEN_NORM_MAX = np.finfo(float).max / 8  # larger squared norms skip the screen
+_SWEEP_ROWS = 64  # fewest reference rows per block of igd's sorted sweep
+_SWEEP_SEED = 4  # approximations either side of a sweep block that seed its bounds
 
 
 def dominance_mask(points: np.ndarray) -> np.ndarray:
@@ -136,35 +138,60 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     strictly better in at least one (minimization).  Exact duplicates do not
     eliminate each other.
 
-    A dominating point never has a larger rounded coordinate sum (rounded
-    addition is monotone), and among equal sums it comes first in
-    lexicographic order, so points are swept in (sum, lexicographic) order
-    and tested against the nondominated archive built so far; by
-    transitivity a dominated dominator is always covered by whichever
-    archive point dominates it.  Equal rows are adjacent in that order, so
-    only the first of each run is swept and the rest share its verdict.
-    Between distinct points "no worse in every objective" already implies
-    "strictly better in one", so each chunk of candidates needs a single
-    boolean block against archive + chunk, ANDed in place one objective at
-    a time, with each candidate's pairing with itself masked out.  The
-    answer equals the all-pairs filter's; the work is candidates times
-    archive size times M byte comparisons, in blocks of at most 512 rows.
+    Equal rows are made adjacent by one sort, only the first of each run is
+    tested, and the rest share its verdict.  Between distinct points "no
+    worse in every objective" already implies "strictly better in one".
+
+    Two objectives take the maxima sweep of Kung, Luccio and Preparata
+    (J. ACM 22(4), 1975), exact in O(n log n).  Rows holding a NaN compare
+    false with everything, so they are set aside and kept.  The rest are
+    sorted by (f1, f2), and a distinct row is dominated iff its f2 is no
+    smaller than the least f2 of the distinct rows before it: every earlier
+    row is no worse in f1, and every dominator sorts earlier.
+
+    From three objectives up, a dominating point never has a larger rounded
+    coordinate sum (rounded addition is monotone), and among equal sums it
+    comes first in lexicographic order, so points are swept in (sum,
+    lexicographic) order and tested against the nondominated archive built
+    so far; by transitivity a dominated dominator is always covered by
+    whichever archive point dominates it.  Each chunk of candidates needs a
+    single boolean block against archive + chunk, ANDed in place one
+    objective at a time, with each candidate's pairing with itself masked
+    out.  The answer equals the all-pairs filter's; the work is candidates
+    times archive size times M byte comparisons, in blocks of at most 512
+    rows.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("expected a 2-d array of points")
     n, m = pts.shape
+    keep = np.ones(n, dtype=bool)
     if n == 0 or m == 0:  # without objectives all rows are equal
-        return np.ones(n, dtype=bool)
-    # Clipping is monotone, and it stops +inf and -inf in one row from
-    # summing to NaN, which would sort a dominator last.
-    big = np.finfo(float).max / (2 * m)
-    order = np.lexsort((*pts.T[::-1], np.clip(pts, -big, big).sum(axis=-1)))
+        return keep
+    if m == 2:
+        rows = np.flatnonzero(~np.isnan(pts).any(axis=1))
+        order = rows[np.lexsort(pts[rows].T[::-1])]
+    else:
+        # Clipping is monotone, and it stops +inf and -inf in one row from
+        # summing to NaN, which would sort a dominator last.
+        big = np.finfo(float).max / (2 * m)
+        order = np.lexsort((*pts.T[::-1], np.clip(pts, -big, big).sum(axis=-1)))
     sorted_pts = pts[order]
-    first = np.ones(n, dtype=bool)
+    first = np.ones(order.size, dtype=bool)
     first[1:] = np.any(sorted_pts[1:] != sorted_pts[:-1], axis=-1)
     distinct = np.ascontiguousarray(sorted_pts[first].T)  # one row per objective
-    count = distinct.shape[1]
+    if m == 2:
+        alive = np.ones(distinct.shape[1], dtype=bool)
+        alive[1:] = distinct[1, 1:] < np.minimum.accumulate(distinct[1])[:-1]
+    else:
+        alive = _archive_sweep(distinct)
+    keep[order] = alive[np.cumsum(first) - 1]
+    return keep
+
+
+def _archive_sweep(distinct: np.ndarray) -> np.ndarray:
+    """Nondominated flags of distinct points, one column each, in sweep order."""
+    m, count = distinct.shape
     archive = np.empty_like(distinct)
     size = 0
     alive = np.empty(count, dtype=bool)
@@ -186,9 +213,7 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
         kept = int(survive.sum())
         archive[:, size:size + kept] = chunk[:, survive]
         size += kept
-    keep = np.empty(n, dtype=bool)
-    keep[order] = alive[np.cumsum(first) - 1]
-    return keep
+    return alive
 
 
 def dominance_filter(points) -> np.ndarray:
@@ -250,6 +275,83 @@ def _screened_block(screen, r0, a0, rb, ab, near, out, mask):
     return True
 
 
+def _window_minima(rb, a_cols, lo, hi, near, total, term):
+    """Lower near to the row minima of rb against the columns lo:hi of a_cols.
+
+    Distances are computed in cdist order, at most total.size at a time.
+    """
+    rows = rb.shape[1]
+    step = max(1, total.size // rows)
+    for c0 in range(lo, hi, step):
+        ab = a_cols[:, c0:min(hi, c0 + step)]
+        cols = ab.shape[1]
+        # numpy loops fastest along the longer side, so it goes last.
+        if cols >= rows:
+            shape, axis, rb_, ab_ = (rows, cols), 1, rb[:, :, None], ab[:, None, :]
+        else:
+            shape, axis, rb_, ab_ = (cols, rows), 0, rb[:, None, :], ab[:, :, None]
+        acc = _squared_distances(rb_, ab_, total[:rows * cols].reshape(shape),
+                                 term[:rows * cols].reshape(shape))
+        np.minimum(near, acc.min(axis=axis), out=near)
+
+
+def _blocked_minima(r, a):
+    """Squared nearest distances of the rows of r, over all r x a pairs."""
+    screen = _screen_terms(r, a) if r.shape[1] >= _SCREEN_DIMS else None
+    r_cols, a_cols = r.T.copy(), a.T.copy()
+    a_step = min(a.shape[0], _IGD_BLOCK)
+    r_step = max(1, _IGD_BLOCK // a_step)
+    total = np.empty(r_step * a_step)
+    term = np.empty_like(total)
+    mask = np.empty(total.shape, dtype=bool)
+    nearest = np.full(r.shape[0], np.inf)
+    for r0 in range(0, r.shape[0], r_step):
+        near = nearest[r0:r0 + r_step]
+        rb = r_cols[:, r0:r0 + r_step]
+        for a0 in range(0, a.shape[0], a_step):
+            ab = a_cols[:, a0:a0 + a_step]
+            shape = (rb.shape[1], ab.shape[1])
+            size = shape[0] * shape[1]
+            if screen is not None and _screened_block(
+                    screen, r0, a0, rb, ab, near, total[:size].reshape(shape),
+                    mask[:size].reshape(shape)):
+                continue
+            _window_minima(rb, a_cols, a0, a0 + a_step, near, total, term)
+    return nearest
+
+
+def _swept_minima(r, a):
+    """Squared nearest distances of the rows of r, pruned on coordinate 0.
+
+    Needs finite inputs; see igd for why the result is exact.
+    """
+    a_cols = a[np.argsort(a[:, 0], kind="stable")].T.copy()
+    x = a_cols[0]
+    order = np.argsort(r[:, 0], kind="stable")
+    r_cols = r[order].T.copy()
+    rows = max(_SWEEP_ROWS, _IGD_BLOCK // x.size)
+    total = np.empty(rows * max(1, _IGD_BLOCK // rows))
+    term = np.empty_like(total)
+    pos = np.searchsorted(x, r_cols[0])
+    nearest = np.full(r.shape[0], np.inf)
+    for r0 in range(0, r.shape[0], rows):
+        near = nearest[r0:r0 + rows]
+        rb = r_cols[:, r0:r0 + rows]
+        lo = max(0, pos[r0] - _SWEEP_SEED)
+        hi = min(x.size, pos[r0 + rb.shape[1] - 1] + _SWEEP_SEED)
+        _window_minima(rb, a_cols, lo, hi, near, total, term)
+        reach = np.sqrt(near) * (1 + 2.0 ** -40)
+        y = rb[0]
+        left = np.searchsorted(x, (y - reach).min())
+        right = np.searchsorted(x, (y + reach).max(), side="right")
+        _window_minima(rb, a_cols, left, lo, near, total, term)
+        _window_minima(rb, a_cols, hi, right, near, total, term)
+    # The mean sums pairwise, so it must see the rows in input order.
+    unsorted = np.empty_like(nearest)
+    unsorted[order] = nearest
+    return unsorted
+
+
 def igd(approximation, reference) -> float:
     """Mean distance from each reference point to its nearest approximation.
 
@@ -261,8 +363,31 @@ def igd(approximation, reference) -> float:
     time, in cdist's order, and the square root is taken after the minimum;
     being monotone and correctly rounded, it commutes with the minimum.
     Blocks hold 65536 distance entries at a time (two float blocks and one
-    bool block, about 1.1 MB), so memory stays O(r + a); time is
-    O(r * a * M).
+    bool block, about 1.1 MB), so memory stays O(r + a).  Every pair that is
+    computed at all is computed in full this way; the two prunings below
+    only decide which pairs can be skipped.
+
+    Below five objectives, with finite inputs, a sorted sweep on coordinate
+    0 (Friedman, Baskett and Shustek, IEEE Trans. Comput. C-24(10), 1975)
+    skips the pairs that cannot be a row minimum.  Both sets are sorted by
+    coordinate 0.  Each block of max(64, 65536 // a) consecutive reference
+    rows first meets a seed window of approximations around its position,
+    four either side, which gives each row an upper bound b_i on its
+    computed minimum.  The window is then widened on either side to every
+    x_j within R_i = sqrt(b_i) (1 + 2^-40) of some row's y_i, and only the
+    added pairs are computed.  Why it is exact: the computed distance adds
+    nonnegative rounded terms to its first one, and rounded addition is
+    monotone, so d_ij >= fl(fl(y_i - x_j)^2).  A skipped x_j lies below
+    fl(y_i - R_i) or above fl(y_i + R_i); since x_j is a double and rounding
+    is monotone, |y_i - x_j| > R_i exactly, so |fl(y_i - x_j)| >= R_i and
+    d_ij >= fl(R_i^2).  The margin keeps the computed R_i above sqrt(b_i)
+    through the roundings of the square root and the product, so R_i^2 >
+    b_i and, rounding being monotone into the subnormal range too,
+    fl(R_i^2) >= b_i.  So no skipped pair is below b_i, and every row
+    minimum is unchanged.  The minima are put back in input order before
+    the mean, whose pairwise summation is order-sensitive.
+    On fronts this computes a few percent of the r * a pairs; when the
+    windows span all of a, it costs the plain blocks plus the seed.
 
     From five objectives up a BLAS screen picks the candidates first.  One
     matrix product per block gives s_ij = |a_j|^2 - 2 r_i.a_j, which is
@@ -281,10 +406,10 @@ def igd(approximation, reference) -> float:
     for the higher-order terms.  Only the kept pairs are recomputed, in
     cdist order, so every row minimum is unchanged.
 
-    Fallbacks: below five objectives the screen is slower than the plain
-    blocks and is skipped.  Any NaN or infinite input, or a squared norm
-    near overflow, skips it for the whole call.  A block keeping more than
-    16 candidates per reference row (near-ties) computes all its distances.
+    Fallbacks take the plain blocks, O(r * a * M) time: any NaN or infinite
+    input below five objectives; from five up, any NaN or infinite input or
+    a squared norm near overflow, for the whole call, and any block keeping
+    more than 16 candidates per reference row (near-ties).
     """
     a = np.asarray(getattr(approximation, "points", approximation), dtype=float)
     r = np.asarray(getattr(reference, "points", reference), dtype=float)
@@ -297,26 +422,10 @@ def igd(approximation, reference) -> float:
             f"dimension mismatch: approximation is {a.shape[1]}-d, reference {r.shape[1]}-d")
     if r.shape[1] == 0:  # zero-dimensional points all coincide
         return 0.0
-    screen = _screen_terms(r, a) if r.shape[1] >= _SCREEN_DIMS else None
-    r_cols, a_cols = r.T.copy(), a.T.copy()
-    a_step = min(a.shape[0], _IGD_BLOCK)
-    r_step = max(1, _IGD_BLOCK // a_step)
-    total = np.empty(r_step * a_step)
-    term = np.empty_like(total)
-    mask = np.empty(total.shape, dtype=bool)
-    nearest = np.full(r.shape[0], np.inf)
-    for r0 in range(0, r.shape[0], r_step):
-        near = nearest[r0:r0 + r_step]
-        rb = r_cols[:, r0:r0 + r_step]
-        for a0 in range(0, a.shape[0], a_step):
-            ab = a_cols[:, a0:a0 + a_step]
-            shape = (rb.shape[1], ab.shape[1])
-            out = total[:shape[0] * shape[1]].reshape(shape)
-            if screen is not None and _screened_block(
-                    screen, r0, a0, rb, ab, near, out, mask[:out.size].reshape(shape)):
-                continue
-            acc = _squared_distances(rb[:, :, None], ab, out, term[:out.size].reshape(shape))
-            np.minimum(near, acc.min(axis=1), out=near)
+    if r.shape[1] < _SCREEN_DIMS and np.isfinite(a).all() and np.isfinite(r).all():
+        nearest = _swept_minima(r, a)
+    else:
+        nearest = _blocked_minima(r, a)
     return float(np.sqrt(nearest).mean())
 
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from gpdbench import (
+    ConstraintSpec,
+    ProblemSpec,
     ROBUST_MINIMIZER,
     ROBUST_STABLE_RANGE,
     compose,
     deceptive_g,
     deceptive_term,
+    evaluate_constraints,
     normalized_angle,
     radial_profile,
     robust_g,
@@ -33,6 +36,21 @@ def test_angle_rejects_zero_vectors():
         angle_to_reference(np.zeros(2), np.ones(2))
     with pytest.raises(ValueError):
         angle_to_reference(np.ones(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("scale", (1e-170, 1e200))
+def test_constraint_angles_of_points_too_small_or_large_to_square(scale):
+    # [1e-170, 0, 0] squares to zero and [1e200, 0, 0] to inf; both point
+    # along e1, like [1, 0, 0].
+    cons = ProblemSpec(objectives=3, distance_vars=2, distance_kind="robust", constraints=(
+        ConstraintSpec(kind="min_angle", reference="diagonal", threshold_a=0.5),
+        ConstraintSpec(kind="band", reference=(1.0, 2.0, 3.0), threshold_a=0.1, threshold_b=0.2),
+        ConstraintSpec(kind="nearest_axis", axis_j=2))).constraints
+    for point in ([1.0, 0.0, 0.0], [1.0, 0.0, 0.5]):
+        got = evaluate_constraints(np.array(point) * scale, cons)
+        want = evaluate_constraints(np.array(point), cons)
+        np.testing.assert_allclose(got.violations, want.violations, rtol=0, atol=1e-12)
+        assert got.nearest_axis_of_point == want.nearest_axis_of_point
 
 
 def test_max_first_orthant_angle():

@@ -9,12 +9,15 @@ from gpdbench import (
     ProblemSpec,
     compose,
     evaluate,
+    evaluate_arrays,
     evaluate_batch,
     meta_variables,
     normalized_angle,
     pareto_set_sample,
+    parse_spec,
     position_point,
     radial_profile,
+    render_spec,
 )
 
 TINY = ProblemSpec(objectives=2, distance_vars=1, distance_kind="deceptive")
@@ -83,6 +86,20 @@ def test_evaluation_fields_are_consistent():
         normalized_angle(f_p, np.asarray(spec.constraints[0].reference)), rtol=1e-12)
     want = compose(f_p, ev.distance_value, spec.composition)
     np.testing.assert_allclose(ev.objectives, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scaled", ("1e200,2e200,3e200", "1e-200,2e-200,3e-200"))
+def test_distance_reference_too_small_or_large_to_square(scaled):
+    # Both pass parse_spec; their squared norms overflow or underflow to 0.
+    plain = ProblemSpec(objectives=3, distance_vars=2, distance_kind="deceptive",
+                        distance_reference=(1.0, 2.0, 3.0))
+    text = render_spec(plain)
+    spec = parse_spec(text.replace("distance_reference = 1,2,3", f"distance_reference = {scaled}"))
+    rng = np.random.default_rng(4)
+    x = np.column_stack([rng.uniform(-1.0, 1.0, (50, plain.position_dim)),
+                         rng.uniform(0.0, 1.0, (50, 2))])
+    np.testing.assert_allclose(evaluate_arrays(x, spec).distance_phi,
+                               evaluate_arrays(x, plain).distance_phi, rtol=0, atol=1e-12)
 
 
 def test_batch_empty():

@@ -176,8 +176,11 @@ def test_igd_accepts_front_samples():
 
 def test_igd_memory_is_bounded():
     rng = np.random.default_rng(43)
-    for m in (3, 10):  # the plain blocks, then the screen
+    # The sweep, then the sweep with every window all of a, then the screen.
+    for m, tied in ((3, False), (2, True), (3, True), (10, False)):
         a, r = rng.uniform(size=(4000, m)), rng.uniform(size=(4000, m))
+        if tied:
+            a[:, 0] = r[:, 0] = 0.5
         tracemalloc.start()
         try:
             igd(a, r)
@@ -185,7 +188,7 @@ def test_igd_memory_is_bounded():
         finally:
             tracemalloc.stop()
         # a full 4000 x 4000 distance matrix alone would be 128 MB
-        assert peak < 16 * 2**20, (m, peak)
+        assert peak < 16 * 2**20, (m, tied, peak)
 
 
 def test_igd_errors():

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +27,23 @@ from test_array_pipeline import specs
 import gpdbench.evaluator
 import gpdbench.reference
 from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
-                      igd, meta_variables, pareto_set_sample, perturb_experiment,
-                      realize_position)
+                      front_sample, igd, meta_variables, pareto_set_sample,
+                      perturb_experiment, realize_position)
 from gpdbench.reference import _halton
 
 
 def all_pairs_nondominated(pts):
-    le = np.all(pts[None, :, :] <= pts[:, None, :], axis=-1)
-    lt = np.any(pts[None, :, :] < pts[:, None, :], axis=-1)
-    return ~np.any(le & lt, axis=1)
+    n, m = pts.shape
+    keep = np.empty(n, dtype=bool)
+    for start in range(0, n, 256):  # 256 rows at a time bound the memory
+        rows = pts[start:start + 256]
+        le = np.ones((rows.shape[0], n), dtype=bool)  # [i, k]: row k <= row i everywhere
+        lt = np.zeros_like(le)  # [i, k]: row k < row i somewhere
+        for j in range(m):
+            le &= pts[None, :, j] <= rows[:, j, None]
+            lt |= pts[None, :, j] < rows[:, j, None]
+        keep[start:start + 256] = ~np.any(le & lt, axis=1)
+    return keep
 
 
 def same_bits(got, want):
@@ -159,16 +168,46 @@ def test_dominance_mask_equals_all_pairs_oracle(kind, m, n, seed):
     np.testing.assert_array_equal(got, all_pairs_nondominated(pts))
 
 
-def test_dominance_mask_non_finite_rows_and_signed_zeros():
-    pts = np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 0.0], [np.nan, 0.0],
-                    [0.5, np.nan], [1.0, 1.0], [0.0, 2.0]])
+M2_POINT_SETS = ("front", "grid", "signed", "nan_rows", "duplicated", "large")
+
+
+def m2_point_set(kind, rng):
+    if kind in ("front", "duplicated"):
+        return point_set(kind, 2, 1500, rng)
+    if kind == "grid":  # heavy ties in both coordinates
+        return rng.integers(0, 6, size=(2000, 2)).astype(float)
+    if kind == "signed":
+        return rng.choice([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf], size=(500, 2))
+    if kind == "nan_rows":
+        pts = rng.integers(0, 6, size=(1000, 2)).astype(float)
+        pts[rng.uniform(size=pts.shape) < 0.05] = np.nan
+        pts[::97] = np.nan
+        return pts
+    return point_set("dominated", 2, 20000, rng)
+
+
+@pytest.mark.parametrize("kind", M2_POINT_SETS)
+def test_two_objective_mask_equals_all_pairs_oracle(kind):
+    pts = m2_point_set(kind, np.random.default_rng(len(kind)))
     np.testing.assert_array_equal(dominance_mask(pts), all_pairs_nondominated(pts))
+
+
+def test_dominance_mask_non_finite_rows_and_signed_zeros():
+    inf, nan = np.inf, np.nan
+    rows = [[0.0, 1.0], [-0.0, 1.0], [nan, 0.0], [nan, 0.0], [0.5, nan], [1.0, 1.0],
+            [0.0, 2.0], [nan, nan], [-0.0, -inf], [0.0, -inf], [inf, inf], [-inf, inf],
+            [-inf, inf], [inf, nan], [-inf, 3.0]]
     # [inf, -inf] dominates every [inf, k] from beyond the first chunk,
     # although its coordinate sum is NaN.
-    inf = np.inf
-    pts = np.array([[inf, float(k)] for k in range(600)]
-                   + [[inf, -inf], [-inf, inf], [1e308, 1e308], [inf, 1e308]])
-    np.testing.assert_array_equal(dominance_mask(pts), all_pairs_nondominated(pts))
+    big = ([[inf, float(k)] for k in range(600)]
+           + [[inf, -inf], [-inf, inf], [1e308, 1e308], [inf, 1e308]])
+    # Two columns take the M = 2 sweep; a constant third column keeps
+    # dominance and takes the archive sweep.
+    for pts in (np.array(rows), np.array(big)):
+        for pad in (0, 1):
+            padded = np.column_stack([pts, np.zeros((len(pts), pad))])
+            np.testing.assert_array_equal(dominance_mask(padded),
+                                          all_pairs_nondominated(padded))
 
 
 # --- igd ---------------------------------------------------------------------
@@ -212,6 +251,142 @@ def test_igd_equals_cdist_across_blocks():
     # more approximation points than one block holds, and many reference blocks
     assert_same_igd(rng.uniform(size=(70000, 3)), rng.uniform(size=(5, 3)))
     assert_same_igd(rng.uniform(size=(300, 4)), rng.uniform(size=(1000, 4)))
+
+
+def front_like(rng, m, n):
+    """n points on the unit sphere in the first orthant; a segment at M = 1."""
+    if m == 1:
+        return rng.uniform(size=(n, 1))
+    pts = np.abs(rng.normal(size=(n, m)))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+@contextmanager
+def igd_paths():
+    """Names of the igd kernels run inside the block: "swept" or "blocked"."""
+    paths = []
+
+    def spy(name):
+        real = getattr(gpdbench.reference, f"_{name}_minima")
+
+        def kernel(*args):
+            paths.append(name)
+            return real(*args)
+        return kernel
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("swept", "blocked"):
+            mp.setattr(gpdbench.reference, f"_{name}_minima", spy(name))
+        yield paths
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 4), n_a=st.integers(1, 3000), n_r=st.integers(1, 600),
+       noise=st.sampled_from((0.0, 1e-9, 1e-3, 0.1)), block=st.sampled_from((None, 1000)),
+       scale=st.sampled_from((1e-150, 1.0, 1e150)), seed=st.integers(0, 2**32 - 1))
+def test_swept_igd_on_fronts_equals_cdist(m, n_a, n_r, noise, block, scale, seed):
+    # Approximations on or near the reference front, so the windows prune.
+    rng = np.random.default_rng(seed)
+    r = front_like(rng, m, n_r) * scale
+    a = front_like(rng, m, n_a)
+    a = (a + rng.normal(size=a.shape) * noise) * scale
+    with igd_paths() as paths, pytest.MonkeyPatch.context() as mp:
+        if block is not None:  # windows then span several blocks
+            mp.setattr(gpdbench.reference, "_IGD_BLOCK", block)
+        assert_same_igd(a, r)
+    assert paths == ["swept"]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_swept_igd_with_ties_on_the_sort_coordinate(m):
+    rng = np.random.default_rng(m)
+    # Every first coordinate equal: each window is all of a.
+    a, r = rng.uniform(size=(700, m)), rng.uniform(size=(300, m))
+    a[:, 0] = r[:, 0] = 0.5
+    assert_same_igd(a, r)
+    # Integer first coordinates and repeated rows.
+    a[:, 0] = rng.integers(0, 4, size=700)
+    r[:, 0] = rng.integers(0, 4, size=300)
+    a = np.repeat(a, 3, axis=0)
+    r = np.concatenate([r, r[:100], a[::5]])
+    assert_same_igd(a, r)
+
+
+@pytest.mark.parametrize("m", range(2, 5))
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_swept_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
+    # The seed window (the first four approximations in coordinate 0) bounds
+    # the distance of the origin by 1.  The nearest point lies beyond it, at
+    # a coordinate-0 offset within 2^-30 of that bound.
+    a = np.zeros((6, m))
+    a[:, 0] = sign * np.array([0.0, 0.1, 0.2, 0.3, 0.4, 1.0 - 2.0 ** -30])
+    a[:5, 1] = [1.0, 5.0, 5.0, 5.0, 5.0]
+    a[5, 1] = 2.0 ** -20
+    r = np.zeros((1, m))
+    assert_same_igd(a, r)
+    assert igd(a, r) < 1.0
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_swept_igd_keeps_the_reference_order_for_the_mean(m):
+    rng = np.random.default_rng(20 + m)
+    r = front_like(rng, m, 2000) * rng.uniform(0.5, 2.0, size=(2000, 1))
+    a = front_like(rng, m, 1500)
+    for rows in (r, r[::-1], r[rng.permutation(len(r))]):
+        assert_same_igd(a, rows)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("scale", (1e-150, 1e-160, 1e-170, 1e150, 1e160))
+def test_swept_igd_at_extreme_scales(m, scale):
+    # Squared distances fall into subnormals or to zero from 1e-160 down, and
+    # overflow to inf at 1e160.
+    rng = np.random.default_rng(m)
+    r = front_like(rng, m, 400)
+    a = front_like(rng, m, 600)
+    a[:50] = r[:50]
+    a[50:100] = r[50:100] + 1e-9
+    with np.errstate(over="ignore"), igd_paths() as paths:
+        assert_same_igd(a * scale, r * scale)
+    assert paths == ["swept"]
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("side", ("a", "r"))
+def test_non_finite_low_dimensional_igd_takes_the_blocked_path(m, value, side):
+    rng = np.random.default_rng(13)
+    a, r = rng.uniform(size=(300, m)), rng.uniform(size=(200, m))
+    (a if side == "a" else r)[17, m - 1] = value
+    with igd_paths() as paths:
+        assert_same_igd(a, r)
+    assert paths == ["blocked"]
+
+
+def test_swept_igd_computes_few_pairs_on_reference_fronts(monkeypatch):
+    # The reference fronts and Pareto-set samples of three instances, as the
+    # reference benchmark builds them.  Without pruning every pair is computed.
+    entries = []
+    real = gpdbench.reference._squared_distances
+
+    def counted(rb, ab, acc, tmp):
+        entries.append(acc.size)
+        return real(rb, ab, acc, tmp)
+
+    monkeypatch.setattr(gpdbench.reference, "_squared_distances", counted)
+    instances = ((ProblemSpec(objectives=2, meta_q=5, meta_t=1, distance_vars=10,
+                              distance_kind="deceptive"), 2000, 2000),
+                 (ProblemSpec(objectives=3, meta_q=10, meta_t=4, distance_vars=10,
+                              distance_kind="deceptive"), 60, 3600),
+                 (ProblemSpec(objectives=3, meta_q=5, meta_t=1, distance_vars=10,
+                              distance_kind="disconnected"), 60, 3600))
+    for spec, resolution, n in instances:
+        front = front_sample(spec, resolution).points
+        objs = evaluate_arrays(pareto_set_sample(spec, n).vectors, spec).objectives
+        entries.clear()
+        igd(objs, front)
+        share = sum(entries) / (front.shape[0] * objs.shape[0])
+        assert share <= 0.15, (spec.objectives, spec.distance_kind, share)
 
 
 @pytest.fixture

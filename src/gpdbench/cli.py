@@ -106,24 +106,25 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _resolution(args, spec) -> int:
-    """--resolution when given, else an M-aware default.
+def _front(args, spec):
+    """The reference front at --resolution when given, else an M-aware default.
 
-    The default keeps the reference front at a few hundred points for every
-    M, so front and search finish in bounded time.
+    The default keeps the front at a few hundred points for every M, so front
+    and search finish in bounded time.  An empty front prints a warning.
     """
-    if args.resolution is not None:
-        return args.resolution
-    return {2: 200, 3: 24, 4: 9}.get(spec.objectives, 9)
+    resolution = args.resolution
+    if resolution is None:
+        resolution = {2: 200, 3: 24, 4: 9}.get(spec.objectives, 9)
+    front = front_sample(spec, resolution)
+    if front.points.shape[0] == 0:
+        print("warning: feasible front is empty", file=sys.stderr)
+    return front
 
 
 def cmd_front(args) -> int:
     spec = _load_spec(args.spec)
-    front = front_sample(spec, _resolution(args, spec))
-    if front.points.shape[0] == 0:
-        print("warning: feasible front is empty", file=sys.stderr)
     header = [f"f{j}" for j in range(1, spec.objectives + 1)]
-    _write_rows(args.out, header, front.points)
+    _write_rows(args.out, header, _front(args, spec).points)
     return 0
 
 
@@ -187,15 +188,12 @@ def cmd_search(args) -> int:
         _write_rows(args.out, header, [])
         print("feasible = 0")
         return 0
-    front = front_sample(spec, _resolution(args, spec))
-    empty_front = front.points.shape[0] == 0
-    if empty_front:
-        print("warning: feasible front is empty", file=sys.stderr)
+    front = _front(args, spec)
     archive = dominance_filter(feasible)
     _write_rows(args.out, header, archive)
     print(f"feasible = {len(feasible)}")
     print(f"archive = {archive.shape[0]}")
-    if not empty_front:
+    if front.points.shape[0]:
         print(f"igd = {_fmt(igd(archive, front))}")
     return 0
 

@@ -22,19 +22,20 @@ ROBUST_STABLE_RANGE = (0.1, 0.3)
 def _scaled_rows(v) -> tuple[np.ndarray, np.ndarray]:
     """The rows of v and their squared norms, safe to take angles with.
 
-    A finite nonzero row whose squared norm underflows to zero or overflows
-    is first divided by its largest magnitude, which leaves its direction
-    alone.  Every other row, and its squared norm, keeps its bits.
+    A finite nonzero row whose squared norm is subnormal, underflows to zero
+    or overflows is first divided by its largest magnitude, which leaves its
+    direction alone.  Every other row, and its squared norm, keeps its bits.
     """
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):
         sq = np.sum(v * v, axis=-1)
+    tiny = np.finfo(float).tiny  # subnormal squares carry fewer bits
     # One vector skips the reductions, which cost more than the rest here.
     lo, hi = (sq, sq) if sq.ndim == 0 else (sq.min(initial=np.inf), sq.max(initial=0.0))
-    if 0.0 < lo and hi < np.inf:
+    if tiny <= lo and hi < np.inf:
         return v, sq
     big = np.max(np.abs(v), axis=-1, keepdims=True)
-    bad = (sq == 0.0) | (sq == np.inf)
+    bad = (sq < tiny) | (sq == np.inf)
     bad &= (big[..., 0] > 0.0) & (big[..., 0] < np.inf)
     v = np.where(bad[..., None], v / np.where(bad[..., None], big, 1.0), v)
     return v, np.sum(v * v, axis=-1)

@@ -98,9 +98,7 @@ def _halton(m: int, count: int) -> np.ndarray:
 
 def _front_targets(m: int, resolution: int) -> np.ndarray:
     # Lattices explode past four objectives; switch to a low-discrepancy set.
-    if m <= 4:
-        return _lattice(m, resolution)
-    return _halton(m, resolution ** 3)
+    return _set_targets(m, resolution ** (m - 1) if m <= 4 else resolution ** 3)
 
 
 def _set_targets(m: int, n: int) -> np.ndarray:
@@ -275,81 +273,69 @@ def _screened_block(screen, r0, a0, rb, ab, near, out, mask):
     return True
 
 
-def _window_minima(rb, a_cols, lo, hi, near, total, term):
+def _window_minima(rb, r0, a_cols, lo, hi, near, buf, screen):
     """Lower near to the row minima of rb against the columns lo:hi of a_cols.
 
-    Distances are computed in cdist order, at most total.size at a time.
+    rb holds reference rows r0 onwards.  The columns go in chunks of at most
+    the size of buf.  The screen settles a chunk when there is one and the
+    chunk stays under its cap; otherwise the chunk is computed in cdist order.
     """
+    total, term, mask = buf
     rows = rb.shape[1]
     step = max(1, total.size // rows)
     for c0 in range(lo, hi, step):
         ab = a_cols[:, c0:min(hi, c0 + step)]
         cols = ab.shape[1]
+        size = rows * cols
+        if screen is not None and _screened_block(
+                screen, r0, c0, rb, ab, near, total[:size].reshape(rows, cols),
+                mask[:size].reshape(rows, cols)):
+            continue
         # numpy loops fastest along the longer side, so it goes last.
         if cols >= rows:
             shape, axis, rb_, ab_ = (rows, cols), 1, rb[:, :, None], ab[:, None, :]
         else:
             shape, axis, rb_, ab_ = (cols, rows), 0, rb[:, None, :], ab[:, :, None]
-        acc = _squared_distances(rb_, ab_, total[:rows * cols].reshape(shape),
-                                 term[:rows * cols].reshape(shape))
+        acc = _squared_distances(rb_, ab_, total[:size].reshape(shape),
+                                 term[:size].reshape(shape))
         np.minimum(near, acc.min(axis=axis), out=near)
 
 
-def _blocked_minima(r, a):
-    """Squared nearest distances of the rows of r, over all r x a pairs."""
-    screen = _screen_terms(r, a) if r.shape[1] >= _SCREEN_DIMS else None
+def _nearest(r, a):
+    """Squared nearest distances of the rows of r; see igd for the decisions."""
+    m = r.shape[1]
+    prune = m < _SCREEN_DIMS and np.isfinite(a).all() and np.isfinite(r).all()
+    screen = _screen_terms(r, a) if m >= _SCREEN_DIMS else None
+    if prune:
+        order = np.argsort(r[:, 0], kind="stable")
+        r, a = r[order], a[np.argsort(a[:, 0], kind="stable")]
+        pos = np.searchsorted(a[:, 0], r[:, 0])
+        rows = max(_SWEEP_ROWS, _IGD_BLOCK // a.shape[0])
+    else:
+        # Blocks this short see all of a in one chunk, which one screen settles.
+        rows = max(1, _IGD_BLOCK // a.shape[0])
     r_cols, a_cols = r.T.copy(), a.T.copy()
-    a_step = min(a.shape[0], _IGD_BLOCK)
-    r_step = max(1, _IGD_BLOCK // a_step)
-    total = np.empty(r_step * a_step)
-    term = np.empty_like(total)
-    mask = np.empty(total.shape, dtype=bool)
-    nearest = np.full(r.shape[0], np.inf)
-    for r0 in range(0, r.shape[0], r_step):
-        near = nearest[r0:r0 + r_step]
-        rb = r_cols[:, r0:r0 + r_step]
-        for a0 in range(0, a.shape[0], a_step):
-            ab = a_cols[:, a0:a0 + a_step]
-            shape = (rb.shape[1], ab.shape[1])
-            size = shape[0] * shape[1]
-            if screen is not None and _screened_block(
-                    screen, r0, a0, rb, ab, near, total[:size].reshape(shape),
-                    mask[:size].reshape(shape)):
-                continue
-            _window_minima(rb, a_cols, a0, a0 + a_step, near, total, term)
-    return nearest
-
-
-def _swept_minima(r, a):
-    """Squared nearest distances of the rows of r, pruned on coordinate 0.
-
-    Needs finite inputs; see igd for why the result is exact.
-    """
-    a_cols = a[np.argsort(a[:, 0], kind="stable")].T.copy()
     x = a_cols[0]
-    order = np.argsort(r[:, 0], kind="stable")
-    r_cols = r[order].T.copy()
-    rows = max(_SWEEP_ROWS, _IGD_BLOCK // x.size)
     total = np.empty(rows * max(1, _IGD_BLOCK // rows))
-    term = np.empty_like(total)
-    pos = np.searchsorted(x, r_cols[0])
+    buf = total, np.empty_like(total), np.empty(total.shape, dtype=bool)
     nearest = np.full(r.shape[0], np.inf)
     for r0 in range(0, r.shape[0], rows):
         near = nearest[r0:r0 + rows]
         rb = r_cols[:, r0:r0 + rows]
+        if not prune:
+            _window_minima(rb, r0, a_cols, 0, x.size, near, buf, screen)
+            continue
         lo = max(0, pos[r0] - _SWEEP_SEED)
         hi = min(x.size, pos[r0 + rb.shape[1] - 1] + _SWEEP_SEED)
-        _window_minima(rb, a_cols, lo, hi, near, total, term)
+        _window_minima(rb, r0, a_cols, lo, hi, near, buf, screen)
         reach = np.sqrt(near) * (1 + 2.0 ** -40)
-        y = rb[0]
-        left = np.searchsorted(x, (y - reach).min())
-        right = np.searchsorted(x, (y + reach).max(), side="right")
-        _window_minima(rb, a_cols, left, lo, near, total, term)
-        _window_minima(rb, a_cols, hi, right, near, total, term)
-    # The mean sums pairwise, so it must see the rows in input order.
-    unsorted = np.empty_like(nearest)
-    unsorted[order] = nearest
-    return unsorted
+        left = np.searchsorted(x, (rb[0] - reach).min())
+        right = np.searchsorted(x, (rb[0] + reach).max(), side="right")
+        _window_minima(rb, r0, a_cols, left, lo, near, buf, screen)
+        _window_minima(rb, r0, a_cols, hi, right, near, buf, screen)
+    if prune:  # the mean sums pairwise, so it must see the rows in input order
+        nearest[order] = nearest.copy()
+    return nearest
 
 
 def igd(approximation, reference) -> float:
@@ -362,10 +348,17 @@ def igd(approximation, reference) -> float:
     matrix, averaged.  Squared differences are summed one coordinate at a
     time, in cdist's order, and the square root is taken after the minimum;
     being monotone and correctly rounded, it commutes with the minimum.
-    Blocks hold 65536 distance entries at a time (two float blocks and one
-    bool block, about 1.1 MB), so memory stays O(r + a).  Every pair that is
-    computed at all is computed in full this way; the two prunings below
-    only decide which pairs can be skipped.
+
+    One loop hands each block of reference rows one or more windows of
+    approximation columns, settled in chunks of at most 65536 distance
+    entries (two float blocks and one bool block, about 1.1 MB), so memory
+    stays O(r + a).  Two decisions, made once per call, only pick which
+    pairs are skipped; every pair computed at all is computed in full.
+    Prune (below five objectives, finite inputs) takes the windows from the
+    sorted sweep below; screen (from five up, finite inputs) offers each
+    chunk to the BLAS screen below first.  Otherwise a block of
+    max(1, 65536 // a) rows gets all of a as one window, so one screened
+    chunk covers it.
 
     Below five objectives, with finite inputs, a sorted sweep on coordinate
     0 (Friedman, Baskett and Shustek, IEEE Trans. Comput. C-24(10), 1975)
@@ -422,11 +415,7 @@ def igd(approximation, reference) -> float:
             f"dimension mismatch: approximation is {a.shape[1]}-d, reference {r.shape[1]}-d")
     if r.shape[1] == 0:  # zero-dimensional points all coincide
         return 0.0
-    if r.shape[1] < _SCREEN_DIMS and np.isfinite(a).all() and np.isfinite(r).all():
-        nearest = _swept_minima(r, a)
-    else:
-        nearest = _blocked_minima(r, a)
-    return float(np.sqrt(nearest).mean())
+    return float(np.sqrt(_nearest(r, a)).mean())
 
 
 def front_sample(spec: ProblemSpec, resolution: int,
@@ -494,10 +483,12 @@ def perturb_experiment(x, radius: float, samples: int, spec: ProblemSpec,
     Draws `samples` perturbations uniformly from [-radius, radius]^S, adds
     them to the distance part only, clips to the box, re-evaluates, and
     reports the worst and mean Euclidean displacement from the unperturbed
-    objectives.  Identical seeds give identical reports.
+    objectives.  Identical seeds give identical reports.  The radius must not
+    pass half the largest double, so that the range of the draw stays finite.
     """
-    if not radius > 0:
-        raise ValueError(f"perturbation radius must be positive, got {radius}")
+    top = float(np.finfo(float).max) / 2
+    if not 0 < radius <= top:
+        raise ValueError(f"perturbation radius must lie in (0, {top!r}], got {radius}")
     if samples < 1:
         raise ValueError(f"need at least one perturbation sample, got {samples}")
     base = evaluate(x, spec)

@@ -220,6 +220,20 @@ def test_perturb_bad_row_exits_3_with_one_based_row(tmp_path, capsys,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("radius", ["inf", "1e308", "nan", "0"])
+def test_perturb_radius_out_of_range_exits_3(tmp_path, capsys, radius):
+    spec = tmp_path / "robust.spec"
+    spec.write_text("objectives = 2\ndistance_vars = 2\ndistance = robust\n")
+    src = tmp_path / "pts.csv"
+    src.write_text("0.3,0.2,0.2\n")
+    code, out, err = run(["perturb", "--spec", str(spec), "--in", str(src),
+                          "--radius", radius, "--samples", "5"], capsys)
+    assert code == 3
+    assert out == ""
+    bound = "(0, 8.988465674311579e+307]"  # half the largest double
+    assert err == f"error: perturbation radius must lie in {bound}, got {float(radius)}\n"
+
+
 def test_search_deterministic(tmp_path, capsys, m2):
     outs = []
     for name in ("a.csv", "b.csv"):

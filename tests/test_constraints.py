@@ -23,8 +23,16 @@ def spec_with(*constraints):
 
 
 def axis_angles(f):
-    """Angle of f to every canonical axis, shaped (..., M): the gap oracle."""
+    """Angle of f to every canonical axis, shaped (..., M): the gap oracle.
+
+    Rows whose squared norm is subnormal are first divided by their largest
+    magnitude, as the library does, so the norm keeps its full precision.
+    """
     f = np.asarray(f, dtype=float)
+    sq = np.sum(f * f, axis=-1)
+    small = (sq > 0.0) & (sq < np.finfo(float).tiny)
+    big = np.where(small, np.abs(f).max(axis=-1, initial=0.0), 1.0)
+    f = f / big[..., None]
     norm = np.sqrt(np.sum(f * f, axis=-1))
     return np.arccos(np.clip(f / norm[..., None], -1.0, 1.0))
 

@@ -88,9 +88,11 @@ def test_evaluation_fields_are_consistent():
     np.testing.assert_allclose(ev.objectives, want, rtol=1e-12)
 
 
-@pytest.mark.parametrize("scaled", ("1e200,2e200,3e200", "1e-200,2e-200,3e-200"))
+@pytest.mark.parametrize("scaled", ("1e200,2e200,3e200", "1e-200,2e-200,3e-200",
+                                    "1e-160,2e-160,3e-160"))
 def test_distance_reference_too_small_or_large_to_square(scaled):
-    # Both pass parse_spec; their squared norms overflow or underflow to 0.
+    # All pass parse_spec; their squared norms overflow, underflow to 0 or
+    # land among the subnormals, which keep too few bits for the angle.
     plain = ProblemSpec(objectives=3, distance_vars=2, distance_kind="deceptive",
                         distance_reference=(1.0, 2.0, 3.0))
     text = render_spec(plain)

@@ -289,3 +289,15 @@ def test_perturb_argument_checks():
         perturb_experiment(np.array([0.0, 0.5]), 0.0, 10, spec)
     with pytest.raises(ValueError, match="sample"):
         perturb_experiment(np.array([0.0, 0.5]), 0.1, 0, spec)
+
+
+def test_perturb_radius_stops_where_the_draw_would_overflow():
+    spec = ProblemSpec(objectives=2, distance_vars=1, distance_kind="robust")
+    x = np.array([0.3, 0.5])
+    top = np.finfo(float).max / 2
+    for radius in (np.nextafter(top, np.inf), 1e308, np.inf, np.nan):
+        with pytest.raises(ValueError, match="radius must lie in"):
+            perturb_experiment(x, radius, 10, spec)
+    # Half the largest double still draws; every clipped sample sits at 0 or 1.
+    report = perturb_experiment(x, top, 10, spec, seed=2)
+    assert report.radius == top and report.worst >= report.mean >= 0.0

@@ -263,20 +263,30 @@ def front_like(rng, m, n):
 
 @contextmanager
 def igd_paths():
-    """Names of the igd kernels run inside the block: "swept" or "blocked"."""
-    paths = []
+    """Per igd call inside the block, "swept" if it pruned on coordinate 0.
 
-    def spy(name):
-        real = getattr(gpdbench.reference, f"_{name}_minima")
+    A pruned call hands the settle helper a window narrower than all of a
+    for every block (the seed, or the left window it ends); an unpruned call
+    hands it all of a every time, and is "blocked".
+    """
+    paths, windows = [], []
+    real_nearest = gpdbench.reference._nearest
+    real_window = gpdbench.reference._window_minima
 
-        def kernel(*args):
-            paths.append(name)
-            return real(*args)
-        return kernel
+    def nearest(r, a):
+        windows.clear()
+        out = real_nearest(r, a)
+        full = all(w == (0, a.shape[0]) for w in windows)
+        paths.append("blocked" if full else "swept")
+        return out
+
+    def window(rb, r0, a_cols, lo, hi, *rest):
+        windows.append((lo, hi))
+        return real_window(rb, r0, a_cols, lo, hi, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("swept", "blocked"):
-            mp.setattr(gpdbench.reference, f"_{name}_minima", spy(name))
+        mp.setattr(gpdbench.reference, "_nearest", nearest)
+        mp.setattr(gpdbench.reference, "_window_minima", window)
         yield paths
 
 
@@ -475,6 +485,27 @@ def test_non_finite_igd_takes_the_blocked_path(value, side, screened):
     (a if side == "a" else r)[17, 3] = value
     assert_same_igd(a, r)
     assert screened == []
+
+
+def test_screened_igd_blocks_see_all_approximations_at_once(monkeypatch):
+    # Each block of reference rows is one screened chunk spanning all of a.
+    # Narrower blocks give the same result, about 14% slower at this shape.
+    blocks = []
+    real = gpdbench.reference._screened_block
+
+    def spy(screen, r0, a0, rb, ab, *rest):
+        blocks.append((r0, a0, rb.shape[1], ab.shape[1]))
+        return real(screen, r0, a0, rb, ab, *rest)
+
+    monkeypatch.setattr(gpdbench.reference, "_screened_block", spy)
+    rng = np.random.default_rng(19)
+    r = np.abs(rng.normal(size=(3375, 10)))
+    a = r[:2000] + rng.normal(size=(2000, 10)) * 0.01
+    assert_same_igd(a, r)
+    assert blocks and all(a0 == 0 and cols == 2000 for _, a0, _, cols in blocks)
+    starts = [r0 for r0, *_ in blocks]
+    assert starts == sorted(set(starts))  # one screened chunk per row block
+    assert sum(rows for _, _, rows, _ in blocks) == 3375
 
 
 def test_igd_does_not_depend_on_the_blas_thread_count():

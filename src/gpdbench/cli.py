@@ -13,7 +13,8 @@ output uses 17 significant digits so doubles survive a write/read round trip.
     gpdbench search --spec problem.spec --budget 20000 --seed 1 --out arch.csv
 
 Exit codes: 0 success, 1 usage error, 2 invalid specification, 3 data error
-(unreadable file, malformed row, out-of-box coordinate).
+(unreadable file, malformed row, out-of-box coordinate) or a request too
+large for memory.
 """
 
 from __future__ import annotations
@@ -272,6 +273,11 @@ def main(argv=None) -> int:
         return 3
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        # numpy's MemoryError names the failed allocation; a bare one is empty.
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

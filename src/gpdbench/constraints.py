@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import normalized_angle, _scaled_rows
+from .distance import _normalized_angle, _scaled_rows
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,24 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
     the closest (continuous, zero exactly on the feasible set).
     """
     f_p = np.asarray(f_p, dtype=float)
-    lead = f_p.shape[:-1]
-    m = f_p.shape[-1]
-    phis = np.zeros(lead + (len(constraints),), dtype=float)
-    viol = np.zeros(lead + (len(constraints),), dtype=float)
+    shape = f_p.shape[:-1] + (len(constraints),)
+    phis = np.zeros(shape, dtype=float)
+    viol = np.zeros(shape, dtype=float)
+    if not constraints:
+        return phis, viol
+    f, sq = _scaled_rows(f_p)
+    fn = np.sqrt(sq)
     for col, con in enumerate(constraints):
         if con.kind == "nearest_axis":
-            axis = np.zeros(m)
+            axis = np.zeros(f_p.shape[-1])
             axis[con.axis_j - 1] = 1.0
-            phis[..., col] = normalized_angle(f_p, axis)
+            phis[..., col] = _normalized_angle(f, fn, axis)
             # arccos is decreasing, so the largest cosine is the smallest angle.
-            f, sq = _scaled_rows(f_p)
-            cos = np.clip(f / np.sqrt(sq)[..., None], -1.0, 1.0)
+            cos = np.clip(f / fn[..., None], -1.0, 1.0)
             gap = np.arccos(cos[..., con.axis_j - 1]) - np.arccos(cos.max(axis=-1))
             viol[..., col] = np.where(nearest_axis(f_p) == con.axis_j, 0.0, gap)
             continue
-        phi = normalized_angle(f_p, con.reference)
+        phi = _normalized_angle(f, fn, con.reference)
         phis[..., col] = phi
         if con.kind == "min_angle":
             viol[..., col] = np.maximum(0.0, con.threshold_a - phi)

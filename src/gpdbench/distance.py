@@ -41,44 +41,36 @@ def _scaled_rows(v) -> tuple[np.ndarray, np.ndarray]:
     return v, np.sum(v * v, axis=-1)
 
 
-def angle_to_reference(f: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Angle in radians between each row of f and the reference vector d.
+def _normalized_angle(f: np.ndarray, fn: np.ndarray, d) -> np.ndarray:
+    """normalized_angle of rows f, already scaled by _scaled_rows, with norms fn.
 
-    The cosine is clamped to [-1, 1] before arccos, so rounding noise on
-    parallel vectors cannot produce NaN.  Plain Euclidean geometry is used
-    regardless of which p-norm shaped the front.  Vectors too small or too
-    large to square are rescaled first (see _scaled_rows).
+    d is scaled and checked here, once per call and before f is checked.
     """
-    f, f_sq = _scaled_rows(f)
     d, d_sq = _scaled_rows(d)
-    fn = np.sqrt(f_sq)
     dn = np.sqrt(d_sq)
     if dn == 0.0:
         raise ValueError("reference vector has zero length")
     if np.any(fn == 0.0):
         raise ValueError("cannot take the angle of a zero vector")
     cos = np.sum(f * d, axis=-1) / (fn * dn)
-    return np.arccos(np.clip(cos, -1.0, 1.0))
-
-
-def max_first_orthant_angle(d: np.ndarray) -> float:
-    """Largest angle any first-orthant point can make with d.
-
-    The dot product d.u over unit first-orthant vectors is minimized at a
-    canonical axis, namely the axis of d's smallest component, so the widest
-    angle is arccos(min_i d_i / ||d||).  For the diagonal this is
-    arccos(1/sqrt(M)); for an axis vector it is pi/2.
-    """
-    d, d_sq = _scaled_rows(d)
-    dn = np.sqrt(d_sq)
-    if dn == 0.0:
-        raise ValueError("reference vector has zero length")
-    return float(np.arccos(np.clip(d.min() / dn, -1.0, 1.0)))
+    widest = np.arccos(np.clip(d.min() / dn, -1.0, 1.0))
+    return np.clip(np.arccos(np.clip(cos, -1.0, 1.0)) / widest, 0.0, 1.0)
 
 
 def normalized_angle(f: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Angle between f and d rescaled so the first-orthant maximum is 1."""
-    return np.clip(angle_to_reference(f, d) / max_first_orthant_angle(d), 0.0, 1.0)
+    """Angle of each row of f to d, rescaled so the first-orthant maximum is 1.
+
+    The angle is taken in plain Euclidean geometry, regardless of which
+    p-norm shaped the front, and its cosine is clamped to [-1, 1] before
+    arccos, so rounding noise on parallel vectors cannot produce NaN.  The
+    dot product d.u over unit first-orthant vectors u is minimized at the
+    axis of d's smallest component, so the widest angle, which maps to
+    exactly 1, is arccos(min_i d_i / ||d||): arccos(1/sqrt(M)) for the
+    diagonal and pi/2 for an axis vector.  Vectors too small or too large to
+    square are rescaled first (see _scaled_rows).
+    """
+    f, f_sq = _scaled_rows(f)
+    return _normalized_angle(f, np.sqrt(f_sq), d)
 
 
 def valley_center(phi: np.ndarray, i) -> np.ndarray:

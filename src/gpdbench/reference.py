@@ -96,11 +96,6 @@ def _halton(m: int, count: int) -> np.ndarray:
     return out
 
 
-def _front_targets(m: int, resolution: int) -> np.ndarray:
-    # Lattices explode past four objectives; switch to a low-discrepancy set.
-    return _set_targets(m, resolution ** (m - 1) if m <= 4 else resolution ** 3)
-
-
 def _set_targets(m: int, n: int) -> np.ndarray:
     """n meta-variable targets whose prefix reproduces the front lattice.
 
@@ -140,24 +135,24 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     tested, and the rest share its verdict.  Between distinct points "no
     worse in every objective" already implies "strictly better in one".
 
-    Two objectives take the maxima sweep of Kung, Luccio and Preparata
-    (J. ACM 22(4), 1975), exact in O(n log n).  Rows holding a NaN compare
-    false with everything, so they are set aside and kept.  The rest are
-    sorted by (f1, f2), and a distinct row is dominated iff its f2 is no
-    smaller than the least f2 of the distinct rows before it: every earlier
-    row is no worse in f1, and every dominator sorts earlier.
+    Rows holding a NaN compare false with everything, so they are set aside
+    and kept.  The rest are sorted lexicographically by (f1, ..., fM), the
+    order of the maxima sweep of Kung, Luccio and Preparata (J. ACM 22(4),
+    1975): a distinct dominator is no worse in every coordinate, so it is
+    smaller in the first one where the two differ and sorts earlier.
 
-    From three objectives up, a dominating point never has a larger rounded
-    coordinate sum (rounded addition is monotone), and among equal sums it
-    comes first in lexicographic order, so points are swept in (sum,
-    lexicographic) order and tested against the nondominated archive built
-    so far; by transitivity a dominated dominator is always covered by
-    whichever archive point dominates it.  Each chunk of candidates needs a
-    single boolean block against archive + chunk, ANDed in place one
-    objective at a time, with each candidate's pairing with itself masked
-    out.  The answer equals the all-pairs filter's; the work is candidates
-    times archive size times M byte comparisons, in blocks of at most 512
-    rows.
+    Two objectives are then exact in O(n log n): a distinct row is dominated
+    iff its f2 is no smaller than the least f2 of the distinct rows before
+    it, since every earlier row is no worse in f1.
+
+    From three objectives up, points are tested in sorted order against the
+    nondominated archive built so far; by transitivity a dominated dominator
+    is always covered by whichever archive point dominates it.  Each chunk
+    of candidates needs a single boolean block against archive + chunk,
+    ANDed in place one objective at a time, with each candidate's pairing
+    with itself masked out.  The answer equals the all-pairs filter's; the
+    work is candidates times archive size times M byte comparisons, in
+    blocks of at most 512 rows.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -166,14 +161,8 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     if n == 0 or m == 0:  # without objectives all rows are equal
         return keep
-    if m == 2:
-        rows = np.flatnonzero(~np.isnan(pts).any(axis=1))
-        order = rows[np.lexsort(pts[rows].T[::-1])]
-    else:
-        # Clipping is monotone, and it stops +inf and -inf in one row from
-        # summing to NaN, which would sort a dominator last.
-        big = np.finfo(float).max / (2 * m)
-        order = np.lexsort((*pts.T[::-1], np.clip(pts, -big, big).sum(axis=-1)))
+    rows = np.flatnonzero(~np.isnan(pts).any(axis=1))
+    order = rows[np.lexsort(pts[rows].T[::-1])]
     sorted_pts = pts[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = np.any(sorted_pts[1:] != sorted_pts[:-1], axis=-1)
@@ -196,9 +185,9 @@ def _archive_sweep(distinct: np.ndarray) -> np.ndarray:
     for start in range(0, count, _CHUNK):
         chunk = distinct[:, start:start + _CHUNK]
         rows = chunk.shape[1]
-        # Within the chunk the sum order already rules out later-dominates-
-        # earlier pairs, so a full pairwise test against archive + chunk is
-        # safe and vectorizes cleanly.
+        # Within the chunk the lexicographic order already rules out
+        # later-dominates-earlier pairs, so a full pairwise test against
+        # archive + chunk is safe and vectorizes cleanly.
         archive[:, size:size + rows] = chunk
         against = archive[:, :size + rows]
         covered = np.less_equal(against[0], chunk[0][:, None])
@@ -430,7 +419,10 @@ def front_sample(spec: ProblemSpec, resolution: int,
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
-    f_p, phi = _position_stage(_front_targets(spec.objectives, resolution), spec)
+    m = spec.objectives
+    # Lattices explode past four objectives; switch to a low-discrepancy set.
+    targets = _set_targets(m, resolution ** (m - 1) if m <= 4 else resolution ** 3)
+    f_p, phi = _position_stage(targets, spec)
     f_d = radial_profile(np.zeros_like(phi), phi, spec.distance_kind,
                          spec.composition)
     pts = compose(f_p, f_d, spec.composition)

@@ -136,6 +136,23 @@ def test_front_default_resolution_is_bounded_at_m4(tmp_path, capsys):
     assert 0 < got.shape[0] <= 9 ** 3
 
 
+@pytest.mark.parametrize("raised, message", [
+    (MemoryError("Unable to allocate 745. MiB for an array with shape (100000000,)"),
+     "error: out of memory: Unable to allocate 745. MiB for an array with shape (100000000,)"),
+    (MemoryError(), "error: out of memory")], ids=["numpy", "bare"])
+def test_out_of_memory_exits_3_with_one_error_line(tmp_path, capsys, m2, monkeypatch,
+                                                   raised, message):
+    def exhausted(spec, n):
+        raise raised
+
+    monkeypatch.setattr(gpdbench.cli, "pareto_set_sample", exhausted)
+    code, out, err = run(["pset", "--spec", str(m2), "--n", "100000000",
+                          "--out", str(tmp_path / "pset.csv")], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == message + "\n"
+
+
 def test_pset_row_shape(tmp_path, capsys, m2):
     dst = tmp_path / "pset.csv"
     assert run(["pset", "--spec", str(m2), "--n", "6",

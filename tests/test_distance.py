@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpdbench import (
     ConstraintSpec,
@@ -9,9 +11,11 @@ from gpdbench import (
     ROBUST_MINIMIZER,
     ROBUST_STABLE_RANGE,
     compose,
+    constraint_table,
     deceptive_g,
     deceptive_term,
     evaluate_constraints,
+    nearest_axis,
     normalized_angle,
     radial_profile,
     robust_g,
@@ -19,23 +23,27 @@ from gpdbench import (
     valley_center,
     valley_radius,
 )
-from gpdbench.distance import angle_to_reference, max_first_orthant_angle
+from gpdbench.distance import _scaled_rows
 
 DIAG3 = np.ones(3) / np.sqrt(3.0)
 
 
 def test_angle_examples():
-    assert angle_to_reference(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(np.pi / 4)
+    # the angle to d, divided by the widest first-orthant angle to d
+    assert normalized_angle(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(1.0)
     # arccos turns one ulp of cosine noise into ~1e-8 of angle near zero
-    assert angle_to_reference(np.array([2.0, 2.0]), np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-7)
-    assert angle_to_reference(DIAG3, np.array([1.0, 0.0, 0.0])) == pytest.approx(np.arccos(1 / np.sqrt(3)))
+    assert normalized_angle(np.array([2.0, 2.0]), np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-7)
+    assert normalized_angle(DIAG3, np.array([1.0, 0.0, 0.0])) == pytest.approx(
+        np.arccos(1 / np.sqrt(3)) / (np.pi / 2))
 
 
 def test_angle_rejects_zero_vectors():
-    with pytest.raises(ValueError):
-        angle_to_reference(np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
-        angle_to_reference(np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError, match="^cannot take the angle of a zero vector$"):
+        normalized_angle(np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match="^reference vector has zero length$"):
+        normalized_angle(np.ones(2), np.zeros(2))
+    with pytest.raises(ValueError, match="^reference vector has zero length$"):
+        normalized_angle(np.zeros(2), np.zeros(2))  # d is checked before f
 
 
 @pytest.mark.parametrize("scale", (1e-170, 1e200))
@@ -54,10 +62,16 @@ def test_constraint_angles_of_points_too_small_or_large_to_square(scale):
 
 
 def test_max_first_orthant_angle():
-    # widest angle inside the orthant is to the axis of the smallest component
-    assert max_first_orthant_angle(np.ones(3)) == pytest.approx(np.arccos(1 / np.sqrt(3)))
-    assert max_first_orthant_angle(np.array([1.0, 1.0])) == pytest.approx(np.pi / 4)
-    assert max_first_orthant_angle(np.array([3.0, 4.0])) == pytest.approx(np.arccos(0.6))
+    # The widest angle inside the orthant is to the axis of d's smallest
+    # component; it maps to exactly 1 and every other angle scales by it.
+    for d, widest in ((np.ones(3), np.arccos(1 / np.sqrt(3))),
+                      (np.array([1.0, 1.0]), np.pi / 4),
+                      (np.array([3.0, 4.0]), np.arccos(0.6))):
+        axis = np.eye(d.size)[np.argmin(d)]
+        assert normalized_angle(axis, d) == 1.0
+        f = d / np.linalg.norm(d) + axis
+        angle = np.arccos(f @ d / (np.linalg.norm(f) * np.linalg.norm(d)))
+        assert normalized_angle(f, d) == pytest.approx(angle / widest, rel=1e-12)
 
 
 def test_normalized_angle_examples():
@@ -73,6 +87,104 @@ def test_normalized_angle_range():
     phi = normalized_angle(f, d)
     assert phi.shape == (500,)
     assert np.all(phi >= 0.0) and np.all(phi <= 1.0)
+
+
+# The angle rule as three functions, the form it had before it became one
+# kernel: the oracle that normalized_angle and constraint_table must match.
+def oracle_angle_to_reference(f, d):
+    f, f_sq = _scaled_rows(f)
+    d, d_sq = _scaled_rows(d)
+    fn = np.sqrt(f_sq)
+    dn = np.sqrt(d_sq)
+    if dn == 0.0:
+        raise ValueError("reference vector has zero length")
+    if np.any(fn == 0.0):
+        raise ValueError("cannot take the angle of a zero vector")
+    cos = np.sum(f * d, axis=-1) / (fn * dn)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def oracle_max_first_orthant_angle(d):
+    d, d_sq = _scaled_rows(d)
+    dn = np.sqrt(d_sq)
+    if dn == 0.0:
+        raise ValueError("reference vector has zero length")
+    return float(np.arccos(np.clip(d.min() / dn, -1.0, 1.0)))
+
+
+def oracle_normalized_angle(f, d):
+    return np.clip(oracle_angle_to_reference(f, d) / oracle_max_first_orthant_angle(d),
+                   0.0, 1.0)
+
+
+def oracle_constraint_table(f_p, constraints):
+    phis = np.zeros(f_p.shape[:-1] + (len(constraints),))
+    viol = np.zeros_like(phis)
+    for col, con in enumerate(constraints):
+        if con.kind == "nearest_axis":
+            phis[..., col] = oracle_normalized_angle(f_p, np.eye(f_p.shape[-1])[con.axis_j - 1])
+            f, sq = _scaled_rows(f_p)
+            cos = np.clip(f / np.sqrt(sq)[..., None], -1.0, 1.0)
+            gap = np.arccos(cos[..., con.axis_j - 1]) - np.arccos(cos.max(axis=-1))
+            viol[..., col] = np.where(nearest_axis(f_p) == con.axis_j, 0.0, gap)
+            continue
+        phi = oracle_normalized_angle(f_p, con.reference)
+        phis[..., col] = phi
+        if con.kind == "min_angle":
+            viol[..., col] = np.maximum(0.0, con.threshold_a - phi)
+        elif con.kind == "max_angle":
+            viol[..., col] = np.maximum(0.0, phi - con.threshold_a)
+        else:
+            viol[..., col] = (np.maximum(0.0, con.threshold_a - phi)
+                              + np.maximum(0.0, phi - con.threshold_b))
+    return phis, viol
+
+
+def outcome(fn, *args):
+    """fn's result as bytes, or the message of the ValueError it raised."""
+    try:
+        out = fn(*args)
+    except ValueError as err:
+        return str(err)
+    return [np.asarray(a).tobytes() for a in (out if isinstance(out, tuple) else (out,))]
+
+
+@st.composite
+def scaled_vectors(draw, m, rows, lo=0.0):
+    """rows vectors of m components, some zero, each row scaled by 1e-170..1e200."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(lo, 1.0, size=(rows, m))
+    vals[rng.uniform(size=(rows, m)) < draw(st.sampled_from((0.0, 0.3, 0.7)))] = 0.0
+    exps = st.one_of(st.sampled_from((-170.0, -160.0, 0.0, 160.0, 200.0)),
+                     st.floats(-170.0, 200.0))
+    return vals * 10.0 ** np.array(draw(st.lists(exps, min_size=rows, max_size=rows)))[:, None]
+
+
+@st.composite
+def angle_cases(draw):
+    m = draw(st.integers(2, 12))
+    f = draw(scaled_vectors(m, draw(st.integers(1, 6)), lo=-1.0))
+    if draw(st.booleans()):
+        f = f[0]
+    d = draw(scaled_vectors(m, 1))[0]
+    cons = []
+    for kind in draw(st.lists(st.sampled_from(("min_angle", "max_angle", "band",
+                                               "nearest_axis")), max_size=4)):
+        if kind == "nearest_axis":
+            cons.append(ConstraintSpec(kind=kind, axis_j=draw(st.integers(1, m))))
+            continue
+        a, b = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2)))
+        ref = draw(scaled_vectors(m, 1))[0]
+        cons.append(ConstraintSpec(kind=kind, reference=ref, threshold_a=a, threshold_b=b))
+    return f, d, tuple(cons)
+
+
+@settings(max_examples=120, deadline=None)
+@given(angle_cases())
+def test_angle_kernel_matches_the_three_function_oracle_bit_for_bit(case):
+    f, d, cons = case
+    assert outcome(normalized_angle, f, d) == outcome(oracle_normalized_angle, f, d)
+    assert outcome(constraint_table, f, cons) == outcome(oracle_constraint_table, f, cons)
 
 
 def test_valley_center_values():

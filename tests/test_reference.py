@@ -22,7 +22,7 @@ from gpdbench import (
     robust_term,
     valley_center,
 )
-from gpdbench.reference import _front_targets, _set_targets
+from gpdbench.reference import _lattice, _set_targets
 
 
 def brute_force_nondominated(pts):
@@ -130,8 +130,9 @@ def test_dominance_filter_matches_brute_force():
 
 
 def test_dominance_filter_float_sum_tie_across_chunks():
-    # fl(1e-20 + 1) == fl(0 + 1): the dominated point ends the first
-    # 512-row chunk unless equal sums are ordered lexicographically.
+    # fl(1e-20 + 1) == fl(0 + 1): the dominated point differs from its
+    # dominator below the rounding of their coordinate sums, so only an exact
+    # comparison of f1 separates them, among 511 rows that fill a chunk.
     x = np.arange(1, 512) / 1024.0
     pts = np.concatenate([np.column_stack([x, 0.5 - x]),
                           [[1e-20, 1.0], [0.0, 1.0]]])
@@ -254,7 +255,7 @@ def test_set_targets_start_with_the_largest_full_lattice(m):
             r += 1
         targets = _set_targets(m, n)
         assert targets.shape == (n, m - 1)
-        assert targets[:r ** (m - 1)].tobytes() == _front_targets(m, r).tobytes()
+        assert targets[:r ** (m - 1)].tobytes() == _lattice(m, r).tobytes()
 
 
 def test_pareto_set_needs_positive_count():

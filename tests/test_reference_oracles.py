@@ -144,10 +144,11 @@ def point_set(kind, m, n, rng):
         pts = front * rng.uniform(1.0, 2.0, size=(n, 1))
         pts[:max(1, n // 50)] = front[:max(1, n // 50)]
         return pts
-    # fl(1e-20 + 1) == fl(0 + 1): the dominated one of the two tie points
-    # sorts last among 512*c - 1 lighter rows, so it ends a 512-row chunk
-    # unless equal sums are ordered lexicographically.  Constant padding
-    # columns change neither sums nor dominance.
+    # fl(1e-20 + 1) == fl(0 + 1): the two tie points differ below the
+    # rounding of their coordinate sums, so only an exact comparison of f1
+    # puts the dominator first, among 512*c - 1 mutually nondominated rows
+    # that fill whole 512-row chunks.  Constant padding columns change
+    # neither the order nor dominance.
     chunks = 1 + n // 800
     x = np.arange(1, 512 * chunks) / (1024.0 * chunks)
     pts = np.concatenate([np.column_stack([x, 0.5 - x]),
@@ -197,8 +198,9 @@ def test_dominance_mask_non_finite_rows_and_signed_zeros():
     rows = [[0.0, 1.0], [-0.0, 1.0], [nan, 0.0], [nan, 0.0], [0.5, nan], [1.0, 1.0],
             [0.0, 2.0], [nan, nan], [-0.0, -inf], [0.0, -inf], [inf, inf], [-inf, inf],
             [-inf, inf], [inf, nan], [-inf, 3.0]]
-    # [inf, -inf] dominates every [inf, k] from beyond the first chunk,
-    # although its coordinate sum is NaN.
+    # [inf, -inf] comes last in input order but dominates the 600 rows
+    # [inf, k], which span two 512-row chunks, and its coordinate sum is
+    # NaN, so no order keyed on sums could place it before them.
     big = ([[inf, float(k)] for k in range(600)]
            + [[inf, -inf], [-inf, inf], [1e308, 1e308], [inf, 1e308]])
     # Two columns take the M = 2 sweep; a constant third column keeps

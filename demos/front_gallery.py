@@ -36,9 +36,10 @@ for p in (0.5, 1.0, 2.0, 4.0):
     print(f"  p = {p}: every point has p-norm 1 (worst deviation {worst:.1e})")
     save(f"front_norm_{p}.csv", fs.points)
 
-# 2. the four landscape kinds at a fixed norm.  Deceptive and robust leave
-# the g = 0 front on the unit surface; convex_concave rescales it by angle,
-# and disconnected carves it into islands.
+# 2. the four landscape kinds at a fixed norm.  Deceptive leaves the front on
+# the unit surface (g* = 0), robust scales it by 1 + g* with g* = 4 * 1.9e-4
+# for its four distance variables, convex_concave rescales it by angle, and
+# disconnected carves it into islands.
 print("\nlandscape sweep (p = 2, 20x20 grid):")
 for kind in ("deceptive", "robust", "convex_concave", "disconnected"):
     spec = ProblemSpec(objectives=3, distance_vars=4, distance_kind=kind,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Per-term global minimizer of the robust landscape, to 15 digits.
-ROBUST_MINIMIZER = 0.600066066066066
+# Per-term global minimizer of the robust landscape: the computed robust_term is least here.
+ROBUST_MINIMIZER = 0.60006613899
 
 # Interval of stable (robust) per-term solutions.
 ROBUST_STABLE_RANGE = (0.1, 0.3)
@@ -134,8 +134,8 @@ def robust_term(x) -> np.ndarray:
     A pair of logistic steps (gain 20, centered at 0.6 and 0.7) gated by a
     fast cosine produces a sharp, brittle global minimum near 0.600066 and a
     broad, stable local optimum across (0.1, 0.3).  The decaying exponential
-    penalizes x near 0.  The 0.631 offset puts the global minimum near zero;
-    values a hair below zero are possible and tolerated downstream.
+    penalizes x near 0.  The 0.631 offset puts the global minimum just above
+    zero, at +1.9e-4 (ROBUST_MINIMIZER).
     """
     x = np.asarray(x, dtype=float)
     y = 1.0 / (1.0 + np.exp(-20.0 * (x - 0.6)))
@@ -158,8 +158,8 @@ def radial_profile(g, phi, kind: str, composition: str) -> np.ndarray:
     shape-bending profiles add a phi-dependent floor: convex_concave gives
     phi**5 / 2 + g + 0.5, disconnected gives cos(3*pi*phi)**2 / 10 + g + 1.
 
-    g may dip to -1e-3 (robust rounding); it is floored at zero here.  Lower
-    values indicate a caller bug and raise.
+    The library's g is never negative; a caller's g down to -1e-3 is floored
+    at zero as rounding noise, and lower values indicate a bug and raise.
     """
     g = np.asarray(g, dtype=float)
     phi = np.asarray(phi, dtype=float)

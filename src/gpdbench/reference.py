@@ -2,10 +2,10 @@
 
 The front is sampled directly in objective space: a grid over the
 meta-variable cube is pushed through the position map and scaled by the
-radial profile at g = 0, which is attainable for every distance kind.  The
-matching decision-space construction realizes each grid point as a concrete
-position vector and pins the distance variables at the landscape's global
-minimizer.
+radial profile at the optimal g.  The matching decision-space construction
+realizes each grid point as a concrete position vector and pins the distance
+variables at the landscape's global minimizer.  Both take the optimum from
+_optimal_distance, so every Pareto-set row evaluates onto the front.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import constraint_table
-from .distance import ROBUST_MINIMIZER, compose, radial_profile, valley_center
+from .distance import ROBUST_MINIMIZER, compose, radial_profile, robust_g, valley_center
 from .evaluator import _distance_stage, _position_stage, evaluate
 from .position import dissimilarize, meta_variables, realize_position
 from .spec import ProblemSpec
@@ -407,10 +407,20 @@ def igd(approximation, reference) -> float:
     return float(np.sqrt(_nearest(r, a)).mean())
 
 
+def _optimal_distance(phi: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Pareto-optimal distance parts (B, S) at angles phi: valley centers or ROBUST_MINIMIZER."""
+    s = spec.distance_vars
+    if spec.g_landscape == "deceptive":
+        return valley_center(phi[:, None], np.arange(1, s + 1, dtype=float))
+    return np.full((phi.shape[0], s), ROBUST_MINIMIZER)
+
+
 def front_sample(spec: ProblemSpec, resolution: int,
                  feasible_only: bool = True) -> FrontSample:
-    """Sample the known Pareto front at g = 0.
+    """Sample the known Pareto front at the optimal g.
 
+    g* is 0 on deceptive landscapes and S * 1.9e-4 on robust ones: robust_g
+    of the optimal distance part, so the Pareto set attains every front.
     Grid resolution counts points per meta-variable axis (total points for
     the low-discrepancy regime are resolution cubed).  Constraint-violating
     points are dropped first, then the dominance filter runs; an empty result
@@ -423,8 +433,9 @@ def front_sample(spec: ProblemSpec, resolution: int,
     # Lattices explode past four objectives; switch to a low-discrepancy set.
     targets = _set_targets(m, resolution ** (m - 1) if m <= 4 else resolution ** 3)
     f_p, phi = _position_stage(targets, spec)
-    f_d = radial_profile(np.zeros_like(phi), phi, spec.distance_kind,
-                         spec.composition)
+    # g* = 0 in every valley, so deceptive fronts need no deceptive_g.
+    g = 0.0 if spec.g_landscape == "deceptive" else robust_g(_optimal_distance(phi[:1], spec))
+    f_d = radial_profile(np.full_like(phi, g), phi, spec.distance_kind, spec.composition)
     pts = compose(f_p, f_d, spec.composition)
     if feasible_only and spec.constraints:
         _, viol = constraint_table(f_p, spec.constraints)
@@ -458,13 +469,7 @@ def pareto_set_sample(spec: ProblemSpec, n: int) -> SetSample:
     y = meta_variables(x_p, q, t)
     residuals = np.max(np.abs(y - targets), axis=-1)
     _, phi = _position_stage(y, spec)
-    s = spec.distance_vars
-    if spec.g_landscape == "deceptive":
-        idx = np.arange(1, s + 1, dtype=float)
-        x_d = valley_center(phi[:, None], idx)
-    else:
-        x_d = np.full((targets.shape[0], s), ROBUST_MINIMIZER)
-    return SetSample(vectors=np.concatenate([x_p, x_d], axis=1),
+    return SetSample(vectors=np.concatenate([x_p, _optimal_distance(phi, spec)], axis=1),
                      residuals=residuals)
 
 

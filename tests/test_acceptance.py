@@ -201,7 +201,7 @@ def test_criterion_08_known_solutions_land_on_the_sampled_front():
     t0 = time.perf_counter()
     details = []
     ok = True
-    for kind, tol in (("deceptive", 1e-9), ("robust", 1e-2)):
+    for kind, tol in (("deceptive", 1e-9), ("robust", 1e-9)):
         for m, res in ((2, 500), (3, 22)):
             spec = ProblemSpec(objectives=m, distance_vars=2,
                                distance_kind=kind, meta_q=5, meta_t=1,

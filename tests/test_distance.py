@@ -265,7 +265,7 @@ def test_deceptive_g_additivity_and_bounds():
 
 
 def test_robust_term_values():
-    assert robust_term(ROBUST_MINIMIZER) == pytest.approx(1.8968670167707202e-4, rel=1e-12)
+    assert robust_term(ROBUST_MINIMIZER) == pytest.approx(1.8968668548580148e-4, rel=1e-12)
     assert robust_term(0.2) == pytest.approx(0.13088386701582255, rel=1e-12)
     assert robust_term(ROBUST_MINIMIZER) > 0.0
 
@@ -277,6 +277,11 @@ def test_robust_minimizer_is_the_grid_argmin():
     assert abs(am - ROBUST_MINIMIZER) <= 1e-6
     # the pinned point is off-grid, so it must undercut every grid value
     assert robust_term(ROBUST_MINIMIZER) <= np.min(z)
+    # and every value on a 1e-9 grid around it and within 1e5 ulps of it
+    fine = np.linspace(0.60006, 0.60007, 10001)
+    ulps = ROBUST_MINIMIZER + np.arange(-100000, 100001) * np.spacing(ROBUST_MINIMIZER)
+    assert robust_term(ROBUST_MINIMIZER) <= np.min(robust_term(fine))
+    assert robust_term(ROBUST_MINIMIZER) <= np.min(robust_term(ulps))
 
 
 def test_robust_stable_range_is_flat():

@@ -2,8 +2,9 @@
 
 Position points lie on the unit p-norm surface up to M = 40 and at the
 limiting overlap window q = 2t + 2, Pareto-set rows of deceptive landscapes
-sit exactly in their valleys (g == 0), and a point set is at IGD zero from
-itself.
+sit exactly in their valleys (g == 0), the Pareto set of every landscape,
+composition and constraint set evaluates onto the sampled front up to
+rounding, and a point set is at IGD zero from itself.
 """
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from test_array_pipeline import specs
 
-from gpdbench import (ProblemSpec, deceptive_g, evaluate_arrays, igd, p_norm,
-                      pareto_set_sample)
+from gpdbench import (ProblemSpec, deceptive_g, evaluate_arrays, front_sample, igd,
+                      p_norm, pareto_set_sample)
 
 
 @st.composite
@@ -50,6 +51,21 @@ def test_pareto_set_rows_of_deceptive_landscapes_have_zero_g(spec, n):
     phi = evaluate_arrays(vectors, spec).distance_phi
     g = deceptive_g(vectors[:, spec.position_dim:], phi, spec.valleys_k)
     assert np.all(g == 0.0)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=specs().filter(lambda s: s.objectives <= 4), res=st.integers(2, 9))
+def test_pareto_set_evaluates_onto_the_front(spec, res):
+    front = front_sample(spec, res)
+    if front.points.shape[0] == 0:  # every front point violates a constraint
+        return
+    # n = res**(M-1) targets start with the front's own lattice
+    ss = pareto_set_sample(spec, res ** (spec.objectives - 1))
+    objectives = evaluate_arrays(ss.vectors, spec).objectives
+    # A meta-variable residual r moves a position point by O(r) for p >= 1, but
+    # by O(r**p) beside an axis for p < 1, where the p-norm is not Lipschitz.
+    slack = (np.pi * spec.objectives * ss.residuals.max()) ** min(spec.norm_p, 1.0)
+    assert igd(objectives, front) <= (1e-12 + slack) * np.abs(front.points).max()
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

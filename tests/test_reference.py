@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from gpdbench import (
+    COMPOSITIONS,
     ROBUST_MINIMIZER,
     ConstraintSpec,
     FrontSample,
     ProblemSpec,
+    compose,
     dominance_filter,
     evaluate,
+    evaluate_arrays,
     front_sample,
     igd,
     meta_variables,
@@ -19,6 +22,8 @@ from gpdbench import (
     p_norm,
     pareto_set_sample,
     perturb_experiment,
+    radial_profile,
+    robust_g,
     robust_term,
     valley_center,
 )
@@ -233,6 +238,26 @@ def test_pareto_set_robust_rows():
     for vec in ss.vectors:
         ev = evaluate(vec, spec)
         np.testing.assert_allclose(ev.distance_value - 1.0, floor, rtol=1e-9)
+
+
+@pytest.mark.parametrize("composition", COMPOSITIONS)
+@pytest.mark.parametrize("kind", ("robust", "convex_concave", "disconnected"))
+def test_robust_front_sits_at_the_pareto_sets_g_bit_for_bit(kind, composition):
+    spec = ProblemSpec(objectives=3, distance_vars=4, distance_kind=kind,
+                       composition=composition, mixed_landscape="robust",
+                       meta_q=5, meta_t=1)
+    ss = pareto_set_sample(spec, 16)
+    ev = evaluate_arrays(ss.vectors, spec)
+    g = robust_g(ss.vectors[:, spec.position_dim:])
+    assert np.all(g == g[0]) and g[0] > 0.0
+    assert ev.distance_value.tobytes() == radial_profile(
+        g, ev.distance_phi, kind, composition).tobytes()
+    # the front is the same profile at the same g, composed with its position points
+    fs = front_sample(spec, 8)
+    f_d = radial_profile(np.full(fs.phis.shape, g[0]), fs.phis, kind, composition)
+    assert compose(fs.position_points, f_d, composition).tobytes() == fs.points.tobytes()
+    if kind == "robust":  # no phi-dependent floor: one F_d for every row and point
+        assert np.all(ev.distance_value == f_d[0]) and np.all(f_d == f_d[0])
 
 
 def test_pareto_set_meta_realization_round_trip():

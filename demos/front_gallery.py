@@ -51,8 +51,9 @@ for kind in ("deceptive", "robust", "convex_concave", "disconnected"):
     save(f"front_{kind}.csv", fs.points)
 
 # 3. dissimilar objective scales.  The affine map 2i(2f - 1) stretches
-# objective i to the range [-2i, 2i] without reordering any dominance
-# comparisons, so the front is the same set wearing different units.
+# objective i to the range [-2i, 2i].  It is increasing, so the front is the
+# same set wearing different units, except that rounding can merge components
+# closer together than about 1e-16; the front is filtered after the map.
 spec = ProblemSpec(objectives=3, distance_vars=4, distance_kind="deceptive",
                    norm_p=2.0, dissimilar=True)
 fs = front_sample(spec, 20)

@@ -39,6 +39,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only nonnegative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _read_rows(path: str) -> list[list[float]]:
     """Read a CSV of reals, skipping blank and '#' comment lines.
 
@@ -229,7 +240,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_pset)
 
     p = sub.add_parser("suite", help="generate a seeded suite of spec files")
-    p.add_argument("--seed", type=int, required=True, metavar="N")
+    p.add_argument("--seed", type=_seed, required=True, metavar="N")
     p.add_argument("--count", type=int, required=True, metavar="N")
     p.add_argument("--ranges", required=True, metavar="PATH")
     p.add_argument("--out-dir", required=True, metavar="DIR")
@@ -240,7 +251,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True, metavar="PATH")
     p.add_argument("--radius", type=float, required=True, metavar="R")
     p.add_argument("--samples", type=int, required=True, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--seed", type=_seed, default=0, metavar="N")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_perturb)
 
@@ -252,7 +263,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="random-search baseline with an IGD score")
     p.add_argument("--spec", required=True, metavar="PATH")
     p.add_argument("--budget", type=int, required=True, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--seed", type=_seed, default=0, metavar="N")
     p.add_argument("--resolution", type=int, metavar="N")
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_search)

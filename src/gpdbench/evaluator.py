@@ -1,17 +1,17 @@
 """End-to-end evaluation of decision vectors against a problem instance.
 
-Pipeline order is fixed: meta-variables, spherical map, p-norm scaling,
-normalized angle, auxiliary distance g, radial profile, composition, optional
-dissimilarity, constraint report.  The angle and the constraints always use
-the pre-dissimilarity position point.
+Pipeline order is fixed: meta-variables, position stage (spherical map,
+p-norm scaling, normalized angle), the landscape's auxiliary distance g,
+objective stage (radial profile, composition, optional dissimilarity),
+constraint report.  The angle and the constraints use the position point.
 
 Every evaluation goes through ``evaluate_arrays``, which validates a whole
 batch at once and returns one array per result field.  ``evaluate`` and
 ``evaluate_batch`` only pack those arrays into per-row ``Evaluation``
 objects; a single evaluation runs the batch kernel on one row, so the two
-paths are bit-identical by construction.  ``perturb_experiment`` runs the
-distance stage alone on samples that share one position part, and the
-reference samplers run the position stage on chosen meta-variables.
+paths are bit-identical by construction.  ``perturb_experiment`` runs g and
+the objective stage on samples sharing one position part; the reference
+samplers run the position stage, and the front the objective stage at g*.
 """
 
 from __future__ import annotations
@@ -154,17 +154,20 @@ def _position_stage(y: np.ndarray, spec: ProblemSpec
     return f_p, normalized_angle(f_p, spec.distance_reference)
 
 
-def _distance_stage(x_d: np.ndarray, f_p: np.ndarray, phi: np.ndarray,
-                    spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """F_d and the final objectives of distance parts (B, S) at f_p and phi.
-
-    Covers g, the radial profile, composition and dissimilarity; f_p (B, M)
-    may be a broadcast view of one position point.
-    """
+def _landscape_g(x_d: np.ndarray, phi: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """The auxiliary distance g of distance parts x_d (B, S) at angles phi."""
     if spec.g_landscape == "deceptive":
-        g = deceptive_g(x_d, phi, spec.valleys_k)
-    else:
-        g = robust_g(x_d)
+        return deceptive_g(x_d, phi, spec.valleys_k)
+    return robust_g(x_d)
+
+
+def _objective_stage(g: np.ndarray, f_p: np.ndarray, phi: np.ndarray,
+                     spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """F_d and the final objectives: radial profile, composition, dissimilarity.
+
+    The evaluator and the reference front share it; f_p (B, M) may be a
+    broadcast view of one position point.
+    """
     f_d = radial_profile(g, phi, spec.distance_kind, spec.composition)
     f = compose(f_p, f_d, spec.composition)
     if spec.dissimilar:
@@ -177,7 +180,7 @@ def _pipeline(x: np.ndarray, spec: ProblemSpec) -> EvaluationArrays:
     r = spec.position_dim
     y = meta_variables(x[:, :r], spec.meta_q, spec.meta_t)
     f_p, phi = _position_stage(y, spec)
-    f_d, f = _distance_stage(x[:, r:], f_p, phi, spec)
+    f_d, f = _objective_stage(_landscape_g(x[:, r:], phi, spec), f_p, phi, spec)
     phis, viol = constraint_table(f_p, spec.constraints)
     return EvaluationArrays(
         objectives=f, position_point=f_p, distance_value=f_d, distance_phi=phi,

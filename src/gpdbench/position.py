@@ -227,9 +227,10 @@ def realize_position(y: np.ndarray, q: int, t: int) -> np.ndarray:
 def dissimilarize(f: np.ndarray) -> np.ndarray:
     """Spread objective scales: component i maps to 2*i*(2*f_i - 1).
 
-    Sends [0, 1] ranges onto [-2i, 2i], so each objective gets its own scale
-    while preserving all dominance comparisons (the map is strictly increasing
-    in every component).
+    Sends [0, 1] ranges onto [-2i, 2i], so each objective gets its own scale.
+    The map is increasing in every component, but 2f - 1 rounds components
+    closer together than about 1e-16 onto one double, so a point can end up
+    dominated by another; reference fronts are filtered after it.
     """
     f = np.asarray(f, dtype=float)
     idx = np.arange(1, f.shape[-1] + 1, dtype=float)

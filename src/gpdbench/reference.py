@@ -1,11 +1,11 @@
 """Known-solution machinery: reference fronts, Pareto-set samples, IGD.
 
 The front is sampled directly in objective space: a grid over the
-meta-variable cube is pushed through the position map and scaled by the
-radial profile at the optimal g.  The matching decision-space construction
+meta-variable cube is pushed through the position map and the evaluator's
+objective stage at the optimal g.  The matching decision-space construction
 realizes each grid point as a concrete position vector and pins the distance
 variables at the landscape's global minimizer.  Both take the optimum from
-_optimal_distance, so every Pareto-set row evaluates onto the front.
+_optimal_distance, so every row whose angle the front keeps evaluates onto it.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import constraint_table
-from .distance import ROBUST_MINIMIZER, compose, radial_profile, robust_g, valley_center
-from .evaluator import _distance_stage, _position_stage, evaluate
-from .position import dissimilarize, meta_variables, realize_position
+from .distance import ROBUST_MINIMIZER, valley_center
+from .evaluator import _landscape_g, _objective_stage, _position_stage, evaluate
+from .position import meta_variables, realize_position
 from .spec import ProblemSpec
 
 
@@ -39,7 +39,10 @@ class FrontSample:
 
 @dataclass(frozen=True, eq=False)
 class SetSample:
-    """Decision vectors realizing front points exactly.
+    """Distance-optimal decision vectors (g = g*) at the targets' angles.
+
+    Rows whose angle the front drops (infeasible or dominated) are kept;
+    see pareto_set_sample for the filter that yields the Pareto set.
 
     vectors    (n, N) rows ready for the evaluator
     residuals  per-row worst meta-variable matching error
@@ -419,13 +422,16 @@ def front_sample(spec: ProblemSpec, resolution: int,
                  feasible_only: bool = True) -> FrontSample:
     """Sample the known Pareto front at the optimal g.
 
-    g* is 0 on deceptive landscapes and S * 1.9e-4 on robust ones: robust_g
-    of the optimal distance part, so the Pareto set attains every front.
-    Grid resolution counts points per meta-variable axis (total points for
-    the low-discrepancy regime are resolution cubed).  Constraint-violating
-    points are dropped first, then the dominance filter runs; an empty result
-    is legitimate, not an error.  Dissimilarity, when enabled, is applied
-    after filtering since it preserves dominance.
+    g* is the landscape's g at one optimal distance part, as it does not
+    depend on the angle: 0 on deceptive landscapes and S * 1.9e-4 on robust
+    ones, so the Pareto set attains every front.  The points come from the
+    evaluator's objective stage at g*, dissimilarity included.  Grid
+    resolution counts points per meta-variable axis (total points for the
+    low-discrepancy regime are resolution cubed).  Constraint-violating
+    points are dropped first, then the dominance filter runs on the final
+    points; an empty result is legitimate, not an error.  Dissimilarity is
+    increasing in every component, but its rounding can merge components
+    closer together than about 1e-16, so the filter runs after it.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
@@ -433,25 +439,26 @@ def front_sample(spec: ProblemSpec, resolution: int,
     # Lattices explode past four objectives; switch to a low-discrepancy set.
     targets = _set_targets(m, resolution ** (m - 1) if m <= 4 else resolution ** 3)
     f_p, phi = _position_stage(targets, spec)
-    # g* = 0 in every valley, so deceptive fronts need no deceptive_g.
-    g = 0.0 if spec.g_landscape == "deceptive" else robust_g(_optimal_distance(phi[:1], spec))
-    f_d = radial_profile(np.full_like(phi, g), phi, spec.distance_kind, spec.composition)
-    pts = compose(f_p, f_d, spec.composition)
+    g = _landscape_g(_optimal_distance(phi[:1], spec), phi[:1], spec)
+    _, pts = _objective_stage(np.full_like(phi, g[0]), f_p, phi, spec)
     if feasible_only and spec.constraints:
         _, viol = constraint_table(f_p, spec.constraints)
         mask = np.all(viol == 0.0, axis=-1)
         pts, f_p, phi = pts[mask], f_p[mask], phi[mask]
     keep = dominance_mask(pts)
     pts, f_p, phi = pts[keep], f_p[keep], phi[keep]
-    if spec.dissimilar:
-        pts = dissimilarize(pts)
     return FrontSample(points=pts, position_points=f_p, phis=phi,
                        resolution=int(resolution),
                        feasible_only=bool(feasible_only))
 
 
 def pareto_set_sample(spec: ProblemSpec, n: int) -> SetSample:
-    """n decision vectors lying on the Pareto set.
+    """n decision vectors that are distance-optimal (g = g*) at every target.
+
+    Where the front drops an angle, because a constraint excludes it or the
+    radial profile leaves it dominated, the row is not Pareto-optimal.  The
+    Pareto set is the rows that evaluate_arrays(vectors, spec).feasible
+    keeps, then those whose objectives pass dominance_mask.
 
     Position parts are realized from the meta-variable targets; distance
     parts sit at the landscape optimum, which depends on the angle of the
@@ -493,12 +500,13 @@ def perturb_experiment(x, radius: float, samples: int, spec: ProblemSpec,
     n = int(samples)
     rng = np.random.default_rng(seed)
     delta = rng.uniform(-radius, radius, size=(n, spec.distance_vars))
-    # Every sample shares the position part, so only the distance stage runs
-    # per sample.  phi is a filled column, not a broadcast view, so the ufuncs
-    # that read it directly see the layout a full batch gives them.
+    # Every sample shares the position part, so only g and the objective stage
+    # run per sample.  phi is a filled column, not a broadcast view, so the
+    # ufuncs that read it directly see the layout a full batch gives them.
     f_p = np.broadcast_to(np.asarray(base.position_point), (n, spec.objectives))
     phi = np.full(n, base.distance_phi)
-    _, f = _distance_stage(np.clip(x_d + delta, 0.0, 1.0), f_p, phi, spec)
+    g = _landscape_g(np.clip(x_d + delta, 0.0, 1.0), phi, spec)
+    _, f = _objective_stage(g, f_p, phi, spec)
     moved = f - np.asarray(base.objectives)
     disp = np.sqrt(np.sum(moved * moved, axis=-1))
     return PerturbReport(worst=float(disp.max()), mean=float(disp.mean()),

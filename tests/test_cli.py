@@ -287,6 +287,22 @@ def test_usage_errors_exit_1(tmp_path, capsys, m2):
     assert run(["eval", "--spec", str(m2), "--nope"], capsys)[0] == 1
 
 
+@pytest.mark.parametrize("command", ["suite", "perturb", "search"])
+def test_negative_seed_is_a_usage_error(command, tmp_path, capsys, m2):
+    (tmp_path / "ranges.txt").write_text("objectives = 2..3\n")
+    (tmp_path / "x.csv").write_text("0.3,0.5\n")
+    flags = {"suite": ["--count", "1", "--ranges", str(tmp_path / "ranges.txt"),
+                       "--out-dir", str(tmp_path / "suite")],
+             "perturb": ["--spec", str(m2), "--in", str(tmp_path / "x.csv"),
+                         "--radius", "0.1", "--samples", "5"],
+             "search": ["--spec", str(m2), "--budget", "10",
+                        "--out", str(tmp_path / "a.csv")]}[command]
+    code, _, err = run([command, *flags, "--seed", "-1"], capsys)
+    assert code == 1
+    assert "argument --seed: must be a nonnegative integer, got -1" in err
+    assert not any(p.name in ("suite", "a.csv") for p in tmp_path.iterdir())
+
+
 def console_script_target(pyproject_text):
     """The [project.scripts] entry for gpdbench, as 'module:function'."""
     if sys.version_info >= (3, 11):

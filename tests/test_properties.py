@@ -4,7 +4,8 @@ Position points lie on the unit p-norm surface up to M = 40 and at the
 limiting overlap window q = 2t + 2, Pareto-set rows of deceptive landscapes
 sit exactly in their valleys (g == 0), the Pareto set of every landscape,
 composition and constraint set evaluates onto the sampled front up to
-rounding, and a point set is at IGD zero from itself.
+rounding, the sampled front holds no dominated point, dissimilar or not, and
+a point set is at IGD zero from itself.
 """
 
 import numpy as np
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from test_array_pipeline import specs
 
-from gpdbench import (ProblemSpec, deceptive_g, evaluate_arrays, front_sample, igd,
-                      p_norm, pareto_set_sample)
+from gpdbench import (ProblemSpec, deceptive_g, dominance_mask, evaluate_arrays,
+                      front_sample, igd, p_norm, pareto_set_sample)
 
 
 @st.composite
@@ -57,6 +58,7 @@ def test_pareto_set_rows_of_deceptive_landscapes_have_zero_g(spec, n):
 @given(spec=specs().filter(lambda s: s.objectives <= 4), res=st.integers(2, 9))
 def test_pareto_set_evaluates_onto_the_front(spec, res):
     front = front_sample(spec, res)
+    assert dominance_mask(front.points).all()
     if front.points.shape[0] == 0:  # every front point violates a constraint
         return
     # n = res**(M-1) targets start with the front's own lattice

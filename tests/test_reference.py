@@ -13,6 +13,7 @@ from gpdbench import (
     ProblemSpec,
     compose,
     dominance_filter,
+    dominance_mask,
     evaluate,
     evaluate_arrays,
     front_sample,
@@ -93,7 +94,7 @@ def test_front_sample_empty_is_legitimate():
     assert fs.points.shape == (0, 2)
 
 
-def test_front_sample_dissimilar_applied_after_filtering():
+def test_dissimilar_fronts_hold_no_dominated_points():
     plain = ProblemSpec(objectives=2, distance_vars=1, distance_kind="deceptive")
     skew = ProblemSpec(objectives=2, distance_vars=1, distance_kind="deceptive",
                        dissimilar=True)
@@ -102,6 +103,14 @@ def test_front_sample_dissimilar_applied_after_filtering():
     assert a.points.shape == b.points.shape
     np.testing.assert_allclose(b.points[:, 0], 2 * (2 * a.points[:, 0] - 1), rtol=1e-12)
     np.testing.assert_allclose(b.points[:, 1], 4 * (2 * a.points[:, 1] - 1), rtol=1e-12)
+    # 2f - 1 rounds components below about 1e-16 together: on this lattice two
+    # of the 25 plain points become (-2+2^-52, -4+2^-51, 6) and (-2+2^-52, -4, 6),
+    # and the filter runs on the final points, so only the second is kept.
+    spec = ProblemSpec(objectives=3, distance_vars=1, distance_kind="deceptive",
+                       dissimilar=True)
+    front = front_sample(spec, 5)
+    assert front.points.shape == (24, 3)
+    assert dominance_mask(front.points).all()
 
 
 def test_front_sample_resolution_floor():

@@ -233,7 +233,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, metavar="PATH")
     p.set_defaults(func=cmd_front)
 
-    p = sub.add_parser("pset", help="sample Pareto-set decision vectors to CSV")
+    p = sub.add_parser("pset", help="sample distance-optimal decision vectors to CSV, "
+                       "not filtered to the Pareto set (see README, Known solutions)")
     p.add_argument("--spec", required=True, metavar="PATH")
     p.add_argument("--n", type=int, required=True, metavar="N")
     p.add_argument("--out", required=True, metavar="PATH")

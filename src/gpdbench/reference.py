@@ -10,6 +10,7 @@ _optimal_distance, so every row whose angle the front keeps evaluates onto it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +121,7 @@ def _set_targets(m: int, n: int) -> np.ndarray:
 
 _CHUNK = 512  # candidate rows tested against the archive at a time
 _IGD_BLOCK = 1 << 16  # distance entries held at a time by igd
-_SCREEN_DIMS = 5  # igd screens candidates with a matrix product from here up
+_SCREEN_DIMS = 6  # igd screens candidates with a matrix product from here up
 _SCREEN_CAP = 16  # screened candidates per reference row before a block is recomputed
 _SCREEN_NORM_MAX = np.finfo(float).max / 8  # larger squared norms skip the screen
 _SWEEP_ROWS = 64  # fewest reference rows per block of igd's sorted sweep
@@ -148,14 +149,25 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     iff its f2 is no smaller than the least f2 of the distinct rows before
     it, since every earlier row is no worse in f1.
 
-    From three objectives up, points are tested in sorted order against the
+    Three objectives are their O(n log n) sweep too.  A staircase holds the
+    (f2, f3) minima of the distinct rows so far, f2 rising and f3 falling,
+    in two lists searched by bisection.  A distinct row is dominated iff the
+    entry with the largest f2 <= its f2 has f3 <= its f3: that entry has the
+    least f3 of all earlier rows with f2 no larger.  A kept row replaces the
+    entries it covers, one slice of the lists.
+
+    From four objectives up, points are tested in sorted order against the
     nondominated archive built so far; by transitivity a dominated dominator
-    is always covered by whichever archive point dominates it.  Each chunk
-    of candidates needs a single boolean block against archive + chunk,
-    ANDed in place one objective at a time, with each candidate's pairing
-    with itself masked out.  The answer equals the all-pairs filter's; the
-    work is candidates times archive size times M byte comparisons, in
-    blocks of at most 512 rows.
+    is always covered by whichever archive point dominates it.  Each
+    objective column is first replaced by its dense rank among the distinct
+    rows, in the smallest unsigned type that holds the largest rank.  Ranks
+    keep every <= between non-NaN doubles, infinities and -0.0 == 0.0
+    included, so the answer is unchanged, and the comparisons read 1, 2 or
+    4 bytes a value instead of 8.  Each chunk of candidates needs a single
+    boolean block against archive + chunk, ANDed in place one objective at
+    a time, with each candidate's pairing with itself masked out.  The
+    answer equals the all-pairs filter's; the work is candidates times
+    archive size times M comparisons, in blocks of at most 512 rows.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -173,10 +185,31 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     if m == 2:
         alive = np.ones(distinct.shape[1], dtype=bool)
         alive[1:] = distinct[1, 1:] < np.minimum.accumulate(distinct[1])[:-1]
+    elif m == 3:
+        alive = _staircase(distinct[1], distinct[2])
     else:
-        alive = _archive_sweep(distinct)
+        dtype = np.min_scalar_type(distinct.shape[1] - 1)
+        alive = _archive_sweep(np.array(
+            [np.unique(col, return_inverse=True)[1] for col in distinct], dtype=dtype))
     keep[order] = alive[np.cumsum(first) - 1]
     return keep
+
+
+def _staircase(f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
+    """Nondominated flags of distinct rows in sweep order, from their f2 and f3."""
+    xs, ys = [], []  # the staircase: f2 and -f3, both strictly rising
+    alive = []
+    for x, y in zip(f2.tolist(), (-f3).tolist()):
+        j = bisect_right(xs, x)
+        if j and ys[j - 1] >= y:  # the entry with the largest f2 <= x has f3 <= -y
+            alive.append(False)
+            continue
+        lo = bisect_left(xs, x, 0, j)
+        hi = bisect_right(ys, y, lo)  # entries from lo on with f3 >= -y are covered
+        xs[lo:hi] = [x]
+        ys[lo:hi] = [y]
+        alive.append(True)
+    return np.array(alive, dtype=bool)
 
 
 def _archive_sweep(distinct: np.ndarray) -> np.ndarray:
@@ -346,13 +379,13 @@ def igd(approximation, reference) -> float:
     entries (two float blocks and one bool block, about 1.1 MB), so memory
     stays O(r + a).  Two decisions, made once per call, only pick which
     pairs are skipped; every pair computed at all is computed in full.
-    Prune (below five objectives, finite inputs) takes the windows from the
-    sorted sweep below; screen (from five up, finite inputs) offers each
+    Prune (below six objectives, finite inputs) takes the windows from the
+    sorted sweep below; screen (from six up, finite inputs) offers each
     chunk to the BLAS screen below first.  Otherwise a block of
     max(1, 65536 // a) rows gets all of a as one window, so one screened
     chunk covers it.
 
-    Below five objectives, with finite inputs, a sorted sweep on coordinate
+    Below six objectives, with finite inputs, a sorted sweep on coordinate
     0 (Friedman, Baskett and Shustek, IEEE Trans. Comput. C-24(10), 1975)
     skips the pairs that cannot be a row minimum.  Both sets are sorted by
     coordinate 0.  Each block of max(64, 65536 // a) consecutive reference
@@ -374,7 +407,7 @@ def igd(approximation, reference) -> float:
     On fronts this computes a few percent of the r * a pairs; when the
     windows span all of a, it costs the plain blocks plus the seed.
 
-    From five objectives up a BLAS screen picks the candidates first.  One
+    From six objectives up a BLAS screen picks the candidates first.  One
     matrix product per block gives s_ij = |a_j|^2 - 2 r_i.a_j, which is
     |r_i - a_j|^2 - |r_i|^2 and so orders the j like the distance does.
     Why it keeps the cdist minimum: let N_i = |r_i|^2 + max_j |a_j|^2 and u
@@ -392,7 +425,7 @@ def igd(approximation, reference) -> float:
     cdist order, so every row minimum is unchanged.
 
     Fallbacks take the plain blocks, O(r * a * M) time: any NaN or infinite
-    input below five objectives; from five up, any NaN or infinite input or
+    input below six objectives; from six up, any NaN or infinite input or
     a squared norm near overflow, for the whole call, and any block keeping
     more than 16 candidates per reference row (near-ties).
     """

@@ -157,12 +157,19 @@ def test_dissimilarize_examples():
     np.testing.assert_allclose(dissimilarize(np.array([1.0, 1.0])), [2.0, 4.0])
 
 
-def test_dissimilarize_preserves_dominance():
+def test_dissimilarize_is_nondecreasing():
+    # 2 i (2 f - 1) chains correctly rounded, monotone operations, so a <= b
+    # implies dissimilarize(a) <= dissimilarize(b) exactly, also across gaps
+    # small enough for the rounding to merge.
     rng = np.random.default_rng(6)
     a = rng.uniform(0, 3, size=(300, 4))
-    b = a + rng.uniform(0, 1, size=a.shape)  # b weakly dominated by a
-    da, db = dissimilarize(a), dissimilarize(b)
-    assert np.all(da <= db + 1e-12)
+    for gap in (1.0, 1e-16):
+        b = a + rng.uniform(0, gap, size=a.shape)  # b weakly dominated by a
+        assert np.all(dissimilarize(a) <= dissimilarize(b))
+    # Strict dominance can become equality: 2 f - 1 rounds both to -1.
+    a, b = np.array([2.0 ** -60, 0.5]), np.array([2.0 ** -59, 0.5])
+    np.testing.assert_array_equal(dissimilarize(a), [-2.0, 0.0])
+    np.testing.assert_array_equal(dissimilarize(b), [-2.0, 0.0])
 
 
 def test_realize_identity_when_meta_off():

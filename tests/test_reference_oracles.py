@@ -29,7 +29,7 @@ import gpdbench.reference
 from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
                       front_sample, igd, meta_variables, pareto_set_sample,
                       perturb_experiment, realize_position)
-from gpdbench.reference import _halton
+from gpdbench.reference import _SCREEN_DIMS, _halton
 
 
 def all_pairs_nondominated(pts):
@@ -212,6 +212,56 @@ def test_dominance_mask_non_finite_rows_and_signed_zeros():
                                           all_pairs_nondominated(padded))
 
 
+STAIRCASE_POINT_SETS = ("signed", "runs", "equal_f2")
+
+
+def staircase_point_set(kind, m, rng):
+    if kind == "signed":  # NaN, +-inf and both zeros, with ties in every column
+        values = [np.nan, -np.inf, -1.0, -0.0, 0.0, 1.0, np.inf]
+        return rng.choice(values, size=(800, m), p=[0.02] + [0.98 / 6] * 6)
+    if kind == "runs":
+        # Runs of 500 rows with f2 rising and f3 falling.  The first row of
+        # each run covers the whole staircase before it, so every run starts
+        # with one long deletion; each kept row also has a dominated twin.
+        i = np.arange(500.0)
+        runs = [np.column_stack([np.full(500, f1), i - 1000 * f1, 499 - i - 1000 * f1])
+                for f1 in range(4)]
+        pts = np.concatenate(runs + [run + 0.5 for run in runs])
+        pts = np.column_stack([pts, np.zeros((pts.shape[0], m - 3))])
+        return pts[rng.permutation(pts.shape[0])]
+    # Equal f2 with different f3: a later row on an entry's f2 either has a
+    # larger f3, and is dominated, or a smaller one, and replaces the entry.
+    pts = np.column_stack([rng.integers(0, 30, size=1500), rng.integers(0, 4, size=1500),
+                           rng.uniform(size=1500)])
+    return np.column_stack([pts, rng.integers(0, 2, size=(1500, m - 3))])
+
+
+@pytest.mark.parametrize("m", (3, 5))
+@pytest.mark.parametrize("kind", STAIRCASE_POINT_SETS)
+def test_staircase_and_ranked_masks_equal_all_pairs_oracle(kind, m):
+    # M = 3 takes the staircase; M = 5 the archive sweep on ranks.
+    pts = staircase_point_set(kind, m, np.random.default_rng(m))
+    np.testing.assert_array_equal(dominance_mask(pts), all_pairs_nondominated(pts))
+
+
+@pytest.mark.parametrize("n", (256, 257, 65536, 65537))
+def test_ranked_mask_at_the_rank_dtype_widening_points(n):
+    # n distinct rows and n distinct values of f2, so the largest rank n - 1
+    # just fills uint8 or uint16 at n = 256 and 65536 and needs the next type
+    # one row later.  a sorts first and holds the largest f2; c is kept only
+    # because a's f2 is larger, and it dominates every other row.  A rank
+    # that wrapped to 0 would let a dominate c.
+    a, c = [0.0, n - 1, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]
+    rest = np.column_stack([np.ones(n - 2), np.arange(1.0, n - 1), np.ones((n - 2, 2))])
+    pts = np.concatenate([[a, c], rest])
+    want = np.arange(n) < 2
+    perm = np.random.default_rng(n).permutation(n)
+    pts, want = pts[perm], want[perm]
+    np.testing.assert_array_equal(dominance_mask(pts), want)
+    if n < 1000:  # the oracle needs about n * n * M bytes
+        np.testing.assert_array_equal(want, all_pairs_nondominated(pts))
+
+
 # --- igd ---------------------------------------------------------------------
 
 def cdist_igd(a, r):
@@ -293,7 +343,7 @@ def igd_paths():
 
 
 @settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, 4), n_a=st.integers(1, 3000), n_r=st.integers(1, 600),
+@given(m=st.integers(1, _SCREEN_DIMS - 1), n_a=st.integers(1, 3000), n_r=st.integers(1, 600),
        noise=st.sampled_from((0.0, 1e-9, 1e-3, 0.1)), block=st.sampled_from((None, 1000)),
        scale=st.sampled_from((1e-150, 1.0, 1e150)), seed=st.integers(0, 2**32 - 1))
 def test_swept_igd_on_fronts_equals_cdist(m, n_a, n_r, noise, block, scale, seed):
@@ -309,7 +359,7 @@ def test_swept_igd_on_fronts_equals_cdist(m, n_a, n_r, noise, block, scale, seed
     assert paths == ["swept"]
 
 
-@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
 def test_swept_igd_with_ties_on_the_sort_coordinate(m):
     rng = np.random.default_rng(m)
     # Every first coordinate equal: each window is all of a.
@@ -324,7 +374,7 @@ def test_swept_igd_with_ties_on_the_sort_coordinate(m):
     assert_same_igd(a, r)
 
 
-@pytest.mark.parametrize("m", range(2, 5))
+@pytest.mark.parametrize("m", range(2, _SCREEN_DIMS))
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_swept_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
     # The seed window (the first four approximations in coordinate 0) bounds
@@ -339,7 +389,7 @@ def test_swept_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
     assert igd(a, r) < 1.0
 
 
-@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
 def test_swept_igd_keeps_the_reference_order_for_the_mean(m):
     rng = np.random.default_rng(20 + m)
     r = front_like(rng, m, 2000) * rng.uniform(0.5, 2.0, size=(2000, 1))
@@ -348,7 +398,7 @@ def test_swept_igd_keeps_the_reference_order_for_the_mean(m):
         assert_same_igd(a, rows)
 
 
-@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
 @pytest.mark.parametrize("scale", (1e-150, 1e-160, 1e-170, 1e150, 1e160))
 def test_swept_igd_at_extreme_scales(m, scale):
     # Squared distances fall into subnormals or to zero from 1e-160 down, and
@@ -363,7 +413,7 @@ def test_swept_igd_at_extreme_scales(m, scale):
     assert paths == ["swept"]
 
 
-@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
 @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
 @pytest.mark.parametrize("side", ("a", "r"))
 def test_non_finite_low_dimensional_igd_takes_the_blocked_path(m, value, side):
@@ -405,8 +455,8 @@ def test_swept_igd_computes_few_pairs_on_reference_fronts(monkeypatch):
 def screened(monkeypatch):
     """Outcome of every screened igd block: True kept, False recomputed in full.
 
-    An empty list after a call at M >= 5 means the whole call skipped the
-    screen and took the blocked path.
+    An empty list after a call from _SCREEN_DIMS objectives up means the
+    whole call skipped the screen and took the blocked path.
     """
     outcomes = []
     real = gpdbench.reference._screened_block
@@ -420,9 +470,12 @@ def screened(monkeypatch):
 
 
 @pytest.mark.parametrize("m", range(5, 11))
-def test_screened_igd_keeps_exact_ties(m, screened):
+def test_screened_igd_keeps_exact_ties(m, screened, monkeypatch):
     # The origin is equally far from every +-e_k, so all 2M are candidates;
-    # the other reference rows keep the block under its cap.
+    # the other reference rows keep the block under its cap.  Below
+    # _SCREEN_DIMS the screen is switched on for the call, since it must stay
+    # exact at any M.
+    monkeypatch.setattr(gpdbench.reference, "_SCREEN_DIMS", min(m, _SCREEN_DIMS))
     rng = np.random.default_rng(m)
     ties = np.concatenate([np.eye(m), -np.eye(m)])
     a = np.concatenate([ties, rng.uniform(2.0, 3.0, size=(200, m))])
@@ -456,13 +509,27 @@ def test_screened_igd_recomputes_only_blocks_over_the_cap(screened, monkeypatch)
     assert screened == [False, True, True, True]
 
 
-@pytest.mark.parametrize("m", (5, 10))
-def test_screened_igd_with_duplicated_rows(m, screened):
+@pytest.mark.parametrize("m", (5, _SCREEN_DIMS, 10))
+def test_screened_igd_with_duplicated_rows(m, screened, monkeypatch):
+    monkeypatch.setattr(gpdbench.reference, "_SCREEN_DIMS", min(m, _SCREEN_DIMS))
     rng = np.random.default_rng(m)
     a = np.repeat(rng.uniform(size=(400, m)), 3, axis=0)
     r = np.concatenate([a[::7], rng.uniform(size=(300, m))])
     assert_same_igd(a, r)
     assert screened and all(screened)
+
+
+def test_igd_below_the_screen_sweeps_ties_and_duplicated_rows(screened):
+    # One objective below the screen the sweep prunes instead.  The origin
+    # is equally far from every +-e_k, and front rows repeat in a and r.
+    m = _SCREEN_DIMS - 1
+    rng = np.random.default_rng(m)
+    front = front_like(rng, m, 1200)
+    a = np.concatenate([np.eye(m), -np.eye(m), np.repeat(front[:400], 3, axis=0)])
+    r = np.concatenate([np.zeros((1, m)), front[::7], front[400:]])
+    with igd_paths() as paths:
+        assert_same_igd(a, r)
+    assert paths == ["swept"] and screened == []
 
 
 @pytest.mark.parametrize("scale, screens", [(1e-150, True), (1e-160, True), (1e150, True),

@@ -50,30 +50,39 @@ def _seed(text: str) -> int:
     return value
 
 
-def _read_rows(path: str) -> list[list[float]]:
-    """Read a CSV of reals, skipping blank and '#' comment lines.
+def _read_rows(path: str) -> np.ndarray | list[list[float]]:
+    """Read a CSV of reals, skipping blank lines and lines that start with '#'.
 
-    Rows may be ragged here; width contracts are enforced by the consumer so
-    the error can name the expected width.
+    Values follow Python float() syntax.  The data rows are parsed in one
+    pass into a (rows, width) array; only when that fails are they parsed
+    again line by line with float(), which returns a list of rows that may
+    be ragged, or names the first data row that cannot be parsed.  Width
+    contracts are enforced by the consumer so the error can name the
+    expected width.  A file without data rows gives [].
     """
-    rows: list[list[float]] = []
-    data_row = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            data_row += 1
-            try:
-                rows.append([float(part) for part in line.split(",")])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: data row {data_row}: cannot parse {line!r}") from None
+        lines = [line for line in map(str.strip, fh)
+                 if line and not line.startswith("#")]
+    if not lines:
+        return []
+    try:
+        # comments=None: a '#' after the start of a line is a parse error, as
+        # it is for float().
+        return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        pass
+    rows: list[list[float]] = []
+    for data_row, line in enumerate(lines, start=1):
+        try:
+            rows.append([float(part) for part in line.split(",")])
+        except ValueError:
+            raise ValueError(
+                f"{path}: data row {data_row}: cannot parse {line!r}") from None
     return rows
 
 
-def _as_matrix(rows: list[list[float]], path: str) -> np.ndarray:
-    if not rows:
+def _as_matrix(rows: np.ndarray | list[list[float]], path: str) -> np.ndarray:
+    if len(rows) == 0:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])
     for i, row in enumerate(rows, start=1):

@@ -256,5 +256,10 @@ def evaluate_batch(rows, spec: ProblemSpec) -> list[Evaluation]:
     Rows that fail validation do not stop the batch: every valid row is still
     evaluated, and a BatchError carrying per-row diagnostics plus the partial
     results is raised at the end.  An empty batch returns an empty list.
+
+    Packing rows into Evaluation objects is much of the cost: on 10k rows it
+    took 28-32 of 46-51 ms at M = 3 and 32-46 of 68-78 ms at M = 10, and on
+    100 rows 180-330 of 660-950 us.  Bulk callers should use evaluate_arrays,
+    which returns the same numbers as arrays.
     """
     return _evaluations(evaluate_arrays(rows, spec))

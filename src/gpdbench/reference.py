@@ -126,6 +126,7 @@ _SCREEN_CAP = 16  # screened candidates per reference row before a block is reco
 _SCREEN_NORM_MAX = np.finfo(float).max / 8  # larger squared norms skip the screen
 _SWEEP_ROWS = 64  # fewest reference rows per block of igd's sorted sweep
 _SWEEP_SEED = 4  # approximations either side of a sweep block that seed its bounds
+_PERTURB_BLOCK = 1 << 16  # sample entries held at a time by perturb_experiment
 
 
 def dominance_mask(points: np.ndarray) -> np.ndarray:
@@ -522,6 +523,12 @@ def perturb_experiment(x, radius: float, samples: int, spec: ProblemSpec,
     reports the worst and mean Euclidean displacement from the unperturbed
     objectives.  Identical seeds give identical reports.  The radius must not
     pass half the largest double, so that the range of the draw stays finite.
+
+    Samples run in blocks of about _PERTURB_BLOCK draws, so memory is one
+    double per sample for the displacements plus a fixed block, not
+    samples x S.  The blocks' draws concatenate to one (samples, S) draw from
+    the same generator, and the mean is taken once over all displacements,
+    so the report does not depend on the block size.
     """
     top = float(np.finfo(float).max) / 2
     if not 0 < radius <= top:
@@ -531,17 +538,23 @@ def perturb_experiment(x, radius: float, samples: int, spec: ProblemSpec,
     base = evaluate(x, spec)
     x_d = np.asarray(x, dtype=float)[spec.position_dim:]
     n = int(samples)
+    s = spec.distance_vars
+    step = min(n, max(1, _PERTURB_BLOCK // s))
     rng = np.random.default_rng(seed)
-    delta = rng.uniform(-radius, radius, size=(n, spec.distance_vars))
     # Every sample shares the position part, so only g and the objective stage
     # run per sample.  phi is a filled column, not a broadcast view, so the
     # ufuncs that read it directly see the layout a full batch gives them.
-    f_p = np.broadcast_to(np.asarray(base.position_point), (n, spec.objectives))
-    phi = np.full(n, base.distance_phi)
-    g = _landscape_g(np.clip(x_d + delta, 0.0, 1.0), phi, spec)
-    _, f = _objective_stage(g, f_p, phi, spec)
-    moved = f - np.asarray(base.objectives)
-    disp = np.sqrt(np.sum(moved * moved, axis=-1))
+    f_p = np.broadcast_to(np.asarray(base.position_point), (step, spec.objectives))
+    phi = np.full(step, base.distance_phi)
+    f_0 = np.asarray(base.objectives)
+    disp = np.empty(n)
+    for lo in range(0, n, step):
+        b = min(step, n - lo)
+        delta = rng.uniform(-radius, radius, size=(b, s))
+        g = _landscape_g(np.clip(x_d + delta, 0.0, 1.0), phi[:b], spec)
+        _, f = _objective_stage(g, f_p[:b], phi[:b], spec)
+        moved = f - f_0
+        disp[lo:lo + b] = np.sqrt(np.sum(moved * moved, axis=-1))
     return PerturbReport(worst=float(disp.max()), mean=float(disp.mean()),
                          base_objectives=base.objectives,
                          radius=float(radius), samples=n,

@@ -10,7 +10,7 @@ import pytest
 
 import gpdbench
 from gpdbench import evaluate_batch, front_sample, parse_spec
-from gpdbench.cli import main
+from gpdbench.cli import _read_rows, main
 
 M2_SPEC = "objectives = 2\ndistance_vars = 1\ndistance = deceptive\nnorm_p = 2\n"
 M3_SPEC = ("objectives = 3\ndistance_vars = 10\ndistance = deceptive\n"
@@ -113,6 +113,79 @@ def test_eval_missing_input_exits_3(tmp_path, capsys, m2):
                         "--out", str(tmp_path / "out.csv")], capsys)
     assert code == 3
     assert err.startswith("error:")
+
+
+def float_rows(path):
+    """The reader's contract: strip lines, skip blank and '#' ones, float() each value."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    return [[float(v) for v in line.split(",")]
+            for line in lines if line and not line.startswith("#")]
+
+
+@pytest.mark.parametrize("text, one_pass", [
+    ("0.25,0.5\r\n-0.75,1\r\n", True),
+    ("# x1,x2\n\n0,0.5\n   \n# between\n1,0\n", True),
+    ("\u00a00.5\t,\t0.25\u00a0\n\t-1 , 1\n", True),
+    ("inf,-Infinity,nan\n-nan,-0,0\n", True),
+    ("1e400,1e-400,5e-324\n"
+     "2.2250738585072009e-308,-1e-320,-4.9406564584124654e-324\n", True),
+    ("1_0,0.5\n\u0661,0\n", False),
+    ("0,0.5\n0\n1,2,3\n", False),
+    ("0.5\n0.25\n-1\n", True),
+    ("0.1,0.2,0.3,0.4\n", True),
+    ("# only\n# comments\n", False),
+], ids=["crlf", "blank_and_comments", "nbsp_tab_padding", "specials", "range",
+        "float_only_spellings", "ragged", "one_column", "one_row", "comment_only"])
+def test_read_rows_gives_the_doubles_of_float(tmp_path, text, one_pass):
+    src = tmp_path / "rows.csv"
+    src.write_bytes(text.encode("utf-8"))
+    got = _read_rows(str(src))
+    want = float_rows(src)
+    assert isinstance(got, np.ndarray) == one_pass
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        # bytes compare the sign bit of zeros and NaNs as well
+        assert np.asarray(g, dtype=float).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["0,0.5,", "0,,0.5", "0,0.5 # note", "0,abc", "0;0.5"])
+def test_read_rows_names_the_unparsable_data_row(tmp_path, bad):
+    src = tmp_path / "rows.csv"
+    src.write_text(f"# x1,x2\n0,0.5\n\n{bad}\n0,0.25\n")
+    with pytest.raises(ValueError) as info:
+        _read_rows(str(src))
+    assert str(info.value) == f"{src}: data row 2: cannot parse {bad!r}"
+
+
+@pytest.mark.parametrize("text, eval_error, igd_error", [
+    ("0,0.5\n0,0.5,\n", "{path}: data row 2: cannot parse '0,0.5,'",
+     "{path}: data row 2: cannot parse '0,0.5,'"),
+    ("0,0.5\n0\n", "data row 2: decision vector has 1 coordinates, expected 2",
+     "{path}: data row 2: width 1 does not match 2"),
+    ("0,0.5,1\n0,0.5,1\n", "data row 1: decision vector has 3 coordinates, expected 2",
+     None),
+    ("0,0.5\n0,2\n", "data row 2: coordinate 2 is 2, outside [0, 1]", None),
+    ("# only a comment\n", None, "{path}: no data rows"),
+], ids=["trailing_comma", "ragged", "wide", "out_of_box", "comment_only"])
+def test_cli_readers_keep_exit_codes_and_error_lines(tmp_path, capsys, m2, text,
+                                                      eval_error, igd_error):
+    src = tmp_path / "rows.csv"
+    src.write_text(text)
+    commands = [
+        (["eval", "--spec", str(m2), "--in", str(src),
+          "--out", str(tmp_path / "out.csv")], eval_error),
+        (["perturb", "--spec", str(m2), "--in", str(src), "--radius", "0.1",
+          "--samples", "5"], eval_error),
+        (["igd", "--ref", str(src), "--approx", str(src)], igd_error),
+    ]
+    for argv, error in commands:
+        code, out, err = run(argv, capsys)
+        if error is None:
+            assert (code, err) == (0, ""), argv[0]
+        else:
+            assert (code, out) == (3, ""), argv[0]
+            assert err == f"error: {error.format(path=src)}\n", argv[0]
 
 
 def test_front_rows_match_library(tmp_path, capsys, m2):

@@ -28,7 +28,8 @@ from gpdbench import (
     robust_term,
     valley_center,
 )
-from gpdbench.reference import _lattice, _set_targets
+from gpdbench.evaluator import _landscape_g, _objective_stage
+from gpdbench.reference import _PERTURB_BLOCK, _lattice, _set_targets
 
 
 def brute_force_nondominated(pts):
@@ -324,6 +325,52 @@ def test_perturb_argument_checks():
         perturb_experiment(np.array([0.0, 0.5]), 0.0, 10, spec)
     with pytest.raises(ValueError, match="sample"):
         perturb_experiment(np.array([0.0, 0.5]), 0.1, 0, spec)
+
+
+def one_shot_perturb(x, radius, samples, spec, seed):
+    """perturb_experiment's worst and mean from a single (samples, S) draw."""
+    base = evaluate(x, spec)
+    x_d = np.asarray(x, dtype=float)[spec.position_dim:]
+    rng = np.random.default_rng(seed)
+    delta = rng.uniform(-radius, radius, size=(samples, spec.distance_vars))
+    f_p = np.broadcast_to(np.asarray(base.position_point), (samples, spec.objectives))
+    phi = np.full(samples, base.distance_phi)
+    g = _landscape_g(np.clip(x_d + delta, 0.0, 1.0), phi, spec)
+    _, f = _objective_stage(g, f_p, phi, spec)
+    moved = f - np.asarray(base.objectives)
+    disp = np.sqrt(np.sum(moved * moved, axis=-1))
+    return float(disp.max()), float(disp.mean())
+
+
+@pytest.mark.parametrize("s", [1, 20])
+@pytest.mark.parametrize("kind, composition, dissimilar", [
+    ("robust", "multiplicative", False),
+    ("deceptive", "additive", True)], ids=["robust", "deceptive_dissimilar"])
+def test_blocked_perturb_equals_one_shot_draw(kind, composition, dissimilar, s):
+    spec = ProblemSpec(objectives=3, distance_vars=s, distance_kind=kind,
+                       composition=composition, dissimilar=dissimilar)
+    rng = np.random.default_rng(s)
+    x = np.concatenate([rng.uniform(-1, 1, spec.position_dim),
+                        rng.uniform(0, 1, s)])
+    step = _PERTURB_BLOCK // s
+    for n in (1, step - 1, step, step + 1, 3 * step + 7):
+        report = perturb_experiment(x, 0.1, n, spec, seed=n)
+        assert (report.worst, report.mean) == one_shot_perturb(x, 0.1, n, spec, n), n
+        assert report.samples == n
+
+
+def test_perturb_memory_does_not_grow_with_samples_times_s():
+    spec = ProblemSpec(objectives=2, distance_vars=10, distance_kind="robust")
+    x = np.full(spec.total_dim, 0.3)
+    tracemalloc.start()
+    try:
+        perturb_experiment(x, 0.05, 200_000, spec, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One (200000, 10) draw alone would be 16 MB, and a single pass held
+    # about 120 MB of temporaries; the displacements take 1.6 MB.
+    assert peak < 8 * 2**20, peak
 
 
 def test_perturb_radius_stops_where_the_draw_would_overflow():

@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluator import BatchError, evaluate_arrays
-from .reference import (dominance_filter, front_sample, igd,
-                        pareto_set_sample, perturb_experiment)
+from .evaluator import BatchError, evaluate_arrays, evaluate_batch
+from .reference import (_perturbed, dominance_filter, front_sample, igd,
+                        pareto_set_sample)
 from .spec import (SpecError, _fmt, generate_suite, parse_ranges, parse_spec,
                    render_spec)
 
@@ -172,11 +172,10 @@ def cmd_suite(args) -> int:
 def cmd_perturb(args) -> int:
     spec = _load_spec(args.spec)
     rows = _read_rows(args.infile)
-    evaluate_arrays(rows, spec)  # a bad row fails here, named by its number
+    bases = evaluate_batch(rows, spec)  # a bad row fails here, named by its number
     lines = ["# worst,mean"]
-    for row in rows:
-        report = perturb_experiment(row, args.radius, args.samples, spec,
-                                    seed=args.seed)
+    for row, base in zip(rows, bases):
+        report = _perturbed(row, args.radius, args.samples, spec, args.seed, base)
         lines.append(f"{_fmt(report.worst)},{_fmt(report.mean)}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -15,7 +15,7 @@ import numpy as np
 from .distance import _normalized_angle, _scaled_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintReport:
     """Violation magnitudes for one evaluated point.
 

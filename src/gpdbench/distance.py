@@ -10,6 +10,8 @@ under noise while a worse local optimum is stable.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Per-term global minimizer of the robust landscape: the computed robust_term is least here.
@@ -41,19 +43,35 @@ def _scaled_rows(v) -> tuple[np.ndarray, np.ndarray]:
     return v, np.sum(v * v, axis=-1)
 
 
-def _normalized_angle(f: np.ndarray, fn: np.ndarray, d) -> np.ndarray:
-    """normalized_angle of rows f, already scaled by _scaled_rows, with norms fn.
+@functools.lru_cache(maxsize=64)
+def _prepared_reference(shape: tuple[int, ...], data: bytes):
+    """The float64 reference with this shape and these bytes, prepared.
 
-    d is scaled and checked here, once per call and before f is checked.
+    Returns it scaled by _scaled_rows, its norm and its widest first-orthant
+    angle arccos(min d / ||d||).  Keyed on the bytes, so references that
+    differ only in the sign of a zero keep their own entries.  The arrays
+    handed out are read-only, since every caller shares them; a zero-length
+    reference raises, and the failure is not cached.
     """
-    d, d_sq = _scaled_rows(d)
+    d, d_sq = _scaled_rows(np.frombuffer(data).reshape(shape))
     dn = np.sqrt(d_sq)
     if dn == 0.0:
         raise ValueError("reference vector has zero length")
+    d.flags.writeable = False
+    return d, dn, np.arccos(np.clip(d.min() / dn, -1.0, 1.0))
+
+
+def _normalized_angle(f: np.ndarray, fn: np.ndarray, d) -> np.ndarray:
+    """normalized_angle of rows f, already scaled by _scaled_rows, with norms fn.
+
+    d is checked before f is, on every call, but scaled only once per
+    distinct reference (see _prepared_reference).
+    """
+    d = np.asarray(d, dtype=float)
+    d, dn, widest = _prepared_reference(d.shape, d.tobytes())
     if np.any(fn == 0.0):
         raise ValueError("cannot take the angle of a zero vector")
     cos = np.sum(f * d, axis=-1) / (fn * dn)
-    widest = np.arccos(np.clip(d.min() / dn, -1.0, 1.0))
     return np.clip(np.arccos(np.clip(cos, -1.0, 1.0)) / widest, 0.0, 1.0)
 
 

@@ -16,6 +16,7 @@ samplers run the position stage, and the front the objective stage at g*.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -28,7 +29,7 @@ from .position import dissimilarize, meta_variables, position_point
 from .spec import ProblemSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Evaluation:
     """Everything the pipeline knows about one decision vector.
 
@@ -199,7 +200,21 @@ def _row_tuples(col: np.ndarray):
     return zip(*col.T.tolist())
 
 
+def _packed(cls, n: int, *columns) -> list:
+    """n instances of the frozen slotted dataclass cls, one field per column.
+
+    Each slot is filled through its descriptor, column by column; the
+    generated __init__ goes through the frozen __setattr__ per field, which
+    costs about twice as much.
+    """
+    rows = list(map(object.__new__, repeat(cls, n)))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, rows, column), maxlen=0)
+    return rows
+
+
 def _evaluations(a: EvaluationArrays) -> list[Evaluation]:
+    n = a.objectives.shape[0]
     axes = a.nearest_axis_of_point.tolist()
     if a.violations.shape[1] == 0:
         # Without constraints every report is ((), True, axis): share one per
@@ -209,12 +224,12 @@ def _evaluations(a: EvaluationArrays) -> list[Evaluation]:
         shared = {k: ConstraintReport((), True, k) for k in range(1, m + 1)}
         reports = map(shared.__getitem__, axes)
     else:
-        reports = map(ConstraintReport, _row_tuples(a.violations),
-                      a.feasible.tolist(), axes)
-    return list(map(Evaluation, _row_tuples(a.objectives),
-                    _row_tuples(a.position_point), a.distance_value.tolist(),
-                    a.distance_phi.tolist(), _row_tuples(a.phi_per_constraint),
-                    reports))
+        reports = _packed(ConstraintReport, n, _row_tuples(a.violations),
+                          a.feasible.tolist(), axes)
+    return _packed(Evaluation, n, _row_tuples(a.objectives),
+                   _row_tuples(a.position_point), a.distance_value.tolist(),
+                   a.distance_phi.tolist(), _row_tuples(a.phi_per_constraint),
+                   reports)
 
 
 def evaluate_arrays(rows, spec: ProblemSpec) -> EvaluationArrays:
@@ -258,8 +273,9 @@ def evaluate_batch(rows, spec: ProblemSpec) -> list[Evaluation]:
     results is raised at the end.  An empty batch returns an empty list.
 
     Packing rows into Evaluation objects is much of the cost: on 10k rows it
-    took 28-32 of 46-51 ms at M = 3 and 32-46 of 68-78 ms at M = 10, and on
-    100 rows 180-330 of 660-950 us.  Bulk callers should use evaluate_arrays,
-    which returns the same numbers as arrays.
+    took 12-13 of 39 ms at M = 3, 32-33 of 52-53 ms on the M = 5 band spec
+    and 20-21 of 67-74 ms at M = 10, and on 100 rows 108-164 of 623-901 us.
+    Bulk callers should use evaluate_arrays, which returns the same numbers
+    as arrays.
     """
     return _evaluations(evaluate_arrays(rows, spec))

@@ -17,7 +17,8 @@ import numpy as np
 
 from .constraints import constraint_table
 from .distance import ROBUST_MINIMIZER, valley_center
-from .evaluator import _landscape_g, _objective_stage, _position_stage, evaluate
+from .evaluator import (Evaluation, _landscape_g, _objective_stage, _position_stage,
+                        evaluate)
 from .position import meta_variables, realize_position
 from .spec import ProblemSpec
 
@@ -530,12 +531,23 @@ def perturb_experiment(x, radius: float, samples: int, spec: ProblemSpec,
     the same generator, and the mean is taken once over all displacements,
     so the report does not depend on the block size.
     """
+    return _perturbed(x, radius, samples, spec, seed)
+
+
+def _perturbed(x, radius: float, samples: int, spec: ProblemSpec, seed: int,
+               base: Evaluation | None = None) -> PerturbReport:
+    """perturb_experiment around x, whose Evaluation base a caller may pass in.
+
+    The radius and sample count are checked first, then x is evaluated
+    unless base is given.
+    """
     top = float(np.finfo(float).max) / 2
     if not 0 < radius <= top:
         raise ValueError(f"perturbation radius must lie in (0, {top!r}], got {radius}")
     if samples < 1:
         raise ValueError(f"need at least one perturbation sample, got {samples}")
-    base = evaluate(x, spec)
+    if base is None:
+        base = evaluate(x, spec)
     x_d = np.asarray(x, dtype=float)[spec.position_dim:]
     n = int(samples)
     s = spec.distance_vars

@@ -8,6 +8,10 @@ for bit and the row-wise packer the column-wise one replaced (copied below),
 and single evaluation must reproduce every batch row.
 """
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -231,3 +235,38 @@ def test_packing_keeps_negative_zero_bits(c):
     got, want = _evaluations(a), reference_evaluations(a)
     assert repr(got) == repr(want)
     assert "-0.0" in repr(got)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_packed_rows_behave_like_constructed_ones(constrained):
+    # The packer fills slots directly; its rows must be indistinguishable
+    # from rows built through the public constructors.
+    cons = (ConstraintSpec(kind="band", reference="diagonal", threshold_a=0.2,
+                           threshold_b=0.4),
+            ConstraintSpec(kind="nearest_axis", axis_j=2)) if constrained else ()
+    spec = ProblemSpec(objectives=3, distance_vars=2, distance_kind="deceptive",
+                       constraints=cons)
+    rows = np.random.default_rng(5).uniform(0.0, 1.0, size=(5, spec.total_dim))
+    packed = evaluate_batch(rows, spec)
+    bad = rows.copy()
+    bad[2, 0] = 2.0
+    with pytest.raises(BatchError) as err:
+        evaluate_batch(bad, spec)
+    partial = [ev for ev in err.value.results if ev is not None]
+    want = reference_evaluations(evaluate_arrays(rows, spec))
+    for ev, ref in zip(packed + partial, want + want[:2] + want[3:]):
+        assert type(ev) is Evaluation and type(ev.report) is ConstraintReport
+        assert ev == ref and hash(ev) == hash(ref) and repr(ev) == repr(ref)
+        for obj in (ev, ev.report):
+            assert not hasattr(obj, "__dict__")
+            name = dataclasses.fields(obj)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        for twin in (pickle.loads(pickle.dumps(ev)), copy.copy(ev),
+                     copy.deepcopy(ev), dataclasses.replace(ev)):
+            assert type(twin) is Evaluation and repr(twin) == repr(ref)
+        assert dataclasses.asdict(ev) == dataclasses.asdict(ref)
+        moved = dataclasses.replace(ev, distance_value=-1.0)
+        assert moved.distance_value == -1.0 and moved.report is ev.report

@@ -293,6 +293,38 @@ def test_perturb_stdout_matches_out_file(tmp_path, capsys):
     assert worst[1] > 10 * worst[0]  # needle sits under the noise, plateau does not
 
 
+@pytest.mark.parametrize("text", [
+    "objectives = 2\ndistance_vars = 2\ndistance = robust\n",
+    M3_SPEC + "dissimilar = true\n\n[constraint]\ntype = band\nreference = e2\n"
+              "threshold_a = 0.2\nthreshold_b = 0.6\n",
+], ids=["m2-robust", "m3-band-dissimilar"])
+def test_perturb_output_is_the_per_row_library_reports(tmp_path, capsys,
+                                                       monkeypatch, text):
+    spec = parse_spec(text)
+    rng = np.random.default_rng(4)
+    lo = np.r_[np.full(spec.position_dim, -1.0), np.zeros(spec.distance_vars)]
+    rows = np.vstack([gpdbench.pareto_set_sample(spec, 3).vectors,
+                      rng.uniform(lo, 1.0, size=(4, spec.total_dim))])
+    (tmp_path / "p.spec").write_text(text)
+    src = tmp_path / "pts.csv"
+    src.write_text("".join(",".join(format(v, ".17g") for v in row) + "\n"
+                           for row in rows))
+    want = "# worst,mean\n" + "".join(
+        f"{r.worst:.17g},{r.mean:.17g}\n"
+        for r in (gpdbench.perturb_experiment(row, 0.07, 50, spec, seed=9)
+                  for row in rows))
+
+    def no_second_evaluation(*args):
+        raise AssertionError("perturb evaluated a row again")
+
+    # The command reuses its batch evaluation as every row's base.
+    monkeypatch.setattr(gpdbench.reference, "evaluate", no_second_evaluation)
+    code, out, _ = run(["perturb", "--spec", str(tmp_path / "p.spec"), "--in", str(src),
+                        "--radius", "0.07", "--samples", "50", "--seed", "9"], capsys)
+    assert code == 0
+    assert out == want
+
+
 @pytest.mark.parametrize("second_row, message", [
     ("0.3,2,0.5", "data row 2: coordinate 2 is 2, outside [0, 1]"),
     ("0.3,0.5", "data row 2: decision vector has 2 coordinates, expected 3"),

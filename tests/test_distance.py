@@ -23,7 +23,7 @@ from gpdbench import (
     valley_center,
     valley_radius,
 )
-from gpdbench.distance import _scaled_rows
+from gpdbench.distance import _prepared_reference, _scaled_rows
 
 DIAG3 = np.ones(3) / np.sqrt(3.0)
 
@@ -185,6 +185,58 @@ def test_angle_kernel_matches_the_three_function_oracle_bit_for_bit(case):
     f, d, cons = case
     assert outcome(normalized_angle, f, d) == outcome(oracle_normalized_angle, f, d)
     assert outcome(constraint_table, f, cons) == outcome(oracle_constraint_table, f, cons)
+
+
+@st.composite
+def references(draw, m):
+    """The diagonal, an axis or a scaled vector, each zero of either sign."""
+    kind = draw(st.sampled_from(("diagonal", "axis", "scaled")))
+    if kind == "diagonal":
+        d = np.ones(m)
+    elif kind == "axis":
+        d = np.eye(m)[draw(st.integers(0, m - 1))]
+    else:
+        d = draw(scaled_vectors(m, 1))[0]
+    flip = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    return np.where((d == 0.0) & flip, -0.0, d)
+
+
+@st.composite
+def reference_cases(draw):
+    m = draw(st.integers(2, 10))
+    return draw(scaled_vectors(m, draw(st.integers(1, 4)))), draw(references(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_cases())
+def test_prepared_reference_keeps_the_bits_of_an_unprepared_one(case):
+    # Every reference is prepared once and reused, whatever its type.  The
+    # memo must give the bits, or the error, of the unprepared oracle.
+    f, d = case
+    cons = tuple(ConstraintSpec(kind=kind, reference=d, threshold_a=0.2, threshold_b=0.6)
+                 for kind in ("min_angle", "max_angle", "band"))
+    cons += (ConstraintSpec(kind="nearest_axis", axis_j=1),)
+    want = outcome(oracle_normalized_angle, f, d)
+    for ref in (d, tuple(d.tolist()), d.tolist()):
+        for _ in range(2):  # the second round reads the prepared entries
+            assert outcome(normalized_angle, f, ref) == want
+    assert outcome(constraint_table, f, cons) == outcome(oracle_constraint_table, f, cons)
+
+
+def test_prepared_reference_is_reused_and_failures_are_not_kept():
+    f = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    before = _prepared_reference.cache_info()
+    for ref in ((0.0, -0.0, 0.0), (-0.0, 0.0, 0.0)):
+        for _ in range(3):  # d is checked before f, on every call
+            with pytest.raises(ValueError, match="^reference vector has zero length$"):
+                normalized_angle(f, ref)
+    assert _prepared_reference.cache_info().currsize == before.currsize
+    ref = (0.25, -0.0, 7.0)
+    first = normalized_angle(f[:1], ref)
+    hits = _prepared_reference.cache_info().hits
+    assert normalized_angle(f[:1], ref).tobytes() == first.tobytes()
+    assert normalized_angle(f[:1], np.array(ref)).tobytes() == first.tobytes()
+    assert _prepared_reference.cache_info().hits == hits + 2
 
 
 def test_valley_center_values():

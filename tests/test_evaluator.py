@@ -193,3 +193,25 @@ def test_large_batch_is_fast():
     elapsed = time.perf_counter() - t0
     assert len(out) == 10000
     assert elapsed < 5.0
+
+
+def test_evaluator_reaches_angle_and_constraint_stages_through_module_globals(monkeypatch):
+    # The benchmark's tracer times a stage by rebinding the module globals
+    # that name it.  A call that bypassed them would leave the stage's
+    # per-layer metrics at zero without any error.
+    from gpdbench import constraints, distance, evaluator
+    assert evaluator.normalized_angle is distance.normalized_angle
+    assert evaluator.constraint_table is constraints.constraint_table
+    spec = rich_spec()
+    rows = pareto_set_sample(spec, 4).vectors
+    calls = []
+    for name in ("normalized_angle", "constraint_table"):
+        real = getattr(evaluator, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(evaluator, name, spy)
+    evaluate_batch(rows, spec)
+    assert calls == ["normalized_angle", "constraint_table"]

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .evaluator import BatchError, evaluate_arrays, evaluate_batch
-from .reference import (_perturbed, dominance_filter, front_sample, igd,
-                        pareto_set_sample)
+from .reference import (_check_perturbation, _perturbed, dominance_filter,
+                        front_sample, igd, pareto_set_sample)
 from .spec import (SpecError, _fmt, generate_suite, parse_ranges, parse_spec,
                    render_spec)
 
@@ -171,6 +171,7 @@ def cmd_suite(args) -> int:
 
 def cmd_perturb(args) -> int:
     spec = _load_spec(args.spec)
+    _check_perturbation(args.radius, args.samples)  # before any row is read
     rows = _read_rows(args.infile)
     bases = evaluate_batch(rows, spec)  # a bad row fails here, named by its number
     lines = ["# worst,mean"]

@@ -32,9 +32,7 @@ def _scaled_rows(v) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         sq = np.sum(v * v, axis=-1)
     tiny = np.finfo(float).tiny  # subnormal squares carry fewer bits
-    # One vector skips the reductions, which cost more than the rest here.
-    lo, hi = (sq, sq) if sq.ndim == 0 else (sq.min(initial=np.inf), sq.max(initial=0.0))
-    if tiny <= lo and hi < np.inf:
+    if tiny <= sq.min(initial=np.inf) and sq.max(initial=0.0) < np.inf:
         return v, sq
     big = np.max(np.abs(v), axis=-1, keepdims=True)
     bad = (sq < tiny) | (sq == np.inf)

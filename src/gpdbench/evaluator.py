@@ -95,23 +95,22 @@ def _validate(rows, spec: ProblemSpec):
 
     Returns (matrix, good, errors): good lists the input index of each
     matrix row, errors the (index, message) pairs of rejected rows, both in
-    input order.  A (B, N) array, or a list or tuple of rows that converts
-    to one, is taken whole; otherwise shape and width are checked per row.
-    The box and finiteness checks run once over the stacked well-shaped rows.
+    input order.  Any rows that np.asarray turns into a (B, N) float array
+    (an array of any layout or numeric dtype, or a list, tuple, deque or
+    other sequence of equal-width flat rows) are taken whole; anything else
+    (a generator, ragged, nested or wrong-width rows) is checked row by row.
+    The box rule lo <= x <= 1, with lo = -1 on the position part and 0 on
+    the distance part, then runs once over the stacked well-shaped rows; NaN
+    and +-inf fail it.
     """
-    n = spec.total_dim
+    n, r = spec.total_dim, spec.position_dim
     errors: list[tuple[int, str]] = []
-    if isinstance(rows, (list, tuple)):
-        # Ragged, nested or wrong-width rows take the per-row path and its
-        # messages.
-        try:
-            stacked = np.asarray(rows, dtype=float)
-        except (ValueError, TypeError, OverflowError):
-            stacked = None
-        if stacked is not None and stacked.ndim == 2 and stacked.shape[1] == n:
-            rows = stacked
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == n:
-        matrix = np.ascontiguousarray(rows, dtype=float)
+    try:
+        matrix = np.asarray(rows, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        matrix = None
+    if matrix is not None and matrix.ndim == 2 and matrix.shape[1] == n:
+        matrix = np.ascontiguousarray(matrix)
         good = list(range(matrix.shape[0]))
     else:
         shaped = []
@@ -126,17 +125,14 @@ def _validate(rows, spec: ProblemSpec):
                 shaped.append(x)
                 good.append(i)
         matrix = np.stack(shaped) if shaped else np.empty((0, n))
-    r = spec.position_dim
-    bad = ~np.isfinite(matrix)
-    bad[:, :r] |= (matrix[:, :r] < -1.0) | (matrix[:, :r] > 1.0)
-    bad[:, r:] |= (matrix[:, r:] < 0.0) | (matrix[:, r:] > 1.0)
-    rejected = np.flatnonzero(bad.any(axis=1))
+    lo = np.repeat([-1.0, 0.0], [r, n - r])
+    inside = (lo <= matrix) & (matrix <= 1.0)
+    rejected = np.flatnonzero(~inside.all(axis=1))
     if rejected.size == 0:
         return matrix, good, errors
-    for row, col in zip(rejected.tolist(), np.argmax(bad[rejected], axis=1).tolist()):
-        lo, hi = (-1.0, 1.0) if col < r else (0.0, 1.0)
+    for row, col in zip(rejected.tolist(), np.argmin(inside[rejected], axis=1).tolist()):
         errors.append((good[row], f"coordinate {col + 1} is {float(matrix[row, col]):g}, "
-                                  f"outside [{lo:g}, {hi:g}]"))
+                                  f"outside [{lo[col]:g}, 1]"))
     errors.sort()
     keep = np.ones(len(good), dtype=bool)
     keep[rejected] = False

@@ -531,21 +531,26 @@ def perturb_experiment(x, radius: float, samples: int, spec: ProblemSpec,
     the same generator, and the mean is taken once over all displacements,
     so the report does not depend on the block size.
     """
+    _check_perturbation(radius, samples)
     return _perturbed(x, radius, samples, spec, seed)
+
+
+def _check_perturbation(radius: float, samples: int) -> None:
+    """Reject a perturbation radius or sample count before any row is evaluated."""
+    top = float(np.finfo(float).max) / 2
+    if not 0 < radius <= top:
+        raise ValueError(f"perturbation radius must lie in (0, {top!r}], got {radius}")
+    if samples < 1:
+        raise ValueError(f"need at least one perturbation sample, got {samples}")
 
 
 def _perturbed(x, radius: float, samples: int, spec: ProblemSpec, seed: int,
                base: Evaluation | None = None) -> PerturbReport:
     """perturb_experiment around x, whose Evaluation base a caller may pass in.
 
-    The radius and sample count are checked first, then x is evaluated
+    radius and samples have passed _check_perturbation; x is evaluated
     unless base is given.
     """
-    top = float(np.finfo(float).max) / 2
-    if not 0 < radius <= top:
-        raise ValueError(f"perturbation radius must lie in (0, {top!r}], got {radius}")
-    if samples < 1:
-        raise ValueError(f"need at least one perturbation sample, got {samples}")
     if base is None:
         base = evaluate(x, spec)
     x_d = np.asarray(x, dtype=float)[spec.position_dim:]

@@ -29,6 +29,7 @@ whole, because its commas separate vector components, not choices.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -48,6 +49,15 @@ class SpecError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+def _integer(value) -> int | None:
+    """The integer-field rule: operator.index makes Python and numpy integers
+    (and bools) a plain int; floats, text and None give None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def suggested_norm(n_objectives: int) -> float:
     """Front norm suggestion for a given objective count.
 
@@ -55,9 +65,10 @@ def suggested_norm(n_objectives: int) -> float:
     2.0 for three (spherical), 3.0 for eight, and so on.  Chosen so the
     hyper-surface stays close to a simplex-like spread as M grows.
     """
-    if not isinstance(n_objectives, int) or n_objectives < 2:
+    m = _integer(n_objectives)
+    if m is None or m < 2:
         raise SpecError([f"objective count must be an integer >= 2, got {n_objectives!r}"])
-    return float(math.ceil(math.log2(n_objectives)))
+    return float(math.ceil(math.log2(m)))
 
 
 def _fmt(value: float) -> str:
@@ -131,12 +142,14 @@ class ConstraintSpec:
                 errors.append(f"{where}: nearest_axis takes axis_j, not a reference")
             if self.threshold_a is not None or self.threshold_b is not None:
                 errors.append(f"{where}: nearest_axis takes no thresholds")
+            j = _integer(self.axis_j)
             if self.axis_j is None:
                 errors.append(f"{where}: nearest_axis requires axis_j")
-            elif not 1 <= int(self.axis_j) <= n_objectives:
-                errors.append(f"{where}: axis_j must lie in 1..{n_objectives}, got {self.axis_j}")
-            return ConstraintSpec(kind, None, None, None,
-                                  None if self.axis_j is None else int(self.axis_j))
+            elif j is None:
+                errors.append(f"{where}: axis_j must be an integer, got {self.axis_j!r}")
+            elif not 1 <= j <= n_objectives:
+                errors.append(f"{where}: axis_j must lie in 1..{n_objectives}, got {j}")
+            return ConstraintSpec(kind, None, None, None, j)
         if self.axis_j is not None:
             errors.append(f"{where}: axis_j only applies to nearest_axis constraints")
         ref = _resolve_reference(self.reference, n_objectives, where, errors)
@@ -168,8 +181,9 @@ class ProblemSpec:
     length (M-1)*q + t in [-1, 1] and the distance part of length
     distance_vars in [0, 1].  Validation resolves norm_p = "auto", resolves
     axis labels to explicit vectors, and normalizes q = 1, t = 0 to
-    use_meta = False (the two describe the same problem).  All validation
-    diagnostics are collected before raising.
+    use_meta = False (the two describe the same problem).  Integer fields
+    accept any integer type, numpy's included, and are stored as plain ints.
+    All validation diagnostics are collected before raising.
     """
 
     objectives: int
@@ -188,18 +202,23 @@ class ProblemSpec:
 
     def __post_init__(self):
         errors: list[str] = []
-        m, q, t, s = self.objectives, self.meta_q, self.meta_t, self.distance_vars
-        if not isinstance(m, int) or m < 2:
-            errors.append(f"objectives must be an integer >= 2, got {m!r}")
-        if not isinstance(s, int) or s < 1:
-            errors.append(f"distance_vars must be an integer >= 1, got {s!r}")
-        if not isinstance(q, int) or q < 1:
-            errors.append(f"meta_q must be an integer >= 1, got {q!r}")
-        if not isinstance(t, int) or t < 0:
-            errors.append(f"meta_t must be an integer >= 0, got {t!r}")
+
+        def integer(name: str, least: int) -> int | None:
+            raw = getattr(self, name)
+            value = _integer(raw)
+            if value is None or value < least:
+                errors.append(f"{name} must be an integer >= {least}, got {raw!r}")
+                return None
+            object.__setattr__(self, name, value)
+            return value
+
+        m = integer("objectives", 2)
+        integer("distance_vars", 1)
+        q = integer("meta_q", 1)
+        t = integer("meta_t", 0)
 
         use_meta = bool(self.use_meta)
-        if isinstance(q, int) and isinstance(t, int) and q >= 1 and t >= 0:
+        if q is not None and t is not None:
             if (q, t) == (1, 0):
                 use_meta = False
             elif not use_meta:
@@ -217,14 +236,13 @@ class ProblemSpec:
         if self.mixed_landscape not in MIXED_LANDSCAPES:
             errors.append(f"unknown mixed_landscape {self.mixed_landscape!r}; "
                           f"expected one of {', '.join(MIXED_LANDSCAPES)}")
-        if not isinstance(self.valleys_k, int) or self.valleys_k < 1:
-            errors.append(f"valleys_k must be an integer >= 1, got {self.valleys_k!r}")
+        integer("valleys_k", 1)
         object.__setattr__(self, "dissimilar", bool(self.dissimilar))
 
         p = self.norm_p
         if isinstance(p, str):
             if p.strip() == "auto":
-                p = suggested_norm(m) if isinstance(m, int) and m >= 2 else None
+                p = None if m is None else suggested_norm(m)
             else:
                 try:
                     p = float(p)
@@ -238,7 +256,7 @@ class ProblemSpec:
                 p = None
         object.__setattr__(self, "norm_p", p)
 
-        if isinstance(m, int) and m >= 2:
+        if m is not None:
             ref = _resolve_reference(self.distance_reference, m, "distance_reference", errors)
             object.__setattr__(self, "distance_reference", ref)
             resolved = tuple(

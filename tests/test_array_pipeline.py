@@ -2,7 +2,8 @@
 
 Batches mix valid rows with injected bad ones (non-finite values, values one
 ulp outside a box edge, wrong widths, ragged and nested rows) and with rows
-sitting exactly on the box edges, as lists and as arrays.  The vectorized validator must agree with
+sitting exactly on the box edges, as lists and as arrays, and reach the
+evaluator in any container it accepts.  The vectorized validator must agree with
 a plain per-row loop, the packed results must equal the array columns bit
 for bit and the row-wise packer the column-wise one replaced (copied below),
 and single evaluation must reproduce every batch row.
@@ -11,6 +12,7 @@ and single evaluation must reproduce every batch row.
 import copy
 import dataclasses
 import pickle
+from collections import deque
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from gpdbench.evaluator import _evaluations
 
 VALUE_INJECTIONS = ("nan", "inf", "-inf", "below", "above")
 SHAPE_INJECTIONS = ("wide", "narrow", "nested")
+CONTAINERS = ("same", "tuple", "row arrays", "deque", "generator",
+              "fortran", "strided", "int")
 
 
 def reference_row_error(row, spec):
@@ -84,52 +88,89 @@ def specs(draw):
         constraints=tuple(draw(st.lists(constraints(m), max_size=2))))
 
 
+def container(batch, how):
+    """A fresh container holding the rows of batch, built as how says.
+
+    "same" passes the batch itself; the last three ways need an array batch,
+    "int" one whose values are all integers.
+    """
+    if isinstance(batch, np.ndarray):
+        if how == "fortran":
+            return np.asfortranarray(batch)
+        if how == "strided":
+            wide = np.zeros((2 * batch.shape[0], 2 * batch.shape[1]))
+            wide[::2, ::2] = batch
+            return wide[::2, ::2]
+        if how == "int":
+            ints = batch.astype(np.int64)
+            assert np.array_equal(ints, batch)
+            return ints
+    if how == "tuple":
+        return tuple(batch)
+    if how == "row arrays":
+        return tuple(np.asarray(row) for row in batch)
+    if how == "deque":
+        return deque(batch)
+    if how == "generator":
+        return (row for row in batch)
+    return batch
+
+
 @st.composite
 def batches(draw, spec):
-    """A batch as a (B, N) array when it is rectangular and flat, else a list.
+    """A batch, and how to wrap it in the container the evaluator receives.
 
+    The batch is a (B, N) array when it is rectangular and flat, else a list.
     Each row may sit on the box edges, carry up to two bad values and change
     shape; a width shift applied to every row makes a whole batch too wide
-    or too narrow.
+    or too narrow.  The array containers get an array batch with no shape
+    injections; for an integer array every row sits on the box edges and
+    the bad values are whole steps past them.
     """
     n, r = spec.total_dim, spec.position_dim
     lo = np.concatenate([np.full(r, -1.0), np.zeros(spec.distance_vars)])
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shift = draw(st.sampled_from((0, 0, 0, 1, -1)))
+    how = draw(st.sampled_from(CONTAINERS))
+    array_only = how in ("fortran", "strided", "int")
+    bad_values = ("below", "above") if how == "int" else VALUE_INJECTIONS
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         x = rng.uniform(lo, 1.0)
-        if draw(st.integers(0, 3)) == 0:  # exactly on the box: accepted
+        if how == "int" or draw(st.integers(0, 3)) == 0:  # exactly on the box: accepted
             x[:r] = rng.choice([-1.0, 0.0, 1.0], size=r)
             x[r:] = rng.choice([0.0, 1.0], size=n - r)
-        for how in draw(st.lists(st.sampled_from(VALUE_INJECTIONS), max_size=2)):
+        for how_bad in draw(st.lists(st.sampled_from(bad_values), max_size=2)):
             j = draw(st.integers(0, n - 1))
-            if how == "nan":
+            if how_bad == "nan":
                 x[j] = np.nan
-            elif how in ("inf", "-inf"):
-                x[j] = float(how)
-            elif how == "below":
-                x[j] = np.nextafter(lo[j], -np.inf)
+            elif how_bad in ("inf", "-inf"):
+                x[j] = float(how_bad)
+            elif how_bad == "below":
+                x[j] = lo[j] - 1.0 if how == "int" else np.nextafter(lo[j], -np.inf)
             else:
-                x[j] = np.nextafter(1.0, np.inf)
-        how = draw(st.sampled_from((None,) * 6 + SHAPE_INJECTIONS))
-        if how == "wide" or shift == 1:
-            x = np.append(x, 0.5)
-        if how == "narrow" or shift == -1:
+                x[j] = 2.0 if how == "int" else np.nextafter(1.0, np.inf)
+        shape = None if array_only else draw(st.sampled_from((None,) * 6 + SHAPE_INJECTIONS))
+        if shape == "wide" or shift == 1:
+            x = np.append(x, 1.0)
+        if shape == "narrow" or shift == -1:
             x = x[:-1]
-        if how == "nested":
+        if shape == "nested":
             x = x[None, :]
         rows.append(x)
-    if len({x.shape for x in rows}) <= 1 and all(x.ndim == 1 for x in rows) and draw(st.booleans()):
+    if array_only or (len({x.shape for x in rows}) <= 1 and all(x.ndim == 1 for x in rows)
+                      and draw(st.booleans())):
         width = rows[0].shape[0] if rows else n + shift
-        return np.array(rows, dtype=float).reshape(len(rows), width)
-    return [x.tolist() for x in rows]
+        batch = np.array(rows, dtype=float).reshape(len(rows), width)
+    else:
+        batch = [x.tolist() for x in rows]
+    return batch, how
 
 
 @st.composite
 def cases(draw):
     spec = draw(specs())
-    return spec, draw(batches(spec))
+    return (spec, *draw(batches(spec)))
 
 
 def same_bits(column, values):
@@ -141,15 +182,18 @@ def same_bits(column, values):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(cases())
 def test_batch_validation_packing_and_single_row_agree(case):
-    spec, rows = case
+    spec, rows, how = case
     expected = [reference_row_error(row, spec) for row in rows]
     want_errors = [(i, msg) for i, msg in enumerate(expected) if msg is not None]
-    try:
-        results = evaluate_batch(rows, spec)
-        errors = []
-    except BatchError as err:
-        results, errors = err.results, err.row_errors
-    assert errors == want_errors
+    outcomes = []
+    for batch in (rows, container(rows, how)):
+        try:
+            outcomes.append((evaluate_batch(batch, spec), []))
+        except BatchError as err:
+            outcomes.append((err.results, err.row_errors))
+    (results, errors), (received_results, received_errors) = outcomes
+    assert errors == received_errors == want_errors
+    assert repr(received_results) == repr(results)
     assert [ev is None for ev in results] == [msg is not None for msg in expected]
 
     for row, msg, ev in zip(rows, expected, results):
@@ -179,21 +223,25 @@ def test_batch_validation_packing_and_single_row_agree(case):
     assert arrays.nearest_axis_of_point.tolist() == [
         ev.report.nearest_axis_of_point for ev in good]
 
-    if want_errors:
+    for batch in (rows, container(rows, how)):
         try:
-            evaluate_arrays(rows, spec)
+            whole = evaluate_arrays(batch, spec)
         except BatchError as err:
             assert err.row_errors == want_errors
             assert repr(err.results) == repr(results)
         else:
-            raise AssertionError("evaluate_arrays accepted a bad batch")
+            assert not want_errors
+            for field in dataclasses.fields(whole):
+                got, want = getattr(whole, field.name), getattr(arrays, field.name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), field.name
 
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(cases())
 def test_packing_matches_row_wise_packer(case):
-    spec, rows = case
+    spec, rows, _ = case
     try:
         results = evaluate_batch(rows, spec)
         bad = set()

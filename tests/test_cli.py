@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, CSV formats, exit codes."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +358,33 @@ def test_perturb_radius_out_of_range_exits_3(tmp_path, capsys, radius):
     assert err == f"error: perturbation radius must lie in {bound}, got {float(radius)}\n"
 
 
+@pytest.mark.parametrize("radius, samples", [("0", "5"), ("0.1", "0")])
+@pytest.mark.parametrize("data", ["# x1,x2,x3\n", "# x1,x2,x3\n0.3,2,0.5\n"],
+                         ids=["comment-only", "bad-row"])
+def test_perturb_checks_flags_before_any_row(tmp_path, capsys, radius, samples, data):
+    text = "objectives = 2\ndistance_vars = 2\ndistance = robust\n"
+    (tmp_path / "robust.spec").write_text(text)
+    src = tmp_path / "pts.csv"
+    src.write_text(data)
+    with pytest.raises(ValueError) as library:
+        gpdbench.perturb_experiment([0.3, 0.2, 0.2], float(radius), int(samples),
+                                    parse_spec(text))
+    code, out, err = run(["perturb", "--spec", str(tmp_path / "robust.spec"),
+                          "--in", str(src), "--radius", radius, "--samples", samples],
+                         capsys)
+    assert (code, out, err) == (3, "", f"error: {library.value}\n")
+
+
+def test_perturb_of_a_comment_only_file_prints_the_header(tmp_path, capsys):
+    spec = tmp_path / "robust.spec"
+    spec.write_text("objectives = 2\ndistance_vars = 2\ndistance = robust\n")
+    src = tmp_path / "pts.csv"
+    src.write_text("# x1,x2,x3\n")
+    code, out, err = run(["perturb", "--spec", str(spec), "--in", str(src),
+                          "--radius", "0.1", "--samples", "5"], capsys)
+    assert (code, out, err) == (0, "# worst,mean\n", "")
+
+
 def test_search_deterministic(tmp_path, capsys, m2):
     outs = []
     for name in ("a.csv", "b.csv"):
@@ -408,17 +437,20 @@ def test_negative_seed_is_a_usage_error(command, tmp_path, capsys, m2):
     assert not any(p.name in ("suite", "a.csv") for p in tmp_path.iterdir())
 
 
-def console_script_target(pyproject_text):
-    """The [project.scripts] entry for gpdbench, as 'module:function'."""
+def pyproject_entry(pyproject_text, table, key):
+    """The string value of key in pyproject's [table], e.g. table 'project.scripts'."""
     if sys.version_info >= (3, 11):
         import tomllib
-        return tomllib.loads(pyproject_text)["project"]["scripts"]["gpdbench"]
+        value = tomllib.loads(pyproject_text)
+        for name in table.split("."):
+            value = value[name]
+        return value[key]
     section = None  # Python 3.10 has no tomllib: read the one line
     for line in pyproject_text.splitlines():
         line = line.strip()
         if line.startswith("["):
             section = line
-        elif section == "[project.scripts]" and line.partition("=")[0].strip() == "gpdbench":
+        elif section == f"[{table}]" and line.partition("=")[0].strip() == key:
             return line.partition("=")[2].strip().strip('"')
     return None
 
@@ -433,13 +465,28 @@ def package_env():
 
 def test_console_script_is_wired(tmp_path):
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    assert console_script_target(pyproject.read_text()) == "gpdbench.cli:main"
+    assert pyproject_entry(pyproject.read_text(), "project.scripts",
+                           "gpdbench") == "gpdbench.cli:main"
     p = tmp_path / "m2.spec"
     p.write_text(M2_SPEC)
     proc = subprocess.run([sys.executable, "-m", "gpdbench", "new", "--spec", str(p)],
                           capture_output=True, text=True, env=package_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "# N = 2" in proc.stdout
+
+
+def test_library_parses_under_the_declared_python_floor():
+    # Tier-1 runs on a newer Python than requires-python promises; parsing
+    # with the floor's grammar catches newer syntax such as except*.
+    root = Path(__file__).resolve().parents[1]
+    floor = pyproject_entry((root / "pyproject.toml").read_text(), "project",
+                            "requires-python")
+    major, minor = re.fullmatch(r">=\s*(\d+)\.(\d+)", floor).groups()
+    sources = sorted((root / "src" / "gpdbench").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(int(major), int(minor)))
 
 
 def test_import_loads_no_scipy():

@@ -359,11 +359,38 @@ def test_generate_suite_diagnostics(count, ranges, errors):
     (dict(norm_p="wide"), ["norm_p must be a positive real or 'auto', got 'wide'"]),
     (dict(norm_p=float("inf")), ["norm_p must be positive and finite, got inf"]),
     (dict(norm_p="nan"), ["norm_p must be positive and finite, got nan"]),
+    (dict(objectives=3.0), ["objectives must be an integer >= 2, got 3.0"]),
+    (dict(distance_vars="2"), ["distance_vars must be an integer >= 1, got '2'"]),
 ])
 def test_problem_spec_diagnostics(fields, errors):
     with pytest.raises(SpecError) as exc:
         make(**fields)
     assert exc.value.errors == errors
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_fields_make_the_int_built_spec(kind):
+    def built(n):
+        return make(objectives=n(5), distance_vars=n(3), meta_q=n(4), meta_t=n(1),
+                    valleys_k=n(2), distance_kind="deceptive",
+                    constraints=(ConstraintSpec(kind="nearest_axis", axis_j=n(2)),))
+
+    got, want = built(kind), built(int)
+    assert got == want and hash(got) == hash(want)
+    assert render_spec(got) == render_spec(want)
+    for value in (got.objectives, got.distance_vars, got.meta_q, got.meta_t,
+                  got.valleys_k, got.constraints[0].axis_j):
+        assert type(value) is int
+
+
+def test_numpy_choice_arrays_draw_the_suite_of_int_lists():
+    ints = {"objectives": [2, 3, 4, 5], "distance_vars": [3], "meta_q": [1, 4, 6],
+            "meta_t": [0, 1], "valleys_k": [1, 2]}
+    arrays = {key: np.array(values) for key, values in ints.items()}
+    arrays["objectives"] = np.arange(2, 6)
+    got, want = generate_suite(0, 8, arrays), generate_suite(0, 8, ints)
+    assert got == want
+    assert [render_spec(s) for s in got] == [render_spec(s) for s in want]
 
 
 @pytest.mark.parametrize("reference, message", [
@@ -393,6 +420,8 @@ def test_resolve_reference_diagnostics(reference, message):
      "threshold_b must lie strictly inside (0, 1), got 1.5"),
     (dict(kind="max_angle", reference="e1", threshold_a=0.2, threshold_b=0.5),
      "threshold_b only applies to band constraints"),
+    (dict(kind="nearest_axis", axis_j=2.7), "axis_j must be an integer, got 2.7"),
+    (dict(kind="nearest_axis", axis_j="x"), "axis_j must be an integer, got 'x'"),
 ])
 def test_constraint_spec_diagnostics(fields, message):
     with pytest.raises(SpecError) as exc:

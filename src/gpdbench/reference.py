@@ -126,7 +126,8 @@ _SCREEN_DIMS = 6  # igd screens candidates with a matrix product from here up
 _SCREEN_CAP = 16  # screened candidates per reference row before a block is recomputed
 _SCREEN_NORM_MAX = np.finfo(float).max / 8  # larger squared norms skip the screen
 _SWEEP_ROWS = 64  # fewest reference rows per block of igd's sorted sweep
-_SWEEP_SEED = 4  # approximations either side of a sweep block that seed its bounds
+_SWEEP_SEED = 4  # approximations either side of an igd row or sweep block that seed its bound
+_SWEEP_WIDE = 0.25  # share of a past which an open igd row skips the sweep
 _PERTURB_BLOCK = 1 << 16  # sample entries held at a time by perturb_experiment
 
 
@@ -328,39 +329,94 @@ def _window_minima(rb, r0, a_cols, lo, hi, near, buf, screen):
         np.minimum(near, acc.min(axis=axis), out=near)
 
 
-def _nearest(r, a):
-    """Squared nearest distances of the rows of r; see igd for the decisions."""
-    m = r.shape[1]
-    prune = m < _SCREEN_DIMS and np.isfinite(a).all() and np.isfinite(r).all()
-    screen = _screen_terms(r, a) if m >= _SCREEN_DIMS else None
-    if prune:
-        order = np.argsort(r[:, 0], kind="stable")
-        r, a = r[order], a[np.argsort(a[:, 0], kind="stable")]
-        pos = np.searchsorted(a[:, 0], r[:, 0])
-        rows = max(_SWEEP_ROWS, _IGD_BLOCK // a.shape[0])
-    else:
-        # Blocks this short see all of a in one chunk, which one screen settles.
-        rows = max(1, _IGD_BLOCK // a.shape[0])
-    r_cols, a_cols = r.T.copy(), a.T.copy()
+def _seed_minima(r_cols, a_cols, nearest, buf):
+    """Fill nearest from each row's seed window; return the windows' (lo, hi).
+
+    A row's seed window is the 2 * _SWEEP_SEED approximations around its
+    position in a_cols, which is sorted on coordinate 0, shifted to stay
+    inside a_cols (all of them when there are fewer).  Rows go in chunks
+    that gather at most one buffer of approximation coordinates.
+    """
+    m, n = a_cols.shape
+    k = min(2 * _SWEEP_SEED, n)
+    lo = np.searchsorted(a_cols[0], r_cols[0]) - _SWEEP_SEED
+    np.clip(lo, 0, n - k, out=lo)
+    total, term, _ = buf
+    step = max(1, total.size // (k * m))
+    for r0 in range(0, lo.size, step):
+        cols = np.arange(k)[:, None] + lo[r0:r0 + step]
+        acc = _squared_distances(r_cols[:, None, r0:r0 + step], np.take(a_cols, cols, axis=1),
+                                 total[:cols.size].reshape(cols.shape),
+                                 term[:cols.size].reshape(cols.shape))
+        acc.min(axis=0, out=nearest[r0:r0 + step])
+    return lo, lo + k
+
+
+def _swept_minima(r_cols, a_cols, near, buf):
+    """Lower near to the row minima of r_cols, sorted on coordinate 0, by the sweep.
+
+    Returns the rows it leaves open: those whose reach, after their block's
+    seed window, spans more than a share _SWEEP_WIDE of a.
+    """
     x = a_cols[0]
-    total = np.empty(rows * max(1, _IGD_BLOCK // rows))
-    buf = total, np.empty_like(total), np.empty(total.shape, dtype=bool)
-    nearest = np.full(r.shape[0], np.inf)
-    for r0 in range(0, r.shape[0], rows):
-        near = nearest[r0:r0 + rows]
+    pos = np.searchsorted(x, r_cols[0])
+    rows = max(_SWEEP_ROWS, _IGD_BLOCK // x.size)
+    wide = np.zeros(near.size, dtype=bool)
+    for r0 in range(0, near.size, rows):
+        nb = near[r0:r0 + rows]
         rb = r_cols[:, r0:r0 + rows]
-        if not prune:
-            _window_minima(rb, r0, a_cols, 0, x.size, near, buf, screen)
-            continue
         lo = max(0, pos[r0] - _SWEEP_SEED)
         hi = min(x.size, pos[r0 + rb.shape[1] - 1] + _SWEEP_SEED)
-        _window_minima(rb, r0, a_cols, lo, hi, near, buf, screen)
-        reach = np.sqrt(near) * (1 + 2.0 ** -40)
-        left = np.searchsorted(x, (rb[0] - reach).min())
-        right = np.searchsorted(x, (rb[0] + reach).max(), side="right")
-        _window_minima(rb, r0, a_cols, left, lo, near, buf, screen)
-        _window_minima(rb, r0, a_cols, hi, right, near, buf, screen)
-    if prune:  # the mean sums pairwise, so it must see the rows in input order
+        _window_minima(rb, r0, a_cols, lo, hi, nb, buf, None)
+        reach = np.sqrt(nb) * (1 + 2.0 ** -40)
+        left = np.searchsorted(x, rb[0] - reach)
+        right = np.searchsorted(x, rb[0] + reach, side="right")
+        narrow = right - left <= _SWEEP_WIDE * x.size
+        wide[r0:r0 + rows] = ~narrow
+        # Wide rows leave the block; without any, rows and bounds stay views.
+        keep = slice(None) if narrow.all() else narrow
+        rn, nn = rb[:, keep], nb[keep]
+        if nn.size:
+            _window_minima(rn, r0, a_cols, left[keep].min(), lo, nn, buf, None)
+            _window_minima(rn, r0, a_cols, hi, right[keep].max(), nn, buf, None)
+            nb[keep] = nn
+    return np.flatnonzero(wide)
+
+
+def _nearest(r, a):
+    """Squared nearest distances of the rows of r; see igd for the decisions."""
+    finite = np.isfinite(a).all() and np.isfinite(r).all()
+    if finite:
+        order = np.argsort(r[:, 0])
+        r, a = r[order], a[np.argsort(a[:, 0])]
+    r_cols, a_cols = r.T.copy(), a.T.copy()
+    total = np.empty(_IGD_BLOCK)
+    buf = total, np.empty_like(total), np.empty(total.shape, dtype=bool)
+    nearest = np.full(r.shape[0], np.inf)
+    plain = np.arange(r.shape[0])
+    if finite:
+        lo, hi = _seed_minima(r_cols, a_cols, nearest, buf)
+        # A row stays open unless the approximations just outside its seed
+        # window lie beyond its reach.
+        reach = np.sqrt(nearest) * (1 + 2.0 ** -40)
+        x = np.concatenate(([-np.inf], a_cols[0], [np.inf]))
+        plain = np.flatnonzero((x[lo] >= r_cols[0] - reach) | (x[hi + 1] <= r_cols[0] + reach))
+        if r.shape[1] < _SCREEN_DIMS and plain.size:
+            near = nearest[plain]
+            wide = _swept_minima(r_cols[:, plain], a_cols, near, buf)
+            nearest[plain] = near
+            plain = plain[wide]
+    if plain.size:
+        # Blocks this short see all of a in one chunk, which one screen settles.
+        screen = _screen_terms(r[plain], a)
+        rows = max(1, _IGD_BLOCK // a.shape[0])
+        near = nearest[plain]
+        pc = r_cols[:, plain]
+        for r0 in range(0, plain.size, rows):
+            _window_minima(pc[:, r0:r0 + rows], r0, a_cols, 0, a.shape[0],
+                           near[r0:r0 + rows], buf, screen)
+        nearest[plain] = near
+    if finite:  # the mean sums pairwise, so it must see the rows in input order
         nearest[order] = nearest.copy()
     return nearest
 
@@ -376,40 +432,49 @@ def igd(approximation, reference) -> float:
     time, in cdist's order, and the square root is taken after the minimum;
     being monotone and correctly rounded, it commutes with the minimum.
 
-    One loop hands each block of reference rows one or more windows of
-    approximation columns, settled in chunks of at most 65536 distance
-    entries (two float blocks and one bool block, about 1.1 MB), so memory
-    stays O(r + a).  Two decisions, made once per call, only pick which
-    pairs are skipped; every pair computed at all is computed in full.
-    Prune (below six objectives, finite inputs) takes the windows from the
-    sorted sweep below; screen (from six up, finite inputs) offers each
-    chunk to the BLAS screen below first.  Otherwise a block of
-    max(1, 65536 // a) rows gets all of a as one window, so one screened
-    chunk covers it.
+    Up to three steps settle the reference rows; each only picks which
+    pairs are skipped, and every pair computed at all is computed in full,
+    in chunks of at most 65536 distance entries (two float blocks and one
+    bool block, about 1.1 MB), so memory stays O(r + a).  With finite
+    inputs, both sets are sorted by coordinate 0 and every row first meets
+    its own seed window; the rows left open go on to the sorted sweep below
+    six objectives and to the plain blocks from six up.  A NaN or infinite
+    input sends every row to the plain blocks.
 
-    Below six objectives, with finite inputs, a sorted sweep on coordinate
-    0 (Friedman, Baskett and Shustek, IEEE Trans. Comput. C-24(10), 1975)
-    skips the pairs that cannot be a row minimum.  Both sets are sorted by
-    coordinate 0.  Each block of max(64, 65536 // a) consecutive reference
-    rows first meets a seed window of approximations around its position,
-    four either side, which gives each row an upper bound b_i on its
-    computed minimum.  The window is then widened on either side to every
-    x_j within R_i = sqrt(b_i) (1 + 2^-40) of some row's y_i, and only the
-    added pairs are computed.  Why it is exact: the computed distance adds
-    nonnegative rounded terms to its first one, and rounded addition is
-    monotone, so d_ij >= fl(fl(y_i - x_j)^2).  A skipped x_j lies below
-    fl(y_i - R_i) or above fl(y_i + R_i); since x_j is a double and rounding
-    is monotone, |y_i - x_j| > R_i exactly, so |fl(y_i - x_j)| >= R_i and
-    d_ij >= fl(R_i^2).  The margin keeps the computed R_i above sqrt(b_i)
-    through the roundings of the square root and the product, so R_i^2 >
-    b_i and, rounding being monotone into the subnormal range too,
-    fl(R_i^2) >= b_i.  So no skipped pair is below b_i, and every row
-    minimum is unchanged.  The minima are put back in input order before
-    the mean, whose pairwise summation is order-sensitive.
-    On fronts this computes a few percent of the r * a pairs; when the
-    windows span all of a, it costs the plain blocks plus the seed.
+    Seeds.  A reference row's seed window is the eight approximations around
+    its position on coordinate 0, shifted to stay inside a (all of a when
+    there are fewer).  Its computed minimum there is an upper bound b_i on
+    its computed row minimum, and its reach is every x_j within
+    R_i = sqrt(b_i) (1 + 2^-40) of y_i.  A row whose reach lies inside its
+    seed window is settled: b_i is its minimum.  Why it is exact: the
+    computed distance adds nonnegative rounded terms to its first one, and
+    rounded addition is monotone, so d_ij >= fl(fl(y_i - x_j)^2).  An x_j
+    outside the reach lies below fl(y_i - R_i) or above fl(y_i + R_i);
+    since x_j is a double and rounding is monotone, |y_i - x_j| > R_i
+    exactly, so |fl(y_i - x_j)| >= R_i and d_ij >= fl(R_i^2).  The margin
+    keeps the computed R_i above sqrt(b_i) through the roundings of the
+    square root and the product, so R_i^2 > b_i and, rounding being
+    monotone into the subnormal range too, fl(R_i^2) >= b_i.  So no skipped
+    pair is below b_i.  The seed pass takes 8 M coordinate differences per
+    row and gathers at most 65536 coordinates at a time.  Beside a front,
+    where an approximation sits next to most rows, it settles most of them.
 
-    From six objectives up a BLAS screen picks the candidates first.  One
+    Sweep (Friedman, Baskett and Shustek, IEEE Trans. Comput. C-24(10),
+    1975).  The open rows, still sorted, go in blocks of max(64, 65536 // a).
+    Each block meets a shared window, from four approximations before its
+    first row's position to four after its last, which lowers every b_i.
+    By the argument above a row then needs only the x_j within its new
+    reach, and the block computes the union of those windows.  A row whose
+    reach spans more than a quarter of a goes on to the plain blocks
+    instead.  On fronts the seeds and the sweep compute a few percent of the
+    r * a pairs.
+
+    Plain blocks of max(1, 65536 // a) rows each meet all of a as one chunk,
+    which the BLAS screen below settles where it applies.  The minima are
+    put back in input order before the mean, whose pairwise summation is
+    order-sensitive.
+
+    In the plain blocks a BLAS screen picks the candidates first.  One
     matrix product per block gives s_ij = |a_j|^2 - 2 r_i.a_j, which is
     |r_i - a_j|^2 - |r_i|^2 and so orders the j like the distance does.
     Why it keeps the cdist minimum: let N_i = |r_i|^2 + max_j |a_j|^2 and u
@@ -426,10 +491,10 @@ def igd(approximation, reference) -> float:
     for the higher-order terms.  Only the kept pairs are recomputed, in
     cdist order, so every row minimum is unchanged.
 
-    Fallbacks take the plain blocks, O(r * a * M) time: any NaN or infinite
-    input below six objectives; from six up, any NaN or infinite input or
-    a squared norm near overflow, for the whole call, and any block keeping
-    more than 16 candidates per reference row (near-ties).
+    Fallbacks compute every pair of a plain block, O(rows * a * M) time:
+    any NaN or infinite input, for the whole call; a squared norm near
+    overflow, for the rows the seeds and the sweep leave open; and any block
+    keeping more than 16 candidates per reference row (near-ties).
     """
     a = np.asarray(getattr(approximation, "points", approximation), dtype=float)
     r = np.asarray(getattr(reference, "points", reference), dtype=float)

@@ -29,7 +29,7 @@ import gpdbench.reference
 from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
                       front_sample, igd, meta_variables, pareto_set_sample,
                       perturb_experiment, realize_position)
-from gpdbench.reference import _SCREEN_DIMS, _halton
+from gpdbench.reference import _SCREEN_DIMS, _SWEEP_SEED, _halton
 
 
 def all_pairs_nondominated(pts):
@@ -315,30 +315,36 @@ def front_like(rng, m, n):
 
 @contextmanager
 def igd_paths():
-    """Per igd call inside the block, "swept" if it pruned on coordinate 0.
+    """Per igd call inside the block, the last step that any of its rows reached.
 
-    A pruned call hands the settle helper a window narrower than all of a
-    for every block (the seed, or the left window it ends); an unpruned call
-    hands it all of a every time, and is "blocked".
+    "blocked": no seed pass; every row met all of a (a NaN or infinite input).
+    "settled": every row was settled by its own seed window.
+    "swept": the rows left open were all finished by the sorted sweep.
+    "full": some rows left open met all of a in one chunk, screened where
+    the screen allows it (wide rows below _SCREEN_DIMS, every open row from
+    there up).
     """
-    paths, windows = [], []
+    paths, steps = [], set()
     real_nearest = gpdbench.reference._nearest
-    real_window = gpdbench.reference._window_minima
 
     def nearest(r, a):
-        windows.clear()
+        steps.clear()
         out = real_nearest(r, a)
-        full = all(w == (0, a.shape[0]) for w in windows)
-        paths.append("blocked" if full else "swept")
+        paths.append("blocked" if "seed" not in steps else "full" if "full" in steps
+                     else "swept" if "sweep" in steps else "settled")
         return out
 
-    def window(rb, r0, a_cols, lo, hi, *rest):
-        windows.append((lo, hi))
-        return real_window(rb, r0, a_cols, lo, hi, *rest)
+    def spy(step, real):
+        def run(*args):
+            steps.add(step)
+            return real(*args)
+        return run
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gpdbench.reference, "_nearest", nearest)
-        mp.setattr(gpdbench.reference, "_window_minima", window)
+        for step, name in (("seed", "_seed_minima"), ("sweep", "_swept_minima"),
+                           ("full", "_screen_terms")):
+            mp.setattr(gpdbench.reference, name, spy(step, getattr(gpdbench.reference, name)))
         yield paths
 
 
@@ -347,7 +353,8 @@ def igd_paths():
        noise=st.sampled_from((0.0, 1e-9, 1e-3, 0.1)), block=st.sampled_from((None, 1000)),
        scale=st.sampled_from((1e-150, 1.0, 1e150)), seed=st.integers(0, 2**32 - 1))
 def test_swept_igd_on_fronts_equals_cdist(m, n_a, n_r, noise, block, scale, seed):
-    # Approximations on or near the reference front, so the windows prune.
+    # Approximations on or near the reference front, so the seeds settle most
+    # rows and the windows prune the rest.
     rng = np.random.default_rng(seed)
     r = front_like(rng, m, n_r) * scale
     a = front_like(rng, m, n_a)
@@ -356,7 +363,7 @@ def test_swept_igd_on_fronts_equals_cdist(m, n_a, n_r, noise, block, scale, seed
         if block is not None:  # windows then span several blocks
             mp.setattr(gpdbench.reference, "_IGD_BLOCK", block)
         assert_same_igd(a, r)
-    assert paths == ["swept"]
+    assert paths != ["blocked"]  # finite inputs always start from their seeds
 
 
 @pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
@@ -372,21 +379,36 @@ def test_swept_igd_with_ties_on_the_sort_coordinate(m):
     a = np.repeat(a, 3, axis=0)
     r = np.concatenate([r, r[:100], a[::5]])
     assert_same_igd(a, r)
+    # About 50 approximations share each first coordinate, many more than a
+    # seed window holds, and each reference row sits 1e-6 from one of them.
+    a = rng.uniform(size=(1000, m))
+    a[:, 0] = np.round(a[:, 0] * 20) / 20
+    r = a[rng.choice(1000, 300, replace=False)]
+    r[:, 1:] += rng.normal(size=(300, m - 1)) * 1e-6
+    with igd_paths() as paths:
+        assert_same_igd(a, r)
+    assert paths in (["swept"], ["full"])
 
 
 @pytest.mark.parametrize("m", range(2, _SCREEN_DIMS))
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_swept_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
-    # The seed window (the first four approximations in coordinate 0) bounds
-    # the distance of the origin by 1.  The nearest point lies beyond it, at
-    # a coordinate-0 offset within 2^-30 of that bound.
-    a = np.zeros((6, m))
-    a[:, 0] = sign * np.array([0.0, 0.1, 0.2, 0.3, 0.4, 1.0 - 2.0 ** -30])
-    a[:5, 1] = [1.0, 5.0, 5.0, 5.0, 5.0]
-    a[5, 1] = 2.0 ** -20
+    # The origin's seed window, the 2 * _SWEEP_SEED approximations next to it
+    # in coordinate 0, bounds its distance by 1.  The nearest point lies just
+    # past the window, at a coordinate-0 offset within 2^-30 of that bound;
+    # far points keep the reach narrow, so the sweep must find it.
+    k = 2 * _SWEEP_SEED
+    a = np.zeros((k + 101, m))
+    a[:k, 0] = sign * np.linspace(0.0, 0.5, k)
+    a[:k, 1] = 1.0 + np.arange(k)
+    a[k, 0] = sign * (1.0 - 2.0 ** -30)
+    a[k, 1] = 2.0 ** -20
+    a[k + 1:, 0] = sign * np.linspace(10.0, 20.0, 100)
     r = np.zeros((1, m))
-    assert_same_igd(a, r)
+    with igd_paths() as paths:
+        assert_same_igd(a, r)
     assert igd(a, r) < 1.0
+    assert paths == ["swept"]
 
 
 @pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
@@ -410,7 +432,12 @@ def test_swept_igd_at_extreme_scales(m, scale):
     a[50:100] = r[50:100] + 1e-9
     with np.errstate(over="ignore"), igd_paths() as paths:
         assert_same_igd(a * scale, r * scale)
-    assert paths == ["swept"]
+    if scale == 1e160:  # unmatched rows keep an infinite bound, so they reach all of a
+        assert paths == ["full"]
+    elif scale == 1e-170 or m == 1:  # every square is 0, or the seed holds both neighbours
+        assert paths == ["settled"]
+    else:
+        assert paths != ["blocked"]
 
 
 @pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
@@ -449,6 +476,46 @@ def test_swept_igd_computes_few_pairs_on_reference_fronts(monkeypatch):
         igd(objs, front)
         share = sum(entries) / (front.shape[0] * objs.shape[0])
         assert share <= 0.15, (spec.objectives, spec.distance_kind, share)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+@pytest.mark.parametrize("scale", (1e-150, 1.0, 1e150))
+def test_igd_settles_every_row_beside_its_approximation(m, scale):
+    # Half the reference rows coincide with an approximation, half sit 1e-12
+    # from one: each row's own seed window holds it and bounds its reach.
+    rng = np.random.default_rng(30 + m)
+    r = front_like(rng, m, 300)
+    a = r.copy()
+    a[150:] += rng.normal(size=(150, m)) * 1e-12
+    a = a[rng.permutation(300)]
+    with igd_paths() as paths:
+        assert_same_igd(a * scale, r * scale)
+    assert paths == ["settled"]
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 5, 6, 10))
+def test_igd_with_fewer_approximations_than_a_seed_window(m):
+    # The seed window is then all of a, so every row settles at once.
+    rng = np.random.default_rng(40 + m)
+    r = rng.normal(size=(50, m))
+    with igd_paths() as paths:
+        for n in range(1, 2 * _SWEEP_SEED):
+            assert_same_igd(rng.normal(size=(n, m)), r)
+    assert paths == ["settled"] * (2 * _SWEEP_SEED - 1)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_swept_igd_finishes_rows_left_open_beside_their_approximations(m):
+    # Each reference row has an approximation within about 1e-3, which its
+    # seed window misses for some rows; their block's seed bounds them, so
+    # the sweep finishes every open row without the plain blocks.  (At five
+    # objectives a few of these rows reach wide and go on to the screen.)
+    rng = np.random.default_rng(m)
+    r = front_like(rng, m, 500)
+    a = np.concatenate([r + rng.normal(size=r.shape) * 1e-3, front_like(rng, m, 1500)])
+    with igd_paths() as paths:
+        assert_same_igd(a, r)
+    assert paths == ["swept"]
 
 
 @pytest.fixture
@@ -521,7 +588,9 @@ def test_screened_igd_with_duplicated_rows(m, screened, monkeypatch):
 
 def test_igd_below_the_screen_sweeps_ties_and_duplicated_rows(screened):
     # One objective below the screen the sweep prunes instead.  The origin
-    # is equally far from every +-e_k, and front rows repeat in a and r.
+    # is equally far from every +-e_k, and front rows repeat in a and r.  Rows
+    # whose reach spans more than _SWEEP_WIDE of a, the origin among them,
+    # go on to the screen, which must keep the ties too.
     m = _SCREEN_DIMS - 1
     rng = np.random.default_rng(m)
     front = front_like(rng, m, 1200)
@@ -529,7 +598,7 @@ def test_igd_below_the_screen_sweeps_ties_and_duplicated_rows(screened):
     r = np.concatenate([np.zeros((1, m)), front[::7], front[400:]])
     with igd_paths() as paths:
         assert_same_igd(a, r)
-    assert paths == ["swept"] and screened == []
+    assert paths == ["full"] and screened
 
 
 @pytest.mark.parametrize("scale, screens", [(1e-150, True), (1e-160, True), (1e150, True),
@@ -552,21 +621,29 @@ def test_non_finite_igd_takes_the_blocked_path(value, side, screened):
     rng = np.random.default_rng(11)
     a, r = rng.uniform(size=(300, 7)), rng.uniform(size=(200, 7))
     (a if side == "a" else r)[17, 3] = value
-    assert_same_igd(a, r)
-    assert screened == []
+    with igd_paths() as paths:
+        assert_same_igd(a, r)
+    assert paths == ["blocked"] and screened == []
 
 
 def test_screened_igd_blocks_see_all_approximations_at_once(monkeypatch):
-    # Each block of reference rows is one screened chunk spanning all of a.
-    # Narrower blocks give the same result, about 14% slower at this shape.
-    blocks = []
+    # Each block of the reference rows left open by their seeds is one
+    # screened chunk spanning all of a.  Narrower blocks give the same
+    # result, about 14% slower at this shape.
+    blocks, opened = [], []
     real = gpdbench.reference._screened_block
+    real_terms = gpdbench.reference._screen_terms
 
     def spy(screen, r0, a0, rb, ab, *rest):
         blocks.append((r0, a0, rb.shape[1], ab.shape[1]))
         return real(screen, r0, a0, rb, ab, *rest)
 
+    def terms(r, a):
+        opened.append(r.shape[0])
+        return real_terms(r, a)
+
     monkeypatch.setattr(gpdbench.reference, "_screened_block", spy)
+    monkeypatch.setattr(gpdbench.reference, "_screen_terms", terms)
     rng = np.random.default_rng(19)
     r = np.abs(rng.normal(size=(3375, 10)))
     a = r[:2000] + rng.normal(size=(2000, 10)) * 0.01
@@ -574,7 +651,10 @@ def test_screened_igd_blocks_see_all_approximations_at_once(monkeypatch):
     assert blocks and all(a0 == 0 and cols == 2000 for _, a0, _, cols in blocks)
     starts = [r0 for r0, *_ in blocks]
     assert starts == sorted(set(starts))  # one screened chunk per row block
-    assert sum(rows for _, _, rows, _ in blocks) == 3375
+    # The 1375 rows without a close approximation stay open, and every open
+    # row meets exactly one screened chunk.
+    assert len(opened) == 1 and 1375 <= opened[0] < 3375
+    assert sum(rows for _, _, rows, _ in blocks) == opened[0]
 
 
 def test_igd_does_not_depend_on_the_blas_thread_count():

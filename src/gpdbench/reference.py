@@ -159,18 +159,24 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     least f3 of all earlier rows with f2 no larger.  A kept row replaces the
     entries it covers, one slice of the lists.
 
-    From four objectives up, points are tested in sorted order against the
-    nondominated archive built so far; by transitivity a dominated dominator
-    is always covered by whichever archive point dominates it.  Each
-    objective column is first replaced by its dense rank among the distinct
-    rows, in the smallest unsigned type that holds the largest rank.  Ranks
-    keep every <= between non-NaN doubles, infinities and -0.0 == 0.0
-    included, so the answer is unchanged, and the comparisons read 1, 2 or
-    4 bytes a value instead of 8.  Each chunk of candidates needs a single
+    From four objectives up, the rows are ranked before they are sorted.
+    One argsort per objective gives each row its dense rank in that column:
+    a running count of the value changes along the sorted column, so
+    -0.0 == 0.0 and the infinities keep their order.  The ranks, one row
+    per objective in the smallest unsigned type that holds the largest,
+    keep every <= between the non-NaN doubles, so the answer is unchanged.
+    A lexsort of the integer ranks gives the sweep order, and adjacent
+    equal rank columns mark the duplicates.  The distinct points are then
+    tested in that order against the nondominated archive built so far; by
+    transitivity a dominated dominator is always covered by whichever
+    archive point dominates it.  Each chunk of candidates needs a single
     boolean block against archive + chunk, ANDed in place one objective at
-    a time, with each candidate's pairing with itself masked out.  The
-    answer equals the all-pairs filter's; the work is candidates times
-    archive size times M comparisons, in blocks of at most 512 rows.
+    a time, reading 1, 2 or 4 bytes a value instead of 8, with each
+    candidate's pairing with itself masked out.  The answer equals the
+    all-pairs filter's; the work is candidates times archive size times M
+    comparisons, in blocks of at most 512 rows.  Two and three objectives
+    keep their float sort: their calls are small, and ranking first made
+    them slower.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -180,6 +186,23 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     if n == 0 or m == 0:  # without objectives all rows are equal
         return keep
     rows = np.flatnonzero(~np.isnan(pts).any(axis=1))
+    if m > 3:
+        ranks = np.empty((m, rows.size), dtype=np.min_scalar_type(rows.size - 1))
+        rank = np.zeros(rows.size, dtype=ranks.dtype)  # rank[0] stays 0
+        for j in range(m):
+            col = pts[rows, j]
+            by_value = np.argsort(col)
+            col = col[by_value]
+            np.not_equal(col[1:], col[:-1], out=rank[1:])
+            ranks[j, by_value] = np.cumsum(rank, out=rank)
+        order = np.lexsort(ranks[::-1])
+        # take and compress keep one row per objective contiguous.
+        ranks = np.take(ranks, order, axis=1)
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = np.any(ranks[:, 1:] != ranks[:, :-1], axis=0)
+        alive = _archive_sweep(np.compress(first, ranks, axis=1))
+        keep[rows[order]] = alive[np.cumsum(first) - 1]
+        return keep
     order = rows[np.lexsort(pts[rows].T[::-1])]
     sorted_pts = pts[order]
     first = np.ones(order.size, dtype=bool)
@@ -188,12 +211,8 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     if m == 2:
         alive = np.ones(distinct.shape[1], dtype=bool)
         alive[1:] = distinct[1, 1:] < np.minimum.accumulate(distinct[1])[:-1]
-    elif m == 3:
-        alive = _staircase(distinct[1], distinct[2])
     else:
-        dtype = np.min_scalar_type(distinct.shape[1] - 1)
-        alive = _archive_sweep(np.array(
-            [np.unique(col, return_inverse=True)[1] for col in distinct], dtype=dtype))
+        alive = _staircase(distinct[1], distinct[2])
     keep[order] = alive[np.cumsum(first) - 1]
     return keep
 
@@ -396,11 +415,13 @@ def _nearest(r, a):
     plain = np.arange(r.shape[0])
     if finite:
         lo, hi = _seed_minima(r_cols, a_cols, nearest, buf)
-        # A row stays open unless the approximations just outside its seed
-        # window lie beyond its reach.
+        # A row stays open unless its bound is 0, below which no squared
+        # distance lies, or the approximations just outside its seed window
+        # lie beyond its reach.
         reach = np.sqrt(nearest) * (1 + 2.0 ** -40)
         x = np.concatenate(([-np.inf], a_cols[0], [np.inf]))
-        plain = np.flatnonzero((x[lo] >= r_cols[0] - reach) | (x[hi + 1] <= r_cols[0] + reach))
+        plain = np.flatnonzero((nearest > 0) & ((x[lo] >= r_cols[0] - reach)
+                                                | (x[hi + 1] <= r_cols[0] + reach)))
         if r.shape[1] < _SCREEN_DIMS and plain.size:
             near = nearest[plain]
             wide = _swept_minima(r_cols[:, plain], a_cols, near, buf)
@@ -446,7 +467,9 @@ def igd(approximation, reference) -> float:
     there are fewer).  Its computed minimum there is an upper bound b_i on
     its computed row minimum, and its reach is every x_j within
     R_i = sqrt(b_i) (1 + 2^-40) of y_i.  A row whose reach lies inside its
-    seed window is settled: b_i is its minimum.  Why it is exact: the
+    seed window is settled: b_i is its minimum.  So is a row with b_i = 0,
+    however many approximations share its coordinate 0, since no computed
+    squared distance is negative.  Why it is exact: the
     computed distance adds nonnegative rounded terms to its first one, and
     rounded addition is monotone, so d_ij >= fl(fl(y_i - x_j)^2).  An x_j
     outside the reach lies below fl(y_i - R_i) or above fl(y_i + R_i);

@@ -174,6 +174,20 @@ def test_dominance_filter_permutation_invariant_as_set():
     assert a == b
 
 
+def test_dominance_mask_memory_from_four_objectives_up():
+    pts = np.random.default_rng(44).uniform(size=(50000, 5))
+    tracemalloc.start()
+    try:
+        dominance_mask(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One float copy of the points is 2 MB.  Ranking holds 2-byte ranks
+    # and one column's sort at a time, about 5 MB in all; sorting a float
+    # copy of the rows and deduplicating it takes 8.5 MB.
+    assert peak < 8 * 2**20, peak
+
+
 def test_igd_examples():
     ref = np.array([[0.5, 0.5]])
     approx = np.array([[0.0, 0.0], [1.0, 1.0]])

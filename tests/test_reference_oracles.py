@@ -203,10 +203,11 @@ def test_dominance_mask_non_finite_rows_and_signed_zeros():
     # NaN, so no order keyed on sums could place it before them.
     big = ([[inf, float(k)] for k in range(600)]
            + [[inf, -inf], [-inf, inf], [1e308, 1e308], [inf, 1e308]])
-    # Two columns take the M = 2 sweep; a constant third column keeps
-    # dominance and takes the archive sweep.
+    # Constant padding columns keep dominance: two columns take the M = 2
+    # sweep, three the staircase, and four and ten the archive sweep on
+    # dense ranks.
     for pts in (np.array(rows), np.array(big)):
-        for pad in (0, 1):
+        for pad in (0, 1, 2, 8):
             padded = np.column_stack([pts, np.zeros((len(pts), pad))])
             np.testing.assert_array_equal(dominance_mask(padded),
                                           all_pairs_nondominated(padded))
@@ -387,7 +388,10 @@ def test_swept_igd_with_ties_on_the_sort_coordinate(m):
     r[:, 1:] += rng.normal(size=(300, m - 1)) * 1e-6
     with igd_paths() as paths:
         assert_same_igd(a, r)
-    assert paths in (["swept"], ["full"])
+    if m == 1:  # each row coincides with its tie group: a zero bound settles it
+        assert paths == ["settled"]
+    else:
+        assert paths in (["swept"], ["full"])
 
 
 @pytest.mark.parametrize("m", range(2, _SCREEN_DIMS))
@@ -491,6 +495,35 @@ def test_igd_settles_every_row_beside_its_approximation(m, scale):
     with igd_paths() as paths:
         assert_same_igd(a * scale, r * scale)
     assert paths == ["settled"]
+
+
+def test_igd_settles_rows_whose_seed_bound_is_zero(monkeypatch):
+    # About 95 approximations share each of 21 values of coordinate 0, so
+    # no seed window spans a tie group and every reach of a positive bound
+    # covers one.  A row whose copy lies in its own seed window has bound 0
+    # and is settled; every other row goes on to the plain blocks.
+    bounds, opened = [], []
+    real_seeds = gpdbench.reference._seed_minima
+    real_terms = gpdbench.reference._screen_terms
+
+    def seeds(r_cols, a_cols, nearest, buf):
+        out = real_seeds(r_cols, a_cols, nearest, buf)
+        bounds.append(nearest.copy())
+        return out
+
+    def terms(r, a):
+        opened.append(r.shape[0])
+        return real_terms(r, a)
+
+    monkeypatch.setattr(gpdbench.reference, "_seed_minima", seeds)
+    monkeypatch.setattr(gpdbench.reference, "_screen_terms", terms)
+    rng = np.random.default_rng(7)
+    a = rng.uniform(size=(2000, _SCREEN_DIMS))
+    a[:, 0] = rng.integers(0, 21, size=2000) / 20
+    r = a[rng.choice(2000, size=500, replace=False)]
+    assert_same_igd(a, r)
+    zero = int((bounds[0] == 0).sum())
+    assert zero > 0 and opened == [r.shape[0] - zero]
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 5, 6, 10))

@@ -118,14 +118,18 @@ def deceptive_term(x, v, r) -> np.ndarray:
     v + r, and a line falling back to 5 at x = 1.  The wide outer basins pull
     searches toward the box edges; only the narrow valley pays.  The cosine
     argument is written around x - v so the center evaluates to exactly zero.
+
+    The cosine runs only on the coordinates in [v - r, v + r], through the
+    same doubles it would see on the whole array; NaN takes the right line.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r = np.asarray(r, dtype=float)
-    left = 5.0 * (x + r - v) / (v - r) + 10.0
-    valley = 5.0 * (np.cos(((x - v) / r + 1.0) * np.pi) + 1.0)
-    right = 5.0 * (x - v - r) / (v + r - 1.0) + 10.0
-    return np.where(x < v - r, left, np.where(x <= v + r, valley, right))
+    x, v, r = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, v, r)))
+    below = x < v - r
+    out = np.where(below, 5.0 * (x + r - v) / (v - r) + 10.0,
+                   5.0 * (x - v - r) / (v + r - 1.0) + 10.0)
+    inside = ~below & (x <= v + r)
+    xi, vi, ri = x[inside], v[inside], r[inside]
+    out[inside] = 5.0 * (np.cos(((xi - vi) / ri + 1.0) * np.pi) + 1.0)
+    return out
 
 
 def deceptive_g(x_d: np.ndarray, phi, k: int) -> np.ndarray:

@@ -268,10 +268,11 @@ def evaluate_batch(rows, spec: ProblemSpec) -> list[Evaluation]:
     evaluated, and a BatchError carrying per-row diagnostics plus the partial
     results is raised at the end.  An empty batch returns an empty list.
 
-    Packing rows into Evaluation objects is much of the cost: on 10k rows it
-    took 12-13 of 39 ms at M = 3, 32-33 of 52-53 ms on the M = 5 band spec
-    and 20-21 of 67-74 ms at M = 10, and on 100 rows 108-164 of 623-901 us.
-    Bulk callers should use evaluate_arrays, which returns the same numbers
-    as arrays.
+    Packing rows into Evaluation objects is much of the cost, and about half
+    of it on large batches is the garbage collector: on 10k rows it took
+    11-13 of 23-31 ms at M = 3, 25-29 of 35-40 ms on the M = 5 band spec and
+    19-20 of 43-46 ms at M = 10, and on 100 rows 88-152 of 371-526 us.  Bulk
+    callers should use evaluate_arrays, which returns the same numbers as
+    arrays.
     """
     return _evaluations(evaluate_arrays(rows, spec))

@@ -2,11 +2,12 @@
 
 Batches mix valid rows with injected bad ones (non-finite values, values one
 ulp outside a box edge, wrong widths, ragged and nested rows) and with rows
-sitting exactly on the box edges, as lists and as arrays, and reach the
-evaluator in any container it accepts.  The vectorized validator must agree with
-a plain per-row loop, the packed results must equal the array columns bit
-for bit and the row-wise packer the column-wise one replaced (copied below),
-and single evaluation must reproduce every batch row.
+sitting exactly on the box edges or in the deceptive valleys, as lists and
+as arrays, and reach the evaluator in any container it accepts.  The
+vectorized validator must agree with a plain per-row loop, the packed
+results must equal the array columns bit for bit and the row-wise packer
+the column-wise one replaced (copied below), and single evaluation must
+reproduce every batch row.
 """
 
 import copy
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from gpdbench import (COMPOSITIONS, DISTANCE_KINDS, MIXED_LANDSCAPES,
                       BatchError, ConstraintReport, ConstraintSpec, Evaluation,
                       EvaluationArrays, ProblemSpec, evaluate, evaluate_arrays,
-                      evaluate_batch)
+                      evaluate_batch, pareto_set_sample)
 from gpdbench.evaluator import _evaluations
 
 VALUE_INJECTIONS = ("nan", "inf", "-inf", "below", "above")
@@ -121,9 +122,12 @@ def batches(draw, spec):
     """A batch, and how to wrap it in the container the evaluator receives.
 
     The batch is a (B, N) array when it is rectangular and flat, else a list.
-    Each row may sit on the box edges, carry up to two bad values and change
-    shape; a width shift applied to every row makes a whole batch too wide
-    or too narrow.  The array containers get an array batch with no shape
+    Each row may sit on the box edges, or be a Pareto-set row whose distance
+    part is left alone or nudged by less than the narrowest valley radius,
+    so that in-valley coordinates land at other positions in a batch than
+    in its single rows.  Each row may then carry up to two bad values and
+    change shape; a width shift applied to every row makes a whole batch too
+    wide or too narrow.  The array containers get an array batch with no shape
     injections; for an integer array every row sits on the box edges and
     the bad values are whole steps past them.
     """
@@ -134,12 +138,17 @@ def batches(draw, spec):
     how = draw(st.sampled_from(CONTAINERS))
     array_only = how in ("fortran", "strided", "int")
     bad_values = ("below", "above") if how == "int" else VALUE_INJECTIONS
+    pset = pareto_set_sample(spec, draw(st.integers(1, 4))).vectors
     rows = []
     for _ in range(draw(st.integers(0, 12))):
         x = rng.uniform(lo, 1.0)
         if how == "int" or draw(st.integers(0, 3)) == 0:  # exactly on the box: accepted
             x[:r] = rng.choice([-1.0, 0.0, 1.0], size=r)
             x[r:] = rng.choice([0.0, 1.0], size=n - r)
+        elif draw(st.integers(0, 2)) == 0:  # in the valleys, nudged or not
+            x = pset[rng.integers(len(pset))].copy()
+            nudge = rng.uniform(-0.009, 0.009, n - r) * rng.integers(0, 2, n - r)
+            x[r:] = np.clip(x[r:] + nudge, 0.0, 1.0)
         for how_bad in draw(st.lists(st.sampled_from(bad_values), max_size=2)):
             j = draw(st.integers(0, n - 1))
             if how_bad == "nan":

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpdbench import (
@@ -292,6 +292,95 @@ def test_deceptive_term_deceptive_slope():
     assert np.all(np.diff(deceptive_term(x_left, v, r)) > 0.0)
     x_right = np.linspace(v + r, 1.0, 200)
     assert np.all(np.diff(deceptive_term(x_right, v, r)) < 0.0)
+
+
+def oracle_deceptive_term(x, v, r):
+    """The three pieces on every coordinate, picked by nested np.where."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    r = np.asarray(r, dtype=float)
+    left = 5.0 * (x + r - v) / (v - r) + 10.0
+    valley = 5.0 * (np.cos(((x - v) / r + 1.0) * np.pi) + 1.0)
+    right = 5.0 * (x - v - r) / (v + r - 1.0) + 10.0
+    return np.where(x < v - r, left, np.where(x <= v + r, valley, right))
+
+
+# Where a coordinate sits against its valley [v - r, v + r].
+VALLEY_SPOTS = ("center", "inside", "lower edge", "upper edge",
+                "ulp inside lower", "ulp inside upper")
+OUTER_SPOTS = ("ulp below lower", "ulp above upper", "zero", "one", "nan")
+
+
+@st.composite
+def deceptive_cases(draw):
+    """x, v, r as scalars, as vectors or as (B, S) x with (S,) v and (B, 1) r.
+
+    Each coordinate sits at one of the spots above or is uniform; a case
+    puts all, none or some of them inside their valleys.  v spans the range
+    of valley_center and r that of valley_radius, ends included; v = 0.11
+    and v = 0.9 with r = 0.04 have edges where the pieces round apart.
+    """
+    layout = draw(st.sampled_from(("scalar", "vector", "batch")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "scalar":
+        shape, v_shape, r_shape = (), (), ()
+    elif layout == "vector":
+        shape = v_shape = r_shape = (draw(st.integers(0, 8)),)
+    else:
+        b, s = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+        shape, v_shape, r_shape = (b, s), (s,), (b, 1)
+    v = rng.choice([1.0 / 12.0, 0.11, 0.9, 11.0 / 12.0,
+                    *rng.uniform(1.0 / 12.0, 11.0 / 12.0, 4)],
+                   size=v_shape)
+    r = rng.choice([0.01, 0.04, *rng.uniform(0.01, 0.04, 4)], size=r_shape)
+    vb, rb = np.broadcast_to(v, shape), np.broadcast_to(r, shape)
+    lower, upper = vb - rb, vb + rb
+    at = {"center": vb, "inside": vb + rng.uniform(-1.0, 1.0, shape) * rb,
+          "lower edge": lower, "upper edge": upper,
+          "ulp inside lower": np.nextafter(lower, 1.0),
+          "ulp inside upper": np.nextafter(upper, 0.0),
+          "ulp below lower": np.nextafter(lower, 0.0),
+          "ulp above upper": np.nextafter(upper, 1.0),
+          "zero": np.zeros(shape), "one": np.ones(shape), "nan": np.full(shape, np.nan),
+          "uniform": rng.uniform(0.0, 1.0, shape)}
+    spots = {"all": VALLEY_SPOTS, "none": OUTER_SPOTS,
+             "some": VALLEY_SPOTS + OUTER_SPOTS + ("uniform",)}[
+        draw(st.sampled_from(("all", "none", "some")))]
+    x = np.choose(rng.integers(len(spots), size=shape), [at[s] for s in spots])
+    if layout == "scalar":
+        return float(x), float(v), float(r)
+    return x, v, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(deceptive_cases())
+# At these edges the line and the cosine round apart, so only the edge rule
+# picks the oracle's bits.
+@example((np.array([0.11 - 0.04, 0.9 + 0.04]), np.array([0.11, 0.9]), 0.04))
+def test_deceptive_term_matches_the_nested_where_oracle_bit_for_bit(case):
+    got, want = deceptive_term(*case), oracle_deceptive_term(*case)
+    assert isinstance(got, np.ndarray)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_deceptive_term_takes_the_cosine_of_in_valley_coordinates_only(monkeypatch):
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0.0, 1.0, size=(1000, 10))
+    x[::50, 3] = np.nan  # never in a valley
+    phi = rng.uniform(0.0, 1.0, size=(1000, 1))
+    v = valley_center(phi, np.arange(1.0, 11.0))
+    r = valley_radius(phi, 2)
+    in_valley = int(np.count_nonzero((x >= v - r) & (x <= v + r)))
+    assert 0 < in_valley < x.size // 10
+    handed, cos = [], np.cos
+
+    def counting_cos(a):
+        handed.append(np.size(a))
+        return cos(a)
+
+    monkeypatch.setattr(np, "cos", counting_cos)
+    deceptive_term(x, v, r)
+    assert sum(handed) == in_valley
 
 
 def test_deceptive_g_examples():

@@ -89,15 +89,22 @@ def _halton(m: int, count: int) -> np.ndarray:
     Digits are added least significant first, each times a weight divided
     down from 1/base step by step, which is scipy.stats.qmc.Halton's order
     of operations, so the points are bit-identical to its unscrambled ones.
+    The index is held in the smallest unsigned type that holds both
+    count - 1 and the largest base, so numpy can divide it by any base, and
+    one divmod per digit gives the digit and the next quotient.  The last
+    index has the most digits in every base, so the column is done when it
+    reaches 0.
     """
     out = np.zeros((count, m - 1))
-    for col, base in enumerate(_primes(m - 1)):
-        quotient = np.arange(count)
+    bases = _primes(m - 1)
+    index = np.arange(count, dtype=np.min_scalar_type(max(count - 1, bases[-1])))
+    for col, base in enumerate(bases):
+        quotient = index
         weight = 1.0 / base
-        while quotient.any():
-            out[:, col] += (quotient % base) * weight
+        while quotient[-1:].any():
+            quotient, digit = np.divmod(quotient, base)
+            out[:, col] += digit * weight
             weight /= base
-            quotient //= base
     return out
 
 
@@ -120,7 +127,7 @@ def _set_targets(m: int, n: int) -> np.ndarray:
     return _halton(m, n)
 
 
-_CHUNK = 512  # candidate rows tested against the archive at a time
+_CHUNK = 256  # candidate rows tested against the archive at a time
 _IGD_BLOCK = 1 << 16  # distance entries held at a time by igd
 _SCREEN_DIMS = 6  # igd screens candidates with a matrix product from here up
 _SCREEN_CAP = 16  # screened candidates per reference row before a block is recomputed
@@ -169,12 +176,18 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     equal rank columns mark the duplicates.  The distinct points are then
     tested in that order against the nondominated archive built so far; by
     transitivity a dominated dominator is always covered by whichever
-    archive point dominates it.  Each chunk of candidates needs a single
-    boolean block against archive + chunk, ANDed in place one objective at
-    a time, reading 1, 2 or 4 bytes a value instead of 8, with each
-    candidate's pairing with itself masked out.  The answer equals the
-    all-pairs filter's; the work is candidates times archive size times M
-    comparisons, in blocks of at most 512 rows.  Two and three objectives
+    archive point dominates it.  Each chunk of at most 256 candidates needs
+    a single boolean block against archive + chunk, ANDed in place one
+    objective at a time, reading 1, 2 or 4 bytes a value instead of 8.
+    Objective 0 is never compared: the archive and the chunk's earlier rows
+    sort first, so their rank there is no larger.  A later distinct row
+    cannot cover an earlier one, as it would then sort first, so a strictly
+    lower triangle over the chunk's own columns drops those pairs and each
+    candidate's pairing with itself.  Ties in objective 0 are no exception,
+    since the lexsort orders them by the remaining ranks.  The answer
+    equals the all-pairs filter's; the work is candidates times archive
+    size times M - 1 comparisons, and the two boolean blocks of a chunk
+    against a 3375-point archive take 1.7 MB.  Two and three objectives
     keep their float sort: their calls are small, and ranking first made
     them slower.
     """
@@ -235,24 +248,32 @@ def _staircase(f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
 
 
 def _archive_sweep(distinct: np.ndarray) -> np.ndarray:
-    """Nondominated flags of distinct points, one column each, in sweep order."""
+    """Nondominated flags of distinct points, one column each, in sweep order.
+
+    distinct holds the ranks of four or more objectives, its columns in
+    lexicographic order.  Chunks of _CHUNK candidates are tested against
+    the archive of kept points plus the chunk itself, in objectives 1 to
+    M - 1 only; dominance_mask has the argument.
+    """
     m, count = distinct.shape
     archive = np.empty_like(distinct)
     size = 0
     alive = np.empty(count, dtype=bool)
+    earlier = np.tri(min(count, _CHUNK), k=-1, dtype=bool)  # [i, k]: k < i
     for start in range(0, count, _CHUNK):
         chunk = distinct[:, start:start + _CHUNK]
         rows = chunk.shape[1]
-        # Within the chunk the lexicographic order already rules out
-        # later-dominates-earlier pairs, so a full pairwise test against
-        # archive + chunk is safe and vectorizes cleanly.
+        # Every archive point and every earlier chunk row sorts first, so
+        # its objective 0 is no larger and is not compared.  A later row
+        # cannot cover an earlier one, so the triangle drops those pairs,
+        # the pairing of each row with itself included.
         archive[:, size:size + rows] = chunk
         against = archive[:, :size + rows]
-        covered = np.less_equal(against[0], chunk[0][:, None])
+        covered = np.less_equal(against[1], chunk[1][:, None])
         scratch = np.empty_like(covered)
-        for j in range(1, m):
+        for j in range(2, m):
             covered &= np.less_equal(against[j], chunk[j][:, None], out=scratch)
-        covered[np.arange(rows), size + np.arange(rows)] = False
+        covered[:, size:] &= earlier[:rows, :rows]
         survive = ~covered.any(axis=1)
         alive[start:start + rows] = survive
         kept = int(survive.sum())
@@ -282,8 +303,10 @@ def _squared_distances(rb, ab, acc, tmp):
 
 
 def _screen_terms(r, a):
-    """(-2r, squared norms of a, twice the slack e) for igd's screen.
+    """([-2r, 1], [a^T; squared norms of a], twice the slack e) for igd's screen.
 
+    The first two are the factors whose product is |a_j|^2 - 2 r_i.a_j,
+    with one row per reference point and one column per approximation.
     None when a squared norm is NaN, infinite or near overflow, which
     covers every non-finite coordinate.
     """
@@ -293,8 +316,8 @@ def _screen_terms(r, a):
     if not r_sq.max() + a_max <= _SCREEN_NORM_MAX:
         return None
     finfo = np.finfo(float)
-    e = 4 * (r.shape[1] + 4) * (finfo.eps / 2 * (r_sq + a_max) + finfo.smallest_subnormal)
-    return -2.0 * r, a_sq, 2 * e
+    e = 6 * (r.shape[1] + 4) * (finfo.eps / 2 * (r_sq + a_max) + finfo.smallest_subnormal)
+    return np.column_stack([-2.0 * r, np.ones(r.shape[0])]), np.vstack([a.T, a_sq]), 2 * e
 
 
 def _screened_block(screen, r0, a0, rb, ab, near, out, mask):
@@ -303,18 +326,23 @@ def _screened_block(screen, r0, a0, rb, ab, near, out, mask):
     Returns False, leaving near alone, when the block keeps more than
     _SCREEN_CAP candidates per reference row.
     """
-    r2, a_sq, slack = screen
+    r_aug, a_aug, slack = screen
     rows, cols = out.shape
-    s = np.matmul(r2[r0:r0 + rows], ab, out=out)
-    s += a_sq[a0:a0 + cols]
-    limit = s.min(axis=1)
+    # Two half-width products: OpenBLAS spreads one 32 x 11 x 2000 product
+    # over two threads, slower than one, and its second thread then spins.
+    half = cols // 2
+    for lo, hi in ((0, half), (half, cols)):
+        np.matmul(r_aug[r0:r0 + rows], a_aug[:, a0 + lo:a0 + hi], out=out[:, lo:hi])
+    limit = out.min(axis=1)
     limit += slack[r0:r0 + rows]
-    flat = np.flatnonzero(np.less_equal(s, limit[:, None], out=mask))
+    flat = np.flatnonzero(np.less_equal(out, limit[:, None], out=mask))
     if flat.size > _SCREEN_CAP * rows:
         return False
     ri, cj = np.divmod(flat, cols)
     d = _squared_distances(rb[:, ri], ab[:, cj], np.empty(flat.size), np.empty(flat.size))
-    starts = np.flatnonzero(np.diff(ri, prepend=-1))
+    first = np.ones(ri.size, dtype=bool)
+    np.not_equal(ri[1:], ri[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
     hit = ri[starts]
     near[hit] = np.minimum(near[hit], np.minimum.reduceat(d, starts))
     return True
@@ -498,21 +526,30 @@ def igd(approximation, reference) -> float:
     order-sensitive.
 
     In the plain blocks a BLAS screen picks the candidates first.  One
-    matrix product per block gives s_ij = |a_j|^2 - 2 r_i.a_j, which is
+    matrix product per block, of the rows [-2 r_i, 1] by the columns
+    [a_j; |a_j|^2], gives s_ij = |a_j|^2 - 2 r_i.a_j, which is
     |r_i - a_j|^2 - |r_i|^2 and so orders the j like the distance does.
-    Why it keeps the cdist minimum: let N_i = |r_i|^2 + max_j |a_j|^2 and u
-    the unit roundoff.  In any summation order, so for any BLAS thread
-    count, the computed s_ij is within (2M + 2) u N_i of its true value, and
-    the cdist-order d_ij within (2M + 4) u N_i of the true squared distance,
-    which is at most 2 N_i (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1; to first order in u).  Gradual
-    underflow adds at most 3M/2 smallest subnormals.  So if j* minimizes
-    d_ij and j0 minimizes the computed s_ij, then s_ij* <= s_ij0 +
-    2 (4M + 6) u N_i + 3M subnormals.  The screen keeps every j with
-    s_ij <= min_k s_ik + 2 e_i, e_i = 4 (M + 4) (u N_i + one subnormal),
-    which covers j* with room for the rounding of the threshold itself and
-    for the higher-order terms.  Only the kept pairs are recomputed, in
-    cdist order, so every row minimum is unchanged.
+    It is taken in two halves of the columns, each small enough for
+    OpenBLAS to keep on one thread.  Why it keeps the cdist minimum: let
+    N_i = |r_i|^2 + max_j |a_j|^2 and u the unit roundoff.  Each s_ij is a
+    dot product of M + 1 terms: M products whose absolute values sum to at
+    most 2 |r_i| |a_j|, and the computed |a_j|^2, itself within
+    gamma_M |a_j|^2 of the true one.  In any summation order, so for any
+    BLAS thread count, the computed s_ij is then within
+    gamma_{M+1} (2 |r_i| |a_j| + |a_j|^2) + gamma_M |a_j|^2 <= (3M + 2) u N_i
+    of its true value, and the cdist-order d_ij within (2M + 4) u N_i of the
+    true squared distance, which is at most 2 N_i (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1;
+    gamma_n = n u / (1 - n u), to first order in u).  Gradual underflow
+    adds at most half a smallest subnormal per rounded product: M + 1 in the
+    matrix product (the exact 1 * |a_j|^2 counted too) and M in |a_j|^2 for
+    s_ij, and M for d_ij.  So if j* minimizes d_ij and j0 minimizes the
+    computed s_ij, then s_ij* <= s_ij0 + 2 (5M + 6) u N_i + (3M + 1)
+    subnormals.  The screen keeps every j with s_ij <= min_k s_ik + 2 e_i,
+    e_i = 6 (M + 4) (u N_i + one subnormal), which covers j* with
+    (2M + 36) u N_i and 9M + 47 subnormals to spare for the rounding of the
+    threshold itself and for the higher-order terms.  Only the kept pairs
+    are recomputed, in cdist order, so every row minimum is unchanged.
 
     Fallbacks compute every pair of a plain block, O(rows * a * M) time:
     any NaN or infinite input, for the whole call; a squared norm near

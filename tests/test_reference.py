@@ -29,7 +29,7 @@ from gpdbench import (
     valley_center,
 )
 from gpdbench.evaluator import _landscape_g, _objective_stage
-from gpdbench.reference import _PERTURB_BLOCK, _lattice, _set_targets
+from gpdbench.reference import _CHUNK, _PERTURB_BLOCK, _lattice, _set_targets
 
 
 def brute_force_nondominated(pts):
@@ -147,12 +147,16 @@ def test_dominance_filter_matches_brute_force():
 def test_dominance_filter_float_sum_tie_across_chunks():
     # fl(1e-20 + 1) == fl(0 + 1): the dominated point differs from its
     # dominator below the rounding of their coordinate sums, so only an exact
-    # comparison of f1 separates them, among 511 rows that fill a chunk.
-    x = np.arange(1, 512) / 1024.0
+    # comparison of f1 separates them, among _CHUNK - 1 rows that fill a
+    # chunk.  Constant padding columns keep dominance; four and ten columns
+    # take the archive sweep, whose last row then opens a second chunk.
+    x = np.arange(1, _CHUNK) / (2.0 * _CHUNK)
     pts = np.concatenate([np.column_stack([x, 0.5 - x]),
                           [[1e-20, 1.0], [0.0, 1.0]]])
-    np.testing.assert_array_equal(dominance_filter(pts),
-                                  pts[brute_force_nondominated(pts)])
+    for pad in (0, 2, 8):
+        padded = np.column_stack([pts, np.zeros((len(pts), pad))])
+        np.testing.assert_array_equal(dominance_filter(padded),
+                                      padded[brute_force_nondominated(padded)])
 
 
 def test_dominance_filter_is_idempotent_and_order_stable():
@@ -183,9 +187,11 @@ def test_dominance_mask_memory_from_four_objectives_up():
     finally:
         tracemalloc.stop()
     # One float copy of the points is 2 MB.  Ranking holds 2-byte ranks
-    # and one column's sort at a time, about 5 MB in all; sorting a float
-    # copy of the rows and deduplicating it takes 8.5 MB.
-    assert peak < 8 * 2**20, peak
+    # and one column's sort at a time, and the sweep two boolean blocks of
+    # _CHUNK rows against the archive: about 4.1 MiB in all.  Blocks of 512
+    # rows took 5.1 MiB; sorting a float copy of the rows and deduplicating
+    # it takes 8.5 MB.
+    assert peak < 4.75 * 2**20, peak
 
 
 def test_igd_examples():

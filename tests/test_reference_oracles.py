@@ -29,7 +29,7 @@ import gpdbench.reference
 from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
                       front_sample, igd, meta_variables, pareto_set_sample,
                       perturb_experiment, realize_position)
-from gpdbench.reference import _SCREEN_DIMS, _SWEEP_SEED, _halton
+from gpdbench.reference import _CHUNK, _SCREEN_DIMS, _SWEEP_SEED, _halton
 
 
 def all_pairs_nondominated(pts):
@@ -146,11 +146,11 @@ def point_set(kind, m, n, rng):
         return pts
     # fl(1e-20 + 1) == fl(0 + 1): the two tie points differ below the
     # rounding of their coordinate sums, so only an exact comparison of f1
-    # puts the dominator first, among 512*c - 1 mutually nondominated rows
-    # that fill whole 512-row chunks.  Constant padding columns change
-    # neither the order nor dominance.
-    chunks = 1 + n // 800
-    x = np.arange(1, 512 * chunks) / (1024.0 * chunks)
+    # puts the dominator first, among _CHUNK*c - 1 mutually nondominated rows
+    # that fill whole chunks of the archive sweep.  Constant padding columns
+    # change neither the order nor dominance.
+    chunks = 1 + n // (2 * _CHUNK)
+    x = np.arange(1, _CHUNK * chunks) / (2.0 * _CHUNK * chunks)
     pts = np.concatenate([np.column_stack([x, 0.5 - x]),
                           [[1e-20, 1.0], [0.0, 1.0]]])
     pts = np.column_stack([pts, np.zeros((pts.shape[0], m - 2))])
@@ -198,10 +198,11 @@ def test_dominance_mask_non_finite_rows_and_signed_zeros():
     rows = [[0.0, 1.0], [-0.0, 1.0], [nan, 0.0], [nan, 0.0], [0.5, nan], [1.0, 1.0],
             [0.0, 2.0], [nan, nan], [-0.0, -inf], [0.0, -inf], [inf, inf], [-inf, inf],
             [-inf, inf], [inf, nan], [-inf, 3.0]]
-    # [inf, -inf] comes last in input order but dominates the 600 rows
-    # [inf, k], which span two 512-row chunks, and its coordinate sum is
-    # NaN, so no order keyed on sums could place it before them.
-    big = ([[inf, float(k)] for k in range(600)]
+    # [inf, -inf] comes last in input order but dominates the _CHUNK + 88
+    # rows [inf, k], which span two chunks of the archive sweep, and its
+    # coordinate sum is NaN, so no order keyed on sums could place it
+    # before them.
+    big = ([[inf, float(k)] for k in range(_CHUNK + 88)]
            + [[inf, -inf], [-inf, inf], [1e308, 1e308], [inf, 1e308]])
     # Constant padding columns keep dominance: two columns take the M = 2
     # sweep, three the staircase, and four and ten the archive sweep on
@@ -261,6 +262,51 @@ def test_ranked_mask_at_the_rank_dtype_widening_points(n):
     np.testing.assert_array_equal(dominance_mask(pts), want)
     if n < 1000:  # the oracle needs about n * n * M bytes
         np.testing.assert_array_equal(want, all_pairs_nondominated(pts))
+
+
+def sweep_rows_with_twins(m, n):
+    """n distinct rows in sweep order, and which of them are dominated twins.
+
+    Base row t is (t // 3, t % 3, -t, t % 5, ..., t % 5): objective 0 ties
+    in threes, and any two base rows differ oppositely in objectives 1 and 2
+    or 0 and 2, so they are mutually nondominated.  A later base row is no
+    worse than an earlier one in objectives 1 to M - 1 whenever its t % 3
+    and t % 5 are no larger, so only the triangle keeps it from covering
+    the earlier one once objective 0 is not compared.  A twin copies its base
+    row with the last objective raised by 0.5: it sorts right after the base
+    row, ties it in objective 0, and the base row is its only dominator.
+    Every fifth base row has a twin in its own chunk, and so do the base
+    rows that end a chunk, whose twins open the next one.
+    """
+    rows, twin = [], []
+    t = 0
+    while len(rows) < n:
+        base = [t // 3, t % 3, -t] + [t % 5] * (m - 3)
+        rows.append(base)
+        twin.append(False)
+        if len(rows) < n and (t % 5 == 0 or len(rows) % _CHUNK == 0):
+            rows.append(base[:-1] + [base[-1] + 0.5])
+            twin.append(True)
+        t += 1
+    return np.array(rows, dtype=float), np.array(twin)
+
+
+@pytest.mark.parametrize("m", (4, 10))
+@pytest.mark.parametrize("n", (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1))
+def test_archive_sweep_triangle_equals_all_pairs_oracle(m, n):
+    # From four objectives up the sweep skips objective 0 and masks each
+    # chunk's pairs with a later or the same row.  Twins in their
+    # dominator's chunk need the triangle's k < i pairs; the twins that
+    # open a chunk need the archive columns to stay unmasked.
+    pts, twin = sweep_rows_with_twins(m, n)
+    assert pts.shape == (n, m) and twin.any()
+    if n > _CHUNK:
+        assert twin[_CHUNK] and not twin[_CHUNK - 1]
+    perm = np.random.default_rng(n * m).permutation(n)
+    pts, twin = pts[perm], twin[perm]
+    got = dominance_mask(pts)
+    np.testing.assert_array_equal(got, all_pairs_nondominated(pts))
+    np.testing.assert_array_equal(got, ~twin)
 
 
 # --- igd ---------------------------------------------------------------------
@@ -569,7 +615,7 @@ def screened(monkeypatch):
     return outcomes
 
 
-@pytest.mark.parametrize("m", range(5, 11))
+@pytest.mark.parametrize("m", (*range(5, 11), 16))
 def test_screened_igd_keeps_exact_ties(m, screened, monkeypatch):
     # The origin is equally far from every +-e_k, so all 2M are candidates;
     # the other reference rows keep the block under its cap.  Below
@@ -586,15 +632,18 @@ def test_screened_igd_keeps_exact_ties(m, screened, monkeypatch):
 
 def test_screened_igd_on_rings_far_from_the_origin(screened):
     # Twelve approximations at distance 1 around each far-off reference
-    # point: the screen's rounding (relative to |r|^2 ~ 1e6) is larger than
-    # the spread of their rounded distances, so only the slack keeps the
-    # cdist argmin among the candidates.
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        r = 100.0 + rng.uniform(size=(50, 6)) * 1000
-        rays = rng.normal(size=(50, 12, 6))
-        rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
-        assert_same_igd((r[:, None, :] + rays).reshape(-1, 6), r)
+    # point: the screen's rounding (relative to |r|^2 ~ 1e6 M) is larger
+    # than the spread of their rounded distances, so only the slack keeps
+    # the cdist argmin among the candidates.  From M = 11 up the slack of
+    # 8 (M + 4) u N_i that covered a product without the norms row would
+    # not cover the product with it.
+    for m in (6, 10, 16):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            r = 100.0 + rng.uniform(size=(50, m)) * 1000
+            rays = rng.normal(size=(50, 12, m))
+            rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
+            assert_same_igd((r[:, None, :] + rays).reshape(-1, m), r)
     assert screened and all(screened)
 
 
@@ -710,9 +759,18 @@ def test_igd_does_not_depend_on_the_blas_thread_count():
 
 @pytest.mark.parametrize("m", range(2, 31))
 def test_halton_equals_scipy_unscrambled(m):
-    for n in (1, 17, 3375):
+    # 256 and 257 points put the last index on either side of uint8's
+    # range; 4096 and 4097 end on a base-2 digit boundary and one past it.
+    for n in (1, 17, 256, 257, 3375, 4096, 4097):
         want = qmc.Halton(d=m - 1, scramble=False).random(n)
         assert same_bits(_halton(m, n), want)
+
+
+def test_halton_with_bases_past_the_index_range():
+    # 17 indices fit in uint8, but the 99th prime, 523, does not: the index
+    # type must hold the largest base too.
+    want = qmc.Halton(d=99, scramble=False).random(17)
+    assert same_bits(_halton(100, 17), want)
 
 
 # --- realize_position --------------------------------------------------------

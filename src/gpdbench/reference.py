@@ -20,7 +20,7 @@ from .distance import ROBUST_MINIMIZER, valley_center
 from .evaluator import (Evaluation, _landscape_g, _objective_stage, _position_stage,
                         evaluate)
 from .position import meta_variables, realize_position
-from .spec import ProblemSpec
+from .spec import ProblemSpec, _integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,51 +145,47 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     strictly better in at least one (minimization).  Exact duplicates do not
     eliminate each other.
 
-    Equal rows are made adjacent by one sort, only the first of each run is
-    tested, and the rest share its verdict.  Between distinct points "no
-    worse in every objective" already implies "strictly better in one".
-
     Rows holding a NaN compare false with everything, so they are set aside
-    and kept.  The rest are sorted lexicographically by (f1, ..., fM), the
-    order of the maxima sweep of Kung, Luccio and Preparata (J. ACM 22(4),
-    1975): a distinct dominator is no worse in every coordinate, so it is
-    smaller in the first one where the two differ and sorts earlier.
+    and kept.  One argsort per objective gives every other row its dense
+    rank in that column: a running count of the value changes along the
+    sorted column, so -0.0 == 0.0 and the infinities keep their order.  The
+    ranks, one row per objective in the smallest unsigned type that holds
+    the largest, keep every <= between the non-NaN doubles, so the answer is
+    unchanged.  A lexsort of the ranks gives the order of the maxima sweeps
+    of Kung, Luccio and Preparata (J. ACM 22(4), 1975): a distinct dominator
+    is no worse in every objective, so it has the smaller rank in the first
+    one where the two differ and sorts earlier.  Equal rows end up adjacent;
+    only the first of each run is swept, and the rest share its verdict.
+    Between distinct points "no worse in every objective" already implies
+    "strictly better in one".
 
-    Two objectives are then exact in O(n log n): a distinct row is dominated
-    iff its f2 is no smaller than the least f2 of the distinct rows before
-    it, since every earlier row is no worse in f1.
+    Up to two objectives the sweep is exact in O(n log n): a distinct point
+    is dominated iff its last rank is no smaller than the least last rank
+    of the distinct points before it, since every earlier one is no worse
+    in objective 0.
 
     Three objectives are their O(n log n) sweep too.  A staircase holds the
-    (f2, f3) minima of the distinct rows so far, f2 rising and f3 falling,
-    in two lists searched by bisection.  A distinct row is dominated iff the
-    entry with the largest f2 <= its f2 has f3 <= its f3: that entry has the
-    least f3 of all earlier rows with f2 no larger.  A kept row replaces the
-    entries it covers, one slice of the lists.
+    (f2, f3) rank minima of the distinct points so far, f2 rising and f3
+    falling, in two lists searched by bisection.  A distinct point is
+    dominated iff the entry with the largest f2 <= its f2 has f3 <= its f3:
+    that entry has the least f3 of all earlier points with f2 no larger.  A
+    kept point replaces the entries it covers, one slice of the lists.
 
-    From four objectives up, the rows are ranked before they are sorted.
-    One argsort per objective gives each row its dense rank in that column:
-    a running count of the value changes along the sorted column, so
-    -0.0 == 0.0 and the infinities keep their order.  The ranks, one row
-    per objective in the smallest unsigned type that holds the largest,
-    keep every <= between the non-NaN doubles, so the answer is unchanged.
-    A lexsort of the integer ranks gives the sweep order, and adjacent
-    equal rank columns mark the duplicates.  The distinct points are then
-    tested in that order against the nondominated archive built so far; by
-    transitivity a dominated dominator is always covered by whichever
-    archive point dominates it.  Each chunk of at most 256 candidates needs
-    a single boolean block against archive + chunk, ANDed in place one
-    objective at a time, reading 1, 2 or 4 bytes a value instead of 8.
-    Objective 0 is never compared: the archive and the chunk's earlier rows
-    sort first, so their rank there is no larger.  A later distinct row
-    cannot cover an earlier one, as it would then sort first, so a strictly
-    lower triangle over the chunk's own columns drops those pairs and each
-    candidate's pairing with itself.  Ties in objective 0 are no exception,
-    since the lexsort orders them by the remaining ranks.  The answer
-    equals the all-pairs filter's; the work is candidates times archive
-    size times M - 1 comparisons, and the two boolean blocks of a chunk
-    against a 3375-point archive take 1.7 MB.  Two and three objectives
-    keep their float sort: their calls are small, and ranking first made
-    them slower.
+    From four objectives up the distinct points are tested in sweep order
+    against the nondominated archive built so far; by transitivity a
+    dominated dominator is always covered by whichever archive point
+    dominates it.  Each chunk of at most 256 candidates needs a single
+    boolean block against archive + chunk, ANDed in place one objective at
+    a time, reading 1, 2 or 4 bytes a value instead of 8.  Objective 0 is
+    never compared: the archive and the chunk's earlier rows sort first, so
+    their rank there is no larger.  A later distinct point cannot cover an
+    earlier one, as it would then sort first, so a strictly lower triangle
+    over the chunk's own columns drops those pairs and each candidate's
+    pairing with itself.  Ties in objective 0 are no exception, since the
+    lexsort orders them by the remaining ranks.  The answer equals the
+    all-pairs filter's; the work is candidates times archive size times
+    M - 1 comparisons, and the two boolean blocks of a chunk against a
+    3375-point archive take 1.7 MB.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
@@ -199,42 +195,37 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     if n == 0 or m == 0:  # without objectives all rows are equal
         return keep
     rows = np.flatnonzero(~np.isnan(pts).any(axis=1))
-    if m > 3:
-        ranks = np.empty((m, rows.size), dtype=np.min_scalar_type(rows.size - 1))
-        rank = np.zeros(rows.size, dtype=ranks.dtype)  # rank[0] stays 0
-        for j in range(m):
-            col = pts[rows, j]
-            by_value = np.argsort(col)
-            col = col[by_value]
-            np.not_equal(col[1:], col[:-1], out=rank[1:])
-            ranks[j, by_value] = np.cumsum(rank, out=rank)
-        order = np.lexsort(ranks[::-1])
-        # take and compress keep one row per objective contiguous.
-        ranks = np.take(ranks, order, axis=1)
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = np.any(ranks[:, 1:] != ranks[:, :-1], axis=0)
-        alive = _archive_sweep(np.compress(first, ranks, axis=1))
-        keep[rows[order]] = alive[np.cumsum(first) - 1]
-        return keep
-    order = rows[np.lexsort(pts[rows].T[::-1])]
-    sorted_pts = pts[order]
+    ranks = np.empty((m, rows.size), dtype=np.min_scalar_type(rows.size - 1))
+    rank = np.zeros(rows.size, dtype=ranks.dtype)  # rank[0] stays 0
+    for j in range(m):
+        col = pts[rows, j]
+        by_value = np.argsort(col)
+        col = col[by_value]
+        np.not_equal(col[1:], col[:-1], out=rank[1:])
+        ranks[j, by_value] = np.cumsum(rank, out=rank)
+    order = np.lexsort(ranks[::-1])
+    # take and compress keep one row per objective contiguous.
+    ranks = np.take(ranks, order, axis=1)
     first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(sorted_pts[1:] != sorted_pts[:-1], axis=-1)
-    distinct = np.ascontiguousarray(sorted_pts[first].T)  # one row per objective
-    if m == 2:
+    first[1:] = np.any(ranks[:, 1:] != ranks[:, :-1], axis=0)
+    distinct = np.compress(first, ranks, axis=1)
+    if m <= 2:
         alive = np.ones(distinct.shape[1], dtype=bool)
-        alive[1:] = distinct[1, 1:] < np.minimum.accumulate(distinct[1])[:-1]
-    else:
+        alive[1:] = distinct[-1, 1:] < np.minimum.accumulate(distinct[-1])[:-1]
+    elif m == 3:
         alive = _staircase(distinct[1], distinct[2])
-    keep[order] = alive[np.cumsum(first) - 1]
+    else:
+        alive = _archive_sweep(distinct)
+    keep[rows[order]] = alive[np.cumsum(first) - 1]
     return keep
 
 
 def _staircase(f2: np.ndarray, f3: np.ndarray) -> np.ndarray:
-    """Nondominated flags of distinct rows in sweep order, from their f2 and f3."""
+    """Nondominated flags of distinct points in sweep order, from their f2 and f3 ranks."""
     xs, ys = [], []  # the staircase: f2 and -f3, both strictly rising
     alive = []
-    for x, y in zip(f2.tolist(), (-f3).tolist()):
+    # The ranks are unsigned, so they are widened before they are negated.
+    for x, y in zip(f2.tolist(), (-f3.astype(np.intp)).tolist()):
         j = bisect_right(xs, x)
         if j and ys[j - 1] >= y:  # the entry with the largest f2 <= x has f3 <= -y
             alive.append(False)
@@ -570,6 +561,14 @@ def igd(approximation, reference) -> float:
     return float(np.sqrt(_nearest(r, a)).mean())
 
 
+def _count(value, name: str, least: int) -> int:
+    """value as a plain int by the spec's integer rule, or a ValueError naming it."""
+    count = _integer(value)
+    if count is None or count < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return count
+
+
 def _optimal_distance(phi: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Pareto-optimal distance parts (B, S) at angles phi: valley centers or ROBUST_MINIMIZER."""
     s = spec.distance_vars
@@ -593,8 +592,7 @@ def front_sample(spec: ProblemSpec, resolution: int,
     increasing in every component, but its rounding can merge components
     closer together than about 1e-16, so the filter runs after it.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    resolution = _count(resolution, "resolution", 2)
     m = spec.objectives
     # Lattices explode past four objectives; switch to a low-discrepancy set.
     targets = _set_targets(m, resolution ** (m - 1) if m <= 4 else resolution ** 3)
@@ -608,7 +606,7 @@ def front_sample(spec: ProblemSpec, resolution: int,
     keep = dominance_mask(pts)
     pts, f_p, phi = pts[keep], f_p[keep], phi[keep]
     return FrontSample(points=pts, position_points=f_p, phis=phi,
-                       resolution=int(resolution),
+                       resolution=resolution,
                        feasible_only=bool(feasible_only))
 
 
@@ -628,8 +626,7 @@ def pareto_set_sample(spec: ProblemSpec, n: int) -> SetSample:
     position stage, so the evaluator sees the distance variables exactly on
     target.
     """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
+    n = _count(n, "n", 1)
     targets = _set_targets(spec.objectives, n)
     q, t = spec.meta_q, spec.meta_t
     x_p = realize_position(targets, q, t)
@@ -665,8 +662,7 @@ def _check_perturbation(radius: float, samples: int) -> None:
     top = float(np.finfo(float).max) / 2
     if not 0 < radius <= top:
         raise ValueError(f"perturbation radius must lie in (0, {top!r}], got {radius}")
-    if samples < 1:
-        raise ValueError(f"need at least one perturbation sample, got {samples}")
+    _count(samples, "samples", 1)
 
 
 def _perturbed(x, radius: float, samples: int, spec: ProblemSpec, seed: int,

@@ -84,7 +84,8 @@ def _resolve_reference(raw, n_objectives: int, where: str, errors: list[str]):
         token = raw.strip()
         if token == "diagonal":
             return (1.0,) * n_objectives
-        if token.startswith("e") and token[1:].isdigit():
+        # isdigit() would also pass "²", which int() rejects.
+        if token.startswith("e") and token[1:].isdecimal():
             j = int(token[1:])
             if not 1 <= j <= n_objectives:
                 errors.append(f"{where}: axis label {token!r} out of range 1..{n_objectives}")

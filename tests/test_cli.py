@@ -62,6 +62,15 @@ def test_new_invalid_spec_exits_2(tmp_path, capsys):
     assert "2t+1 < q" in err
 
 
+def test_new_superscript_axis_label_exits_2(tmp_path, capsys):
+    p = tmp_path / "axis.spec"
+    p.write_text("objectives = 3\ndistance_vars = 2\ndistance = robust\n"
+                 "distance_reference = e\u00b2\n", encoding="utf-8")
+    code, _, err = run(["new", "--spec", str(p)], capsys)
+    assert code == 2
+    assert "distance_reference: cannot read reference 'e\u00b2'" in err
+
+
 def test_eval_round_trip(tmp_path, capsys, m2):
     src = tmp_path / "pts.csv"
     src.write_text("# comment line\n0,0.5\n\n0,0\n")

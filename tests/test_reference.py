@@ -194,6 +194,21 @@ def test_dominance_mask_memory_from_four_objectives_up():
     assert peak < 4.75 * 2**20, peak
 
 
+@pytest.mark.parametrize("m, bound_mib", ((2, 3.4), (3, 7.5)))
+def test_dominance_mask_memory_at_two_and_three_objectives(m, bound_mib):
+    pts = np.random.default_rng(44).uniform(size=(50000, m))
+    tracemalloc.start()
+    try:
+        dominance_mask(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Ranking holds 2-byte ranks and one column's sort of 8-byte values and
+    # indices at a time: 2.9 MiB at M = 2.  At M = 3 the staircase adds its
+    # Python lists of ranks and verdicts, 6.5 MiB in all.
+    assert peak < bound_mib * 2**20, peak
+
+
 def test_igd_examples():
     ref = np.array([[0.5, 0.5]])
     approx = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -345,6 +360,25 @@ def test_perturb_argument_checks():
         perturb_experiment(np.array([0.0, 0.5]), 0.0, 10, spec)
     with pytest.raises(ValueError, match="sample"):
         perturb_experiment(np.array([0.0, 0.5]), 0.1, 0, spec)
+
+
+def perturb_summary(spec, samples):
+    report = perturb_experiment(np.array([0.0, 0.5]), 0.1, samples, spec)
+    return report.worst, report.mean, report.samples
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda spec, size: front_sample(spec, size).points, "resolution"),
+    (lambda spec, size: pareto_set_sample(spec, size).vectors, "n"),
+    (perturb_summary, "samples"),
+], ids=("front_sample", "pareto_set_sample", "perturb_experiment"))
+def test_sampler_sizes_follow_the_integer_rule(call, name):
+    spec = ProblemSpec(objectives=2, distance_vars=1, distance_kind="robust")
+    for size in (5.0, 10.5, "5", None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least"):
+            call(spec, size)
+    for size in (np.int64(5), np.uint8(5)):
+        np.testing.assert_array_equal(call(spec, size), call(spec, 5))
 
 
 def one_shot_perturb(x, radius, samples, spec, seed):

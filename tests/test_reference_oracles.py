@@ -29,7 +29,7 @@ import gpdbench.reference
 from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
                       front_sample, igd, meta_variables, pareto_set_sample,
                       perturb_experiment, realize_position)
-from gpdbench.reference import _CHUNK, _SCREEN_DIMS, _SWEEP_SEED, _halton
+from gpdbench.reference import _CHUNK, _SCREEN_DIMS, _SWEEP_SEED, _halton, _screen_terms
 
 
 def all_pairs_nondominated(pts):
@@ -214,6 +214,14 @@ def test_dominance_mask_non_finite_rows_and_signed_zeros():
                                           all_pairs_nondominated(padded))
 
 
+def test_one_objective_mask_keeps_the_least_values():
+    # The M = 2 sweep on the last rank: every copy of the least value stays.
+    pts = np.array([[1.0], [-0.0], [np.nan], [0.0], [np.inf], [0.5], [-0.0]])
+    np.testing.assert_array_equal(dominance_mask(pts), all_pairs_nondominated(pts))
+    np.testing.assert_array_equal(dominance_mask(pts),
+                                  [False, True, True, True, False, False, True])
+
+
 STAIRCASE_POINT_SETS = ("signed", "runs", "equal_f2")
 
 
@@ -262,6 +270,64 @@ def test_ranked_mask_at_the_rank_dtype_widening_points(n):
     np.testing.assert_array_equal(dominance_mask(pts), want)
     if n < 1000:  # the oracle needs about n * n * M bytes
         np.testing.assert_array_equal(want, all_pairs_nondominated(pts))
+
+
+def rank_edge_set(n, m, duplicated, rng):
+    """n non-NaN rows, then three NaN rows, with ranks up to n - 1 at M = 2, 3.
+
+    Every column holds the n distinct values -inf, -0.0, 1, ..., n - 3, inf.
+    Objective 0 rises down the rows and the last objective falls, locally
+    shuffled, so the front keeps some rows and drops their neighbours.  With
+    duplicated, a quarter of the rows become copies of others, their zeros
+    with the other sign, which leaves fewer distinct values but n rows.
+    """
+    values = np.concatenate([[-np.inf, -0.0], np.arange(1.0, n - 2), [np.inf]])
+    cols = [values] + [rng.permutation(values) for _ in range(m - 2)]
+    cols.append(values[::-1][np.argsort(np.arange(n) + rng.uniform(0.0, 5.0, size=n))])
+    pts = np.column_stack(cols)
+    if duplicated:
+        copies = rng.choice(n, size=n // 4, replace=False)
+        src = pts[rng.integers(0, n, size=n // 4)]
+        pts[copies] = np.where(src == 0.0, -src, src)
+    pts = np.concatenate([pts, np.full((3, m), np.nan)])
+    return pts[rng.permutation(n + 3)]
+
+
+@pytest.mark.parametrize("duplicated", (False, True))
+@pytest.mark.parametrize("m", (2, 3))
+@pytest.mark.parametrize("n", (255, 256, 257))
+def test_low_dimensional_ranks_at_the_rank_dtype_widening_points(n, m, duplicated):
+    # Two and three objectives are ranked like four and up: n = 256 non-NaN
+    # rows fill uint8 with the rank 255, and one more row needs uint16.
+    pts = rank_edge_set(n, m, duplicated, np.random.default_rng(n * m + duplicated))
+    got = dominance_mask(pts)
+    np.testing.assert_array_equal(got, all_pairs_nondominated(pts))
+    assert 3 < got.sum() < n
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_low_dimensional_ranks_past_uint16(m):
+    # 40,000 front rows (i, 39999 - i) and a twin of each half a unit worse
+    # in objective 1 give 80,000 distinct values there, so the ranks need
+    # uint32.  Each twin is dominated by its own front row only; a twin's
+    # objective 1 lies above every front row's with objective 0 no larger.
+    # Objective 2 (M = 3) is a permutation and changes none of that.  Copies
+    # of front rows with -0.0 for 0.0 are kept, as are the rows that hold
+    # -inf in one objective and inf in another; (inf, inf) is dropped.
+    k = 40000
+    rng = np.random.default_rng(m)
+    i = np.arange(float(k))
+    front = np.column_stack([i, k - 1 - i, rng.permutation(i)][:m])
+    twins = front.copy()
+    twins[:, 1] += 0.5
+    copies = front[:100] * np.where(front[:100] == 0.0, -1.0, 1.0)
+    edges = np.array([[np.inf, -np.inf, 0.0], [-np.inf, np.inf, 0.0],
+                      [np.inf, np.inf, np.inf], [np.nan, 0.0, 0.0]])[:, :m]
+    pts = np.concatenate([front, twins, copies, edges])
+    want = np.concatenate([np.ones(k, bool), np.zeros(k, bool), np.ones(100, bool),
+                           [True, True, False, True]])
+    perm = rng.permutation(pts.shape[0])
+    np.testing.assert_array_equal(dominance_mask(pts[perm]), want[perm])
 
 
 def sweep_rows_with_twins(m, n):
@@ -628,6 +694,24 @@ def test_screened_igd_keeps_exact_ties(m, screened, monkeypatch):
     r = np.concatenate([np.zeros((1, m)), rng.uniform(2.0, 3.0, size=(99, m))])
     assert_same_igd(a, r)
     assert screened == [True]
+
+
+@pytest.mark.parametrize("m", (1, 2, 6, 10, 16, 40))
+def test_screen_slack_covers_the_proven_bound(m):
+    # igd's docstring bounds the gap between the computed screen values of
+    # the cdist argmin and of the screen's own minimum by
+    # 2 (5M + 6) u N_i + (3M + 1) smallest subnormals; the slack 2 e_i must
+    # not fall below it at any M or scale.  Squares of the 1e-160 points
+    # underflow, so there the subnormal term alone has to cover it.
+    finfo = np.finfo(float)
+    rng = np.random.default_rng(m)
+    for scale in (1e-160, 1e-3, 1.0, 1e150):
+        r, a = rng.normal(size=(40, m)) * scale, rng.normal(size=(60, m)) * scale
+        _, _, slack = _screen_terms(r, a)
+        n_i = np.sum(r * r, axis=1) + np.sum(a * a, axis=1).max()
+        bound = (2 * (5 * m + 6) * (finfo.eps / 2) * n_i
+                 + (3 * m + 1) * finfo.smallest_subnormal)
+        assert slack.shape == (40,) and np.all(slack >= bound), (m, scale)
 
 
 def test_screened_igd_on_rings_far_from_the_origin(screened):

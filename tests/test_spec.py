@@ -396,10 +396,10 @@ def test_numpy_choice_arrays_draw_the_suite_of_int_lists():
 @pytest.mark.parametrize("reference, message", [
     ("e4", "axis label 'e4' out of range 1..3"),
     ("1,x,2", "cannot read reference '1,x,2'"),
-    ("e\u00b2", "cannot read reference 'e\u00b2'"),  # a digit, but not a decimal one
     ((1.0, None, 2.0), "cannot read reference (1.0, None, 2.0)"),
     ("inf,1,1", "reference must be finite"),
     ((1.0, float("nan"), 1.0), "reference must be finite"),
+    ("e\u00b2", "cannot read reference 'e\u00b2'"),  # a digit, but not a decimal one
 ])
 def test_resolve_reference_diagnostics(reference, message):
     with pytest.raises(SpecError) as exc:

@@ -106,27 +106,36 @@ def position_point(y: np.ndarray, p: float) -> np.ndarray:
     return t / p_norm(t, p)[..., None]
 
 
-def _shared_intervals(w: np.ndarray, n_excl: np.ndarray, t: int, g: int):
+def _window_step(w, i: int, lo_prev, hi_prev, n_excl: np.ndarray, t: int):
+    """Bounds of the shared sum after window i, given w and those before it.
+
+    Scalars or one entry per row; the sums around the ends are pinned to 0.
+    The np.where forms break ties like Python's max and min (first argument
+    wins), which keeps the sign of zero.  Also returns whether they fit.
+    """
+    cap = float(t) if i < n_excl.size - 1 else 0.0
+    low = w - hi_prev - n_excl[i]
+    high = w - lo_prev + n_excl[i]
+    lo = np.where(-cap > low, -cap, low)
+    hi = np.where(cap < high, cap, high)
+    return lo, hi, ~(lo > hi + 1e-12)
+
+
+def _shared_intervals(w: np.ndarray, n_excl: np.ndarray, t: int):
     """Reachable shared-block sums for signed window targets, row by row.
 
-    w holds the signed targets of the first k <= g windows, shaped (n, k).
-    Column i of lo/hi bounds the shared sum after window i+1, with the
-    virtual boundary sums pinned to zero; ok marks the rows whose intervals
-    are all nonempty.  The np.where forms break ties like Python's max and
-    min (first argument wins), which keeps the sign of zero.
+    w holds the signed targets of the windows, shaped (n, g).  Column i of
+    lo/hi bounds the shared sum after window i+1; ok marks the rows whose
+    intervals are all nonempty.
     """
-    n, k = w.shape
-    lo = np.empty((n, k))
-    hi = np.empty((n, k))
+    n, g = w.shape
+    lo = np.empty((n, g))
+    hi = np.empty((n, g))
     ok = np.ones(n, dtype=bool)
     lo_prev = hi_prev = np.zeros(n)
-    for i in range(k):
-        cap = float(t) if i < g - 1 else 0.0
-        low = w[:, i] - hi_prev - n_excl[i]
-        high = w[:, i] - lo_prev + n_excl[i]
-        lo[:, i] = np.where(-cap > low, -cap, low)
-        hi[:, i] = np.where(cap < high, cap, high)
-        ok &= ~(lo[:, i] > hi[:, i] + 1e-12)
+    for i in range(g):
+        lo[:, i], hi[:, i], fits = _window_step(w[:, i], i, lo_prev, hi_prev, n_excl, t)
+        ok &= fits
         lo_prev, hi_prev = lo[:, i], hi[:, i]
     return lo, hi, ok
 
@@ -134,18 +143,20 @@ def _shared_intervals(w: np.ndarray, n_excl: np.ndarray, t: int, g: int):
 def _sign_search(target: np.ndarray, n_excl: np.ndarray, t: int) -> np.ndarray:
     """First feasible sign pattern of one row, depth-first, +1 branch first."""
     g = target.shape[0]
-    # Only feasible prefixes are pushed, so the first full pattern popped wins.
-    stack: list[list[int]] = [[]]
+    # Only feasible prefixes are pushed, each with the bounds of the shared
+    # sum after its last window, so a step checks one more window and the
+    # first full pattern popped wins.
+    stack = [([], 0.0, 0.0)]
     while stack:
-        prefix = stack.pop()
-        if len(prefix) == g:
+        prefix, lo, hi = stack.pop()
+        i = len(prefix)
+        if i == g:
             return np.array(prefix, dtype=float)
-        branches = (1,) if target[len(prefix)] == 0.0 else (-1, 1)
+        branches = (1,) if target[i] == 0.0 else (-1, 1)
         for sgn in branches:  # pushed so that +1 is explored first
-            cand = prefix + [sgn]
-            w = np.array(cand, dtype=float) * target[:len(cand)]
-            if _shared_intervals(w[None, :], n_excl, t, g)[2][0]:
-                stack.append(cand)
+            lo_i, hi_i, fits = _window_step(sgn * target[i], i, lo, hi, n_excl, t)
+            if fits:
+                stack.append((prefix + [sgn], lo_i, hi_i))
     raise ValueError("no sign pattern realizes these meta-variables")
 
 
@@ -194,12 +205,11 @@ def realize_position(y: np.ndarray, q: int, t: int) -> np.ndarray:
             n_excl[1:-1] -= 2 * t
 
     signs = np.ones_like(target)
-    lo, hi, ok = _shared_intervals(target, n_excl, t, g)
+    lo, hi, ok = _shared_intervals(target, n_excl, t)
     redo = np.flatnonzero(~ok)
     if redo.size:
         signs[redo] = [_sign_search(target[i], n_excl, t) for i in redo]
-        lo[redo], hi[redo], _ = _shared_intervals(
-            signs[redo] * target[redo], n_excl, t, g)
+        lo[redo], hi[redo], _ = _shared_intervals(signs[redo] * target[redo], n_excl, t)
     w = signs * target
 
     x = np.zeros((target.shape[0], (g - 1) * q + width))

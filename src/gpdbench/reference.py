@@ -129,12 +129,9 @@ def _set_targets(m: int, n: int) -> np.ndarray:
 
 _CHUNK = 256  # candidate rows tested against the archive at a time
 _IGD_BLOCK = 1 << 16  # distance entries held at a time by igd
-_SCREEN_DIMS = 6  # igd screens candidates with a matrix product from here up
 _SCREEN_CAP = 16  # screened candidates per reference row before a block is recomputed
 _SCREEN_NORM_MAX = np.finfo(float).max / 8  # larger squared norms skip the screen
-_SWEEP_ROWS = 64  # fewest reference rows per block of igd's sorted sweep
-_SWEEP_SEED = 4  # approximations either side of an igd row or sweep block that seed its bound
-_SWEEP_WIDE = 0.25  # share of a past which an open igd row skips the sweep
+_SEED = 4  # approximations either side of an igd row's place in the sorted a that bound it
 _PERTURB_BLOCK = 1 << 16  # sample entries held at a time by perturb_experiment
 
 
@@ -339,18 +336,19 @@ def _screened_block(screen, r0, a0, rb, ab, near, out, mask):
     return True
 
 
-def _window_minima(rb, r0, a_cols, lo, hi, near, buf, screen):
-    """Lower near to the row minima of rb against the columns lo:hi of a_cols.
+def _block_minima(rb, r0, a_cols, near, buf, screen):
+    """Lower near to the row minima of rb against all of a_cols.
 
-    rb holds reference rows r0 onwards.  The columns go in chunks of at most
-    the size of buf.  The screen settles a chunk when there is one and the
-    chunk stays under its cap; otherwise the chunk is computed in cdist order.
+    rb holds the open reference rows r0 onwards.  The columns go in chunks of
+    at most the size of buf.  The screen settles a chunk when there is one
+    and the chunk stays under its cap; otherwise the chunk is computed in
+    cdist order.
     """
     total, term, mask = buf
     rows = rb.shape[1]
     step = max(1, total.size // rows)
-    for c0 in range(lo, hi, step):
-        ab = a_cols[:, c0:min(hi, c0 + step)]
+    for c0 in range(0, a_cols.shape[1], step):
+        ab = a_cols[:, c0:c0 + step]
         cols = ab.shape[1]
         size = rows * cols
         if screen is not None and _screened_block(
@@ -370,14 +368,14 @@ def _window_minima(rb, r0, a_cols, lo, hi, near, buf, screen):
 def _seed_minima(r_cols, a_cols, nearest, buf):
     """Fill nearest from each row's seed window; return the windows' (lo, hi).
 
-    A row's seed window is the 2 * _SWEEP_SEED approximations around its
-    position in a_cols, which is sorted on coordinate 0, shifted to stay
-    inside a_cols (all of them when there are fewer).  Rows go in chunks
-    that gather at most one buffer of approximation coordinates.
+    A row's seed window is the 2 * _SEED approximations around its position
+    in a_cols, which is sorted on coordinate 0, shifted to stay inside
+    a_cols (all of them when there are fewer).  Rows go in chunks that
+    gather at most one buffer of approximation coordinates.
     """
     m, n = a_cols.shape
-    k = min(2 * _SWEEP_SEED, n)
-    lo = np.searchsorted(a_cols[0], r_cols[0]) - _SWEEP_SEED
+    k = min(2 * _SEED, n)
+    lo = np.searchsorted(a_cols[0], r_cols[0]) - _SEED
     np.clip(lo, 0, n - k, out=lo)
     total, term, _ = buf
     step = max(1, total.size // (k * m))
@@ -390,43 +388,11 @@ def _seed_minima(r_cols, a_cols, nearest, buf):
     return lo, lo + k
 
 
-def _swept_minima(r_cols, a_cols, near, buf):
-    """Lower near to the row minima of r_cols, sorted on coordinate 0, by the sweep.
-
-    Returns the rows it leaves open: those whose reach, after their block's
-    seed window, spans more than a share _SWEEP_WIDE of a.
-    """
-    x = a_cols[0]
-    pos = np.searchsorted(x, r_cols[0])
-    rows = max(_SWEEP_ROWS, _IGD_BLOCK // x.size)
-    wide = np.zeros(near.size, dtype=bool)
-    for r0 in range(0, near.size, rows):
-        nb = near[r0:r0 + rows]
-        rb = r_cols[:, r0:r0 + rows]
-        lo = max(0, pos[r0] - _SWEEP_SEED)
-        hi = min(x.size, pos[r0 + rb.shape[1] - 1] + _SWEEP_SEED)
-        _window_minima(rb, r0, a_cols, lo, hi, nb, buf, None)
-        reach = np.sqrt(nb) * (1 + 2.0 ** -40)
-        left = np.searchsorted(x, rb[0] - reach)
-        right = np.searchsorted(x, rb[0] + reach, side="right")
-        narrow = right - left <= _SWEEP_WIDE * x.size
-        wide[r0:r0 + rows] = ~narrow
-        # Wide rows leave the block; without any, rows and bounds stay views.
-        keep = slice(None) if narrow.all() else narrow
-        rn, nn = rb[:, keep], nb[keep]
-        if nn.size:
-            _window_minima(rn, r0, a_cols, left[keep].min(), lo, nn, buf, None)
-            _window_minima(rn, r0, a_cols, hi, right[keep].max(), nn, buf, None)
-            nb[keep] = nn
-    return np.flatnonzero(wide)
-
-
 def _nearest(r, a):
     """Squared nearest distances of the rows of r; see igd for the decisions."""
     finite = np.isfinite(a).all() and np.isfinite(r).all()
     if finite:
-        order = np.argsort(r[:, 0])
-        r, a = r[order], a[np.argsort(a[:, 0])]
+        a = a[np.argsort(a[:, 0])]
     r_cols, a_cols = r.T.copy(), a.T.copy()
     total = np.empty(_IGD_BLOCK)
     buf = total, np.empty_like(total), np.empty(total.shape, dtype=bool)
@@ -441,11 +407,6 @@ def _nearest(r, a):
         x = np.concatenate(([-np.inf], a_cols[0], [np.inf]))
         plain = np.flatnonzero((nearest > 0) & ((x[lo] >= r_cols[0] - reach)
                                                 | (x[hi + 1] <= r_cols[0] + reach)))
-        if r.shape[1] < _SCREEN_DIMS and plain.size:
-            near = nearest[plain]
-            wide = _swept_minima(r_cols[:, plain], a_cols, near, buf)
-            nearest[plain] = near
-            plain = plain[wide]
     if plain.size:
         # Blocks this short see all of a in one chunk, which one screen settles.
         screen = _screen_terms(r[plain], a)
@@ -453,11 +414,8 @@ def _nearest(r, a):
         near = nearest[plain]
         pc = r_cols[:, plain]
         for r0 in range(0, plain.size, rows):
-            _window_minima(pc[:, r0:r0 + rows], r0, a_cols, 0, a.shape[0],
-                           near[r0:r0 + rows], buf, screen)
+            _block_minima(pc[:, r0:r0 + rows], r0, a_cols, near[r0:r0 + rows], buf, screen)
         nearest[plain] = near
-    if finite:  # the mean sums pairwise, so it must see the rows in input order
-        nearest[order] = nearest.copy()
     return nearest
 
 
@@ -472,14 +430,14 @@ def igd(approximation, reference) -> float:
     time, in cdist's order, and the square root is taken after the minimum;
     being monotone and correctly rounded, it commutes with the minimum.
 
-    Up to three steps settle the reference rows; each only picks which
-    pairs are skipped, and every pair computed at all is computed in full,
-    in chunks of at most 65536 distance entries (two float blocks and one
-    bool block, about 1.1 MB), so memory stays O(r + a).  With finite
-    inputs, both sets are sorted by coordinate 0 and every row first meets
-    its own seed window; the rows left open go on to the sorted sweep below
-    six objectives and to the plain blocks from six up.  A NaN or infinite
-    input sends every row to the plain blocks.
+    Two steps settle the reference rows; each only picks which pairs are
+    skipped, and every pair computed at all is computed in full, in chunks
+    of at most 65536 distance entries (two float blocks and one bool block,
+    about 1.1 MB), so memory stays O(r + a).  With finite inputs, a is
+    sorted by coordinate 0 and every row first meets its own seed window;
+    the rows left open go on to the plain blocks.  A NaN or infinite input
+    sends every row to the plain blocks.  The rows keep their input order
+    throughout, as the mean's pairwise summation needs.
 
     Seeds.  A reference row's seed window is the eight approximations around
     its position on coordinate 0, shifted to stay inside a (all of a when
@@ -501,20 +459,9 @@ def igd(approximation, reference) -> float:
     row and gathers at most 65536 coordinates at a time.  Beside a front,
     where an approximation sits next to most rows, it settles most of them.
 
-    Sweep (Friedman, Baskett and Shustek, IEEE Trans. Comput. C-24(10),
-    1975).  The open rows, still sorted, go in blocks of max(64, 65536 // a).
-    Each block meets a shared window, from four approximations before its
-    first row's position to four after its last, which lowers every b_i.
-    By the argument above a row then needs only the x_j within its new
-    reach, and the block computes the union of those windows.  A row whose
-    reach spans more than a quarter of a goes on to the plain blocks
-    instead.  On fronts the seeds and the sweep compute a few percent of the
-    r * a pairs.
-
-    Plain blocks of max(1, 65536 // a) rows each meet all of a as one chunk,
-    which the BLAS screen below settles where it applies.  The minima are
-    put back in input order before the mean, whose pairwise summation is
-    order-sensitive.
+    Plain blocks of max(1, 65536 // a) open rows each meet all of a as one
+    chunk, which the BLAS screen below settles where it applies.  No row's
+    minimum depends on which rows share its block.
 
     In the plain blocks a BLAS screen picks the candidates first.  One
     matrix product per block, of the rows [-2 r_i, 1] by the columns
@@ -544,7 +491,7 @@ def igd(approximation, reference) -> float:
 
     Fallbacks compute every pair of a plain block, O(rows * a * M) time:
     any NaN or infinite input, for the whole call; a squared norm near
-    overflow, for the rows the seeds and the sweep leave open; and any block
+    overflow, for the rows the seeds leave open; and any block
     keeping more than 16 candidates per reference row (near-ties).
     """
     a = np.asarray(getattr(approximation, "points", approximation), dtype=float)

@@ -29,7 +29,7 @@ import gpdbench.reference
 from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
                       front_sample, igd, meta_variables, pareto_set_sample,
                       perturb_experiment, realize_position)
-from gpdbench.reference import _CHUNK, _SCREEN_DIMS, _SWEEP_SEED, _halton, _screen_terms
+from gpdbench.reference import _CHUNK, _SEED, _halton, _screen_terms
 
 
 def all_pairs_nondominated(pts):
@@ -432,10 +432,8 @@ def igd_paths():
 
     "blocked": no seed pass; every row met all of a (a NaN or infinite input).
     "settled": every row was settled by its own seed window.
-    "swept": the rows left open were all finished by the sorted sweep.
     "full": some rows left open met all of a in one chunk, screened where
-    the screen allows it (wide rows below _SCREEN_DIMS, every open row from
-    there up).
+    the screen allows it.
     """
     paths, steps = [], set()
     real_nearest = gpdbench.reference._nearest
@@ -444,7 +442,7 @@ def igd_paths():
         steps.clear()
         out = real_nearest(r, a)
         paths.append("blocked" if "seed" not in steps else "full" if "full" in steps
-                     else "swept" if "sweep" in steps else "settled")
+                     else "settled")
         return out
 
     def spy(step, real):
@@ -455,34 +453,33 @@ def igd_paths():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gpdbench.reference, "_nearest", nearest)
-        for step, name in (("seed", "_seed_minima"), ("sweep", "_swept_minima"),
-                           ("full", "_screen_terms")):
+        for step, name in (("seed", "_seed_minima"), ("full", "_screen_terms")):
             mp.setattr(gpdbench.reference, name, spy(step, getattr(gpdbench.reference, name)))
         yield paths
 
 
 @settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, _SCREEN_DIMS - 1), n_a=st.integers(1, 3000), n_r=st.integers(1, 600),
+@given(m=st.integers(1, 10), n_a=st.integers(1, 3000), n_r=st.integers(1, 600),
        noise=st.sampled_from((0.0, 1e-9, 1e-3, 0.1)), block=st.sampled_from((None, 1000)),
        scale=st.sampled_from((1e-150, 1.0, 1e150)), seed=st.integers(0, 2**32 - 1))
-def test_swept_igd_on_fronts_equals_cdist(m, n_a, n_r, noise, block, scale, seed):
+def test_seeded_igd_on_fronts_equals_cdist(m, n_a, n_r, noise, block, scale, seed):
     # Approximations on or near the reference front, so the seeds settle most
-    # rows and the windows prune the rest.
+    # rows and the plain blocks finish the rest.
     rng = np.random.default_rng(seed)
     r = front_like(rng, m, n_r) * scale
     a = front_like(rng, m, n_a)
     a = (a + rng.normal(size=a.shape) * noise) * scale
     with igd_paths() as paths, pytest.MonkeyPatch.context() as mp:
-        if block is not None:  # windows then span several blocks
+        if block is not None:  # seeds and open rows then span several blocks
             mp.setattr(gpdbench.reference, "_IGD_BLOCK", block)
         assert_same_igd(a, r)
     assert paths != ["blocked"]  # finite inputs always start from their seeds
 
 
-@pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5))
 def test_swept_igd_with_ties_on_the_sort_coordinate(m):
     rng = np.random.default_rng(m)
-    # Every first coordinate equal: each window is all of a.
+    # Every first coordinate equal: each row's reach is all of a.
     a, r = rng.uniform(size=(700, m)), rng.uniform(size=(300, m))
     a[:, 0] = r[:, 0] = 0.5
     assert_same_igd(a, r)
@@ -503,17 +500,17 @@ def test_swept_igd_with_ties_on_the_sort_coordinate(m):
     if m == 1:  # each row coincides with its tie group: a zero bound settles it
         assert paths == ["settled"]
     else:
-        assert paths in (["swept"], ["full"])
+        assert paths == ["full"]
 
 
-@pytest.mark.parametrize("m", range(2, _SCREEN_DIMS))
+@pytest.mark.parametrize("m", (2, 3, 4, 5))
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_swept_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
-    # The origin's seed window, the 2 * _SWEEP_SEED approximations next to it
-    # in coordinate 0, bounds its distance by 1.  The nearest point lies just
-    # past the window, at a coordinate-0 offset within 2^-30 of that bound;
-    # far points keep the reach narrow, so the sweep must find it.
-    k = 2 * _SWEEP_SEED
+    # The origin's seed window, the 2 * _SEED approximations next to it in
+    # coordinate 0, bounds its distance by 1.  The nearest point lies just
+    # past the window, at a coordinate-0 offset within 2^-30 of that bound,
+    # so the origin stays open and its plain block must find it.
+    k = 2 * _SEED
     a = np.zeros((k + 101, m))
     a[:k, 0] = sign * np.linspace(0.0, 0.5, k)
     a[:k, 1] = 1.0 + np.arange(k)
@@ -524,10 +521,10 @@ def test_swept_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
     with igd_paths() as paths:
         assert_same_igd(a, r)
     assert igd(a, r) < 1.0
-    assert paths == ["swept"]
+    assert paths == ["full"]
 
 
-@pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 10))
 def test_swept_igd_keeps_the_reference_order_for_the_mean(m):
     rng = np.random.default_rng(20 + m)
     r = front_like(rng, m, 2000) * rng.uniform(0.5, 2.0, size=(2000, 1))
@@ -536,7 +533,7 @@ def test_swept_igd_keeps_the_reference_order_for_the_mean(m):
         assert_same_igd(a, rows)
 
 
-@pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5))
 @pytest.mark.parametrize("scale", (1e-150, 1e-160, 1e-170, 1e150, 1e160))
 def test_swept_igd_at_extreme_scales(m, scale):
     # Squared distances fall into subnormals or to zero from 1e-160 down, and
@@ -556,7 +553,7 @@ def test_swept_igd_at_extreme_scales(m, scale):
         assert paths != ["blocked"]
 
 
-@pytest.mark.parametrize("m", range(1, _SCREEN_DIMS))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5))
 @pytest.mark.parametrize("value", (np.nan, np.inf, -np.inf))
 @pytest.mark.parametrize("side", ("a", "r"))
 def test_non_finite_low_dimensional_igd_takes_the_blocked_path(m, value, side):
@@ -568,7 +565,7 @@ def test_non_finite_low_dimensional_igd_takes_the_blocked_path(m, value, side):
     assert paths == ["blocked"]
 
 
-def test_swept_igd_computes_few_pairs_on_reference_fronts(monkeypatch):
+def test_seeded_igd_computes_few_pairs_on_reference_fronts(monkeypatch):
     # The reference fronts and Pareto-set samples of three instances, as the
     # reference benchmark builds them.  Without pruning every pair is computed.
     entries = []
@@ -630,7 +627,7 @@ def test_igd_settles_rows_whose_seed_bound_is_zero(monkeypatch):
     monkeypatch.setattr(gpdbench.reference, "_seed_minima", seeds)
     monkeypatch.setattr(gpdbench.reference, "_screen_terms", terms)
     rng = np.random.default_rng(7)
-    a = rng.uniform(size=(2000, _SCREEN_DIMS))
+    a = rng.uniform(size=(2000, 6))
     a[:, 0] = rng.integers(0, 21, size=2000) / 20
     r = a[rng.choice(2000, size=500, replace=False)]
     assert_same_igd(a, r)
@@ -644,31 +641,30 @@ def test_igd_with_fewer_approximations_than_a_seed_window(m):
     rng = np.random.default_rng(40 + m)
     r = rng.normal(size=(50, m))
     with igd_paths() as paths:
-        for n in range(1, 2 * _SWEEP_SEED):
+        for n in range(1, 2 * _SEED):
             assert_same_igd(rng.normal(size=(n, m)), r)
-    assert paths == ["settled"] * (2 * _SWEEP_SEED - 1)
+    assert paths == ["settled"] * (2 * _SEED - 1)
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
 def test_swept_igd_finishes_rows_left_open_beside_their_approximations(m):
     # Each reference row has an approximation within about 1e-3, which its
-    # seed window misses for some rows; their block's seed bounds them, so
-    # the sweep finishes every open row without the plain blocks.  (At five
-    # objectives a few of these rows reach wide and go on to the screen.)
+    # seed window misses for some rows: those stay open, and the plain
+    # blocks must find the approximation past their window.
     rng = np.random.default_rng(m)
     r = front_like(rng, m, 500)
     a = np.concatenate([r + rng.normal(size=r.shape) * 1e-3, front_like(rng, m, 1500)])
     with igd_paths() as paths:
         assert_same_igd(a, r)
-    assert paths == ["swept"]
+    assert paths == ["full"]
 
 
 @pytest.fixture
 def screened(monkeypatch):
     """Outcome of every screened igd block: True kept, False recomputed in full.
 
-    An empty list after a call from _SCREEN_DIMS objectives up means the
-    whole call skipped the screen and took the blocked path.
+    An empty list after a call means no row met the screen: the seeds
+    settled every row, or the whole call took the blocked path.
     """
     outcomes = []
     real = gpdbench.reference._screened_block
@@ -681,19 +677,26 @@ def screened(monkeypatch):
     return outcomes
 
 
-@pytest.mark.parametrize("m", (*range(5, 11), 16))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, *range(5, 11), 16))
 def test_screened_igd_keeps_exact_ties(m, screened, monkeypatch):
-    # The origin is equally far from every +-e_k, so all 2M are candidates;
-    # the other reference rows keep the block under its cap.  Below
-    # _SCREEN_DIMS the screen is switched on for the call, since it must stay
-    # exact at any M.
-    monkeypatch.setattr(gpdbench.reference, "_SCREEN_DIMS", min(m, _SCREEN_DIMS))
+    # The origin is equally far from five copies of every +-e_k, so all 10M
+    # are candidates; the other reference rows keep the block under its cap.
+    # The copies put more than a seed window's eight approximations within
+    # the origin's reach on coordinate 0, so it meets the screen at every M.
+    opened = []
+    real_terms = gpdbench.reference._screen_terms
+
+    def terms(r, a):
+        opened.append(r)
+        return real_terms(r, a)
+
+    monkeypatch.setattr(gpdbench.reference, "_screen_terms", terms)
     rng = np.random.default_rng(m)
-    ties = np.concatenate([np.eye(m), -np.eye(m)])
+    ties = np.repeat(np.concatenate([np.eye(m), -np.eye(m)]), 5, axis=0)
     a = np.concatenate([ties, rng.uniform(2.0, 3.0, size=(200, m))])
     r = np.concatenate([np.zeros((1, m)), rng.uniform(2.0, 3.0, size=(99, m))])
     assert_same_igd(a, r)
-    assert screened == [True]
+    assert screened == [True] and not opened[0][0].any()
 
 
 @pytest.mark.parametrize("m", (1, 2, 6, 10, 16, 40))
@@ -742,29 +745,31 @@ def test_screened_igd_recomputes_only_blocks_over_the_cap(screened, monkeypatch)
     assert screened == [False, True, True, True]
 
 
-@pytest.mark.parametrize("m", (5, _SCREEN_DIMS, 10))
-def test_screened_igd_with_duplicated_rows(m, screened, monkeypatch):
-    monkeypatch.setattr(gpdbench.reference, "_SCREEN_DIMS", min(m, _SCREEN_DIMS))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 6, 10))
+def test_screened_igd_with_duplicated_rows(m, screened):
     rng = np.random.default_rng(m)
     a = np.repeat(rng.uniform(size=(400, m)), 3, axis=0)
     r = np.concatenate([a[::7], rng.uniform(size=(300, m))])
     assert_same_igd(a, r)
-    assert screened and all(screened)
+    # At M = 1 each row's seed window holds both its neighbours, and no value
+    # repeats often enough to fill the window, so the seeds settle every row.
+    assert all(screened) and bool(screened) == (m > 1)
 
 
-def test_igd_below_the_screen_sweeps_ties_and_duplicated_rows(screened):
-    # One objective below the screen the sweep prunes instead.  The origin
-    # is equally far from every +-e_k, and front rows repeat in a and r.  Rows
-    # whose reach spans more than _SWEEP_WIDE of a, the origin among them,
-    # go on to the screen, which must keep the ties too.
-    m = _SCREEN_DIMS - 1
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5))
+def test_igd_keeps_ties_and_duplicated_rows_beside_a_front(m, screened):
+    # The origin is equally far from every +-e_k, and front rows repeat in a
+    # and r.  From M = 2 up the rows left open, the origin among them, meet
+    # the screen, and a block over its cap is recomputed in full; both must
+    # keep the ties.  At M = 1 the front lies nearer the origin than the
+    # ties, and every row settles at its seeds.
     rng = np.random.default_rng(m)
     front = front_like(rng, m, 1200)
     a = np.concatenate([np.eye(m), -np.eye(m), np.repeat(front[:400], 3, axis=0)])
     r = np.concatenate([np.zeros((1, m)), front[::7], front[400:]])
     with igd_paths() as paths:
         assert_same_igd(a, r)
-    assert paths == ["full"] and screened
+    assert paths == (["settled"] if m == 1 else ["full"]) and bool(screened) == (m > 1)
 
 
 @pytest.mark.parametrize("scale, screens", [(1e-150, True), (1e-160, True), (1e150, True),
@@ -823,20 +828,30 @@ def test_screened_igd_blocks_see_all_approximations_at_once(monkeypatch):
     assert sum(rows for _, _, rows, _ in blocks) == opened[0]
 
 
-def test_igd_does_not_depend_on_the_blas_thread_count():
-    code = ("import numpy as np, gpdbench; rng = np.random.default_rng(19); "
-            "r = np.abs(rng.normal(size=(3375, 10))); a = r[:2000] + rng.normal(size=(2000, 10)) * 0.01; "
-            "print(repr(gpdbench.igd(a, r)))")
+def test_igd_does_not_depend_on_the_blas_thread_count(screened):
+    # An M = 10 set beside its reference, and random points on the 3-D
+    # sphere, where most rows stay open after their seeds and meet the
+    # screen's matrix product.
+    setup = ("import numpy as np\n"
+             "rng = np.random.default_rng(19)\n"
+             "r = np.abs(rng.normal(size=(3375, 10)))\n"
+             "a = r[:2000] + rng.normal(size=(2000, 10)) * 0.01\n"
+             "s = rng.normal(size=(4000, 3))\n"
+             "s /= np.linalg.norm(s, axis=1, keepdims=True)\n"
+             "pairs = [(a, r), (s[:2000], s[2000:])]\n")
+    code = setup + "import gpdbench\nprint(*[repr(gpdbench.igd(x, y)) for x, y in pairs])"
     src = str(Path(gpdbench.reference.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    rng = np.random.default_rng(19)
-    r = np.abs(rng.normal(size=(3375, 10)))
-    a = r[:2000] + rng.normal(size=(2000, 10)) * 0.01
-    assert float(proc.stdout) == igd(a, r) == cdist_igd(a, r)
+    scope = {}
+    exec(setup, scope)
+    for (x, y), single in zip(scope["pairs"], proc.stdout.split(), strict=True):
+        screened.clear()
+        assert float(single) == igd(x, y) == cdist_igd(x, y)
+        assert screened and all(screened)
 
 
 # --- _halton -----------------------------------------------------------------

@@ -38,10 +38,10 @@ def nearest_axis(f: np.ndarray):
     stack of points.
     """
     f = np.asarray(f, dtype=float)
-    if np.any(np.all(f == 0.0, axis=-1)):
+    if (f == 0.0).all(axis=-1).any():
         raise ValueError("nearest axis of a zero vector is undefined")
-    idx = np.argmax(f, axis=-1) + 1
-    return int(idx) if np.ndim(idx) == 0 else idx
+    idx = f.argmax(axis=-1) + 1
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarray]:
@@ -69,8 +69,10 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
             axis[con.axis_j - 1] = 1.0
             phis[..., col] = _normalized_angle(f, fn, axis)
             # arccos is decreasing, so the largest cosine is the smallest angle.
-            cos = np.clip(f / fn[..., None], -1.0, 1.0)
-            gap = np.arccos(cos[..., con.axis_j - 1]) - np.arccos(cos.max(axis=-1))
+            cos = f / fn[..., None]
+            cos = np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
+            gap = (np.arccos(cos[..., con.axis_j - 1])
+                   - np.arccos(np.maximum.reduce(cos, axis=-1)))
             viol[..., col] = np.where(nearest_axis(f_p) == con.axis_j, 0.0, gap)
             continue
         phi = _normalized_angle(f, fn, con.reference)

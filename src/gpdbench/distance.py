@@ -20,6 +20,8 @@ ROBUST_MINIMIZER = 0.60006613899
 # Interval of stable (robust) per-term solutions.
 ROBUST_STABLE_RANGE = (0.1, 0.3)
 
+_TINY = np.finfo(float).tiny  # subnormal squares carry fewer bits
+
 
 def _scaled_rows(v) -> tuple[np.ndarray, np.ndarray]:
     """The rows of v and their squared norms, safe to take angles with.
@@ -30,15 +32,15 @@ def _scaled_rows(v) -> tuple[np.ndarray, np.ndarray]:
     """
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):
-        sq = np.sum(v * v, axis=-1)
-    tiny = np.finfo(float).tiny  # subnormal squares carry fewer bits
-    if tiny <= sq.min(initial=np.inf) and sq.max(initial=0.0) < np.inf:
+        sq = np.add.reduce(v * v, axis=-1)
+    if (_TINY <= np.minimum.reduce(sq, axis=None, initial=np.inf)
+            and np.maximum.reduce(sq, axis=None, initial=0.0) < np.inf):
         return v, sq
-    big = np.max(np.abs(v), axis=-1, keepdims=True)
-    bad = (sq < tiny) | (sq == np.inf)
+    big = np.maximum.reduce(np.abs(v), axis=-1, keepdims=True)
+    bad = (sq < _TINY) | (sq == np.inf)
     bad &= (big[..., 0] > 0.0) & (big[..., 0] < np.inf)
     v = np.where(bad[..., None], v / np.where(bad[..., None], big, 1.0), v)
-    return v, np.sum(v * v, axis=-1)
+    return v, np.add.reduce(v * v, axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -66,11 +68,17 @@ def _normalized_angle(f: np.ndarray, fn: np.ndarray, d) -> np.ndarray:
     distinct reference (see _prepared_reference).
     """
     d = np.asarray(d, dtype=float)
+    if d.ndim != 1 or d.shape[0] < 2 or d.shape[0] != f.shape[-1]:
+        raise ValueError(f"reference must be one vector of at least 2 components, as long "
+                         f"as the rows; got shape {d.shape} for rows of shape {f.shape}")
     d, dn, widest = _prepared_reference(d.shape, d.tobytes())
-    if np.any(fn == 0.0):
+    if (fn == 0.0).any():
         raise ValueError("cannot take the angle of a zero vector")
-    cos = np.sum(f * d, axis=-1) / (fn * dn)
-    return np.clip(np.arccos(np.clip(cos, -1.0, 1.0)) / widest, 0.0, 1.0)
+    cos = np.add.reduce(f * d, axis=-1) / (fn * dn)
+    # np.maximum(-0.0, 0.0) is +0.0 where np.clip keeps -0.0; the only 0.0
+    # bound here meets arccos(...) / widest, which is never -0.0.
+    angle = np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0))
+    return np.minimum(np.maximum(angle / widest, 0.0), 1.0)
 
 
 def normalized_angle(f: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -83,7 +91,9 @@ def normalized_angle(f: np.ndarray, d: np.ndarray) -> np.ndarray:
     axis of d's smallest component, so the widest angle, which maps to
     exactly 1, is arccos(min_i d_i / ||d||): arccos(1/sqrt(M)) for the
     diagonal and pi/2 for an axis vector.  Vectors too small or too large to
-    square are rescaled first (see _scaled_rows).
+    square are rescaled first (see _scaled_rows).  d must be one vector of
+    at least two components, as long as the rows of f; any other shape
+    raises a ValueError that names both shapes.
     """
     f, f_sq = _scaled_rows(f)
     return _normalized_angle(f, np.sqrt(f_sq), d)
@@ -122,12 +132,15 @@ def deceptive_term(x, v, r) -> np.ndarray:
     The cosine runs only on the coordinates in [v - r, v + r], through the
     same doubles it would see on the whole array; NaN takes the right line.
     """
-    x, v, r = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (x, v, r)))
-    below = x < v - r
-    out = np.where(below, 5.0 * (x + r - v) / (v - r) + 10.0,
+    x, v, r = (np.asarray(a, dtype=float) for a in (x, v, r))
+    left = v - r
+    below = x < left
+    out = np.where(below, 5.0 * (x + r - v) / left + 10.0,
                    5.0 * (x - v - r) / (v + r - 1.0) + 10.0)
     inside = ~below & (x <= v + r)
-    xi, vi, ri = x[inside], v[inside], r[inside]
+    # Only the masked gathers need the operands at full shape.
+    xi, vi, ri = (a[inside] if a.shape == out.shape else np.broadcast_to(a, out.shape)[inside]
+                  for a in (x, v, r))
     out[inside] = 5.0 * (np.cos(((xi - vi) / ri + 1.0) * np.pi) + 1.0)
     return out
 
@@ -145,7 +158,7 @@ def deceptive_g(x_d: np.ndarray, phi, k: int) -> np.ndarray:
     idx = np.arange(1, s + 1, dtype=float)
     v = valley_center(phi[..., None], idx)
     r = valley_radius(phi[..., None], k)
-    return np.sum(deceptive_term(x_d, v, r), axis=-1)
+    return np.add.reduce(deceptive_term(x_d, v, r), axis=-1)
 
 
 def robust_term(x) -> np.ndarray:
@@ -167,7 +180,7 @@ def robust_term(x) -> np.ndarray:
 def robust_g(x_d: np.ndarray) -> np.ndarray:
     """Sum of robust terms over the distance vector."""
     x_d = np.asarray(x_d, dtype=float)
-    return np.sum(robust_term(x_d), axis=-1)
+    return np.add.reduce(robust_term(x_d), axis=-1)
 
 
 def radial_profile(g, phi, kind: str, composition: str) -> np.ndarray:
@@ -183,7 +196,7 @@ def radial_profile(g, phi, kind: str, composition: str) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if np.any(g < -1e-3):
+    if (g < -1e-3).any():
         raise ValueError("auxiliary distance value below the -1e-3 floor")
     g = np.maximum(g, 0.0)
     if kind in ("deceptive", "robust"):

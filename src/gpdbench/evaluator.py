@@ -16,6 +16,7 @@ samplers run the position stage, and the front the objective stage at g*.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -90,6 +91,14 @@ class BatchError(ValueError):
         super().__init__(f"row {index}: {message}{tail}")
 
 
+@functools.lru_cache(maxsize=16)
+def _box_low(r: int, n: int) -> np.ndarray:
+    """Lower box bounds of an n-coordinate row with r position coordinates."""
+    lo = np.repeat([-1.0, 0.0], [r, n - r])
+    lo.flags.writeable = False
+    return lo
+
+
 def _validate(rows, spec: ProblemSpec):
     """Split rows into a stacked (G, N) matrix of good rows and diagnostics.
 
@@ -111,7 +120,7 @@ def _validate(rows, spec: ProblemSpec):
         matrix = None
     if matrix is not None and matrix.ndim == 2 and matrix.shape[1] == n:
         matrix = np.ascontiguousarray(matrix)
-        good = list(range(matrix.shape[0]))
+        good = range(matrix.shape[0])
     else:
         shaped = []
         good = []
@@ -125,11 +134,11 @@ def _validate(rows, spec: ProblemSpec):
                 shaped.append(x)
                 good.append(i)
         matrix = np.stack(shaped) if shaped else np.empty((0, n))
-    lo = np.repeat([-1.0, 0.0], [r, n - r])
+    lo = _box_low(r, n)
     inside = (lo <= matrix) & (matrix <= 1.0)
-    rejected = np.flatnonzero(~inside.all(axis=1))
-    if rejected.size == 0:
+    if inside.all():
         return matrix, good, errors
+    rejected = np.flatnonzero(~inside.all(axis=1))
     for row, col in zip(rejected.tolist(), np.argmin(inside[rejected], axis=1).tolist()):
         errors.append((good[row], f"coordinate {col + 1} is {float(matrix[row, col]):g}, "
                                   f"outside [{lo[col]:g}, 1]"))
@@ -182,8 +191,8 @@ def _pipeline(x: np.ndarray, spec: ProblemSpec) -> EvaluationArrays:
     return EvaluationArrays(
         objectives=f, position_point=f_p, distance_value=f_d, distance_phi=phi,
         phi_per_constraint=phis, violations=viol,
-        nearest_axis_of_point=np.argmax(f_p, axis=-1) + 1,
-        feasible=np.all(viol == 0.0, axis=-1))
+        nearest_axis_of_point=f_p.argmax(axis=-1) + 1,
+        feasible=(viol == 0.0).all(axis=-1))
 
 
 def _row_tuples(col: np.ndarray):
@@ -268,11 +277,11 @@ def evaluate_batch(rows, spec: ProblemSpec) -> list[Evaluation]:
     evaluated, and a BatchError carrying per-row diagnostics plus the partial
     results is raised at the end.  An empty batch returns an empty list.
 
-    Packing rows into Evaluation objects is much of the cost, and about half
-    of it on large batches is the garbage collector: on 10k rows it took
-    11-13 of 23-31 ms at M = 3, 25-29 of 35-40 ms on the M = 5 band spec and
-    19-20 of 43-46 ms at M = 10, and on 100 rows 88-152 of 371-526 us.  Bulk
-    callers should use evaluate_arrays, which returns the same numbers as
-    arrays.
+    Packing rows into Evaluation objects is much of the cost, and a quarter
+    to a half of it on large batches is the garbage collector: on 10k rows
+    it took 15-16 of 27-29 ms at M = 3, 36-39 of 49-52 ms on the M = 5 band
+    spec and 25-29 of 49-50 ms at M = 10, and on 100 rows 107-294 of
+    388-666 us.  Bulk callers should use evaluate_arrays, which returns the
+    same numbers as arrays.
     """
     return _evaluations(evaluate_arrays(rows, spec))

@@ -41,11 +41,12 @@ def meta_variables(x_p: np.ndarray, q: int, t: int) -> np.ndarray:
         raise ValueError(
             f"position length {r} does not split into overlapping windows "
             f"with q={q}, t={t}")
-    padded = np.concatenate(
-        [np.zeros(x.shape[:-1] + (1,), dtype=float), np.cumsum(x, axis=-1)], axis=-1)
-    starts = np.arange(groups) * q
-    sums = padded[..., starts + width] - padded[..., starts]
-    return np.abs(sums) / width
+    padded = np.empty(x.shape[:-1] + (r + 1,))
+    padded[..., 0] = 0.0
+    np.add.accumulate(x, axis=-1, out=padded[..., 1:])
+    # Window i runs from prefix sum i*q to i*q + width; the last ends at r.
+    sums = padded[..., width::q] - padded[..., :groups * q:q]
+    return np.divide(np.abs(sums, out=sums), width, out=sums)
 
 
 def spherical_map(y: np.ndarray) -> np.ndarray:
@@ -66,11 +67,11 @@ def spherical_map(y: np.ndarray) -> np.ndarray:
     if y.shape[-1] < 1:
         raise ValueError("need at least one meta-variable")
     ang = y * (np.pi / 2.0)
-    c = np.cos(ang)
     s = np.sin(ang)
     m1 = y.shape[-1]
-    head = np.concatenate(
-        [np.ones(y.shape[:-1] + (1,), dtype=float), np.cumprod(c, axis=-1)], axis=-1)
+    head = np.empty(y.shape[:-1] + (m1 + 1,))
+    head[..., 0] = 1.0
+    np.multiply.accumulate(np.cos(ang, out=ang), axis=-1, out=head[..., 1:])
     out = np.empty(y.shape[:-1] + (m1 + 1,), dtype=float)
     out[..., 0] = head[..., m1]
     out[..., 1:] = head[..., m1 - 1::-1] * s[..., ::-1]
@@ -90,10 +91,10 @@ def p_norm(v: np.ndarray, p: float) -> np.ndarray:
     if v.shape[-1] == 0:
         raise ValueError("p-norm of an empty vector")
     a = np.abs(v)
-    peak = a.max(axis=-1)
+    peak = np.maximum.reduce(a, axis=-1)
     safe = np.where(peak == 0.0, 1.0, peak)
-    scaled = a / safe[..., None]
-    return peak * np.sum(scaled ** p, axis=-1) ** (1.0 / p)
+    scaled = np.divide(a, safe[..., None], out=a)
+    return peak * np.add.reduce(scaled ** p, axis=-1) ** (1.0 / p)
 
 
 def position_point(y: np.ndarray, p: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Distance landscapes: angles, valley geometry, deceptive and robust terms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -44,6 +46,22 @@ def test_angle_rejects_zero_vectors():
         normalized_angle(np.ones(2), np.zeros(2))
     with pytest.raises(ValueError, match="^reference vector has zero length$"):
         normalized_angle(np.zeros(2), np.zeros(2))  # d is checked before f
+
+
+@pytest.mark.parametrize("f, d", [
+    ([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]], 1.0),  # widest angle 0: NaN before
+    ([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]], (2.0,)),
+    ([[2.0], [3.0]], (1.0,)),
+    ([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]], np.ones((2, 3))),  # ambiguous truth value before
+    ([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]], np.ones((1, 3))),  # broadcast before
+    ([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]], np.ones(4)),  # broadcast error before
+    ([0.2, 0.3, 0.5], (1.0, 1.0)),
+])
+def test_angle_rejects_references_it_cannot_measure_against(f, d):
+    f = np.asarray(f)
+    shapes = f"got shape {np.shape(d)} for rows of shape {f.shape}"
+    with pytest.raises(ValueError, match=f"^reference must be one vector .*; {re.escape(shapes)}$"):
+        normalized_angle(f, d)
 
 
 @pytest.mark.parametrize("scale", (1e-170, 1e200))

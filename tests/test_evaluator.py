@@ -215,3 +215,47 @@ def test_evaluator_reaches_angle_and_constraint_stages_through_module_globals(mo
         monkeypatch.setattr(evaluator, name, spy)
     evaluate_batch(rows, spec)
     assert calls == ["normalized_angle", "constraint_table"]
+
+
+# Each stage the evaluator runs, with the module whose global the call goes
+# through; position_point, deceptive_g, robust_g and constraint_table call
+# their own inner stages through their modules' globals too.
+STAGE_BINDINGS = {
+    "evaluator": ("meta_variables", "position_point", "normalized_angle", "deceptive_g",
+                  "robust_g", "radial_profile", "compose", "dissimilarize",
+                  "constraint_table"),
+    "position": ("spherical_map", "p_norm"),
+    "distance": ("valley_center", "valley_radius", "deceptive_term", "robust_term"),
+    "constraints": ("nearest_axis",),
+}
+
+
+@pytest.mark.parametrize("spec, stages", [
+    (rich_spec(constraints=(
+        ConstraintSpec(kind="min_angle", reference="diagonal", threshold_a=0.2),
+        ConstraintSpec(kind="nearest_axis", axis_j=2))),
+     ["meta_variables", "position_point", "spherical_map", "p_norm", "normalized_angle",
+      "deceptive_g", "valley_center", "valley_radius", "deceptive_term", "radial_profile",
+      "compose", "constraint_table", "nearest_axis"]),
+    (rich_spec(objectives=5, distance_kind="robust", dissimilar=True, constraints=(
+        ConstraintSpec(kind="band", reference="diagonal", threshold_a=0.2, threshold_b=0.8),)),
+     ["meta_variables", "position_point", "spherical_map", "p_norm", "normalized_angle",
+      "robust_g", "robust_term", "radial_profile", "compose", "dissimilarize",
+      "constraint_table"]),
+], ids=["deceptive", "robust-dissimilar"])
+def test_evaluator_reaches_every_stage_through_module_globals(monkeypatch, spec, stages):
+    # The benchmark's tracer times every stage this way; a stage call that
+    # bypassed its module global would zero that stage's span silently.
+    import importlib
+    rows = pareto_set_sample(spec, 4).vectors
+    calls = []
+    for module_name, names in STAGE_BINDINGS.items():
+        module = importlib.import_module(f"gpdbench.{module_name}")
+        for name in names:
+            def spy(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, spy)
+    evaluate_batch(rows, spec)
+    assert calls == stages

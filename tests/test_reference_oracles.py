@@ -525,7 +525,7 @@ def test_swept_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 10))
-def test_swept_igd_keeps_the_reference_order_for_the_mean(m):
+def test_igd_keeps_the_reference_order_for_the_mean(m):
     rng = np.random.default_rng(20 + m)
     r = front_like(rng, m, 2000) * rng.uniform(0.5, 2.0, size=(2000, 1))
     a = front_like(rng, m, 1500)

@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from gpdbench import deceptive_term, valley_center, valley_radius
+from gpdbench.distance import deceptive_term, valley_center, valley_radius
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 os.makedirs(OUT, exist_ok=True)

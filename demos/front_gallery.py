@@ -11,7 +11,8 @@ import os
 
 import numpy as np
 
-from gpdbench import ProblemSpec, front_sample, p_norm
+from gpdbench import ProblemSpec, front_sample
+from gpdbench.position import p_norm
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 os.makedirs(OUT, exist_ok=True)

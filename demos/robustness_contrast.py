@@ -13,7 +13,8 @@ import os
 import numpy as np
 
 from gpdbench import (ROBUST_MINIMIZER, ROBUST_STABLE_RANGE, ProblemSpec,
-                      evaluate, perturb_experiment, robust_term)
+                      evaluate, perturb_experiment)
+from gpdbench.distance import robust_term
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 os.makedirs(OUT, exist_ok=True)

@@ -277,11 +277,8 @@ def evaluate_batch(rows, spec: ProblemSpec) -> list[Evaluation]:
     evaluated, and a BatchError carrying per-row diagnostics plus the partial
     results is raised at the end.  An empty batch returns an empty list.
 
-    Packing rows into Evaluation objects is much of the cost, and a quarter
-    to a half of it on large batches is the garbage collector: on 10k rows
-    it took 15-16 of 27-29 ms at M = 3, 36-39 of 49-52 ms on the M = 5 band
-    spec and 25-29 of 49-50 ms at M = 10, and on 100 rows 107-294 of
-    388-666 us.  Bulk callers should use evaluate_arrays, which returns the
-    same numbers as arrays.
+    Packing rows into Evaluation objects is much of the cost, garbage
+    collection included, so bulk callers should use evaluate_arrays, which
+    returns the same numbers as arrays.
     """
     return _evaluations(evaluate_arrays(rows, spec))

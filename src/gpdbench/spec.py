@@ -75,6 +75,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _real(value, name: str, where: str, errors: list[str]) -> float | None:
+    """value as a float; None for None and, with a diagnostic, for what float() rejects."""
+    try:
+        return None if value is None else float(value)
+    except (TypeError, ValueError):
+        errors.append(f"{where}: {name} must be a real number, got {value!r}")
+        return None
+
+
 def _resolve_reference(raw, n_objectives: int, where: str, errors: list[str]):
     """Turn 'diagonal', an axis label like 'e2', or an explicit vector into a tuple."""
     if raw is None:
@@ -154,24 +163,25 @@ class ConstraintSpec:
         if self.axis_j is not None:
             errors.append(f"{where}: axis_j only applies to nearest_axis constraints")
         ref = _resolve_reference(self.reference, n_objectives, where, errors)
-        a = self.threshold_a
+        a, b = self.threshold_a, self.threshold_b
+        fa = _real(a, "threshold_a", where, errors)
         if a is None:
             errors.append(f"{where}: {kind} requires threshold_a")
-        elif not (0.0 < float(a) < 1.0):
+        elif fa is not None and not (0.0 < fa < 1.0):
             errors.append(f"{where}: threshold_a must lie strictly inside (0, 1), got {a}")
-        b = self.threshold_b
+        fb = None
         if kind == "band":
+            fb = _real(b, "threshold_b", where, errors)
             if b is None:
                 errors.append(f"{where}: band requires threshold_b")
-            elif not (0.0 < float(b) < 1.0):
-                errors.append(f"{where}: threshold_b must lie strictly inside (0, 1), got {b}")
-            elif a is not None and not float(a) < float(b):
-                errors.append(f"{where}: band needs threshold_a < threshold_b, got {a} >= {b}")
+            elif fb is not None:
+                if not (0.0 < fb < 1.0):
+                    errors.append(f"{where}: threshold_b must lie strictly inside (0, 1), got {b}")
+                elif fa is not None and not fa < fb:
+                    errors.append(f"{where}: band needs threshold_a < threshold_b, got {a} >= {b}")
         elif b is not None:
             errors.append(f"{where}: threshold_b only applies to band constraints")
-        return ConstraintSpec(kind, ref,
-                              None if a is None else float(a),
-                              None if b is None else float(b), None)
+        return ConstraintSpec(kind, ref, fa, fb, None)
 
 
 @dataclass(frozen=True)
@@ -183,7 +193,8 @@ class ProblemSpec:
     distance_vars in [0, 1].  Validation resolves norm_p = "auto", resolves
     axis labels to explicit vectors, and normalizes q = 1, t = 0 to
     use_meta = False (the two describe the same problem).  Integer fields
-    accept any integer type, numpy's included, and are stored as plain ints.
+    accept any integer type, numpy's included, and are stored as plain ints;
+    the flags use_meta and dissimilar accept Python and numpy bools only.
     All validation diagnostics are collected before raising.
     """
 
@@ -213,16 +224,24 @@ class ProblemSpec:
             object.__setattr__(self, name, value)
             return value
 
+        def flag(name: str) -> bool | None:
+            raw = getattr(self, name)
+            if isinstance(raw, (bool, np.bool_)):
+                object.__setattr__(self, name, bool(raw))
+                return bool(raw)
+            errors.append(f"{name} must be true or false, got {raw!r}")
+            return None
+
         m = integer("objectives", 2)
         integer("distance_vars", 1)
         q = integer("meta_q", 1)
         t = integer("meta_t", 0)
 
-        use_meta = bool(self.use_meta)
+        use_meta = flag("use_meta")
         if q is not None and t is not None:
             if (q, t) == (1, 0):
                 use_meta = False
-            elif not use_meta:
+            elif use_meta is False:
                 errors.append(f"use_meta=false requires meta_q=1 and meta_t=0, got q={q}, t={t}")
             elif not 2 * t + 1 < q:
                 errors.append(f"2t+1 < q violated ({2 * t + 1} >= {q})")
@@ -238,7 +257,7 @@ class ProblemSpec:
             errors.append(f"unknown mixed_landscape {self.mixed_landscape!r}; "
                           f"expected one of {', '.join(MIXED_LANDSCAPES)}")
         integer("valleys_k", 1)
-        object.__setattr__(self, "dissimilar", bool(self.dissimilar))
+        flag("dissimilar")
 
         p = self.norm_p
         if isinstance(p, str):
@@ -492,10 +511,16 @@ def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[
     choices (a bare string or a scalar).  Draws that fail validation (for
     example an invalid q, t pair) are rejected and redrawn, up to a bounded
     number of attempts per instance.  Equal (seed, count, ranges) always produce the
-    identical list.
+    identical list.  seed and count take any integer type, as the integer
+    spec fields do; seed must be >= 0 and count >= 1.
     """
-    if count < 1:
+    n, s = _integer(count), _integer(seed)
+    if n is None:
+        raise SpecError([f"suite count must be an integer, got {count!r}"])
+    if n < 1:
         raise SpecError([f"suite count must be >= 1, got {count}"])
+    if s is None or s < 0:
+        raise SpecError([f"suite seed must be an integer >= 0, got {seed!r}"])
     unknown = [key for key in ranges if key not in _RANGE_ORDER and key != "constraints"]
     if unknown:
         raise SpecError([f"unknown ranges key {key!r}" for key in unknown])
@@ -509,9 +534,9 @@ def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[
             raise SpecError([f"empty choice set for {key!r}"])
         sampled.append((key, choices))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(s)
     out: list[ProblemSpec] = []
-    for index in range(count):
+    for index in range(n):
         last: SpecError | None = None
         for _ in range(1000):
             kwargs: dict[str, object] = {"constraints": fixed_constraints}

@@ -15,24 +15,24 @@ from gpdbench import (
     ROBUST_MINIMIZER,
     ConstraintSpec,
     ProblemSpec,
-    compose,
-    deceptive_term,
     dominance_filter,
     evaluate_batch,
     evaluate_constraints,
     front_sample,
     igd,
-    meta_variables,
     pareto_set_sample,
     perturb_experiment,
-    p_norm,
-    position_point,
+)
+from gpdbench.cli import main as cli_main
+from gpdbench.distance import (
+    compose,
+    deceptive_term,
     radial_profile,
     robust_term,
     valley_center,
     valley_radius,
 )
-from gpdbench.cli import main as cli_main
+from gpdbench.position import meta_variables, p_norm, position_point
 
 
 def _report(num, name, ok, detail):

@@ -20,11 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gpdbench import (COMPOSITIONS, DISTANCE_KINDS, MIXED_LANDSCAPES,
-                      BatchError, ConstraintReport, ConstraintSpec, Evaluation,
+from gpdbench import (BatchError, ConstraintReport, ConstraintSpec, Evaluation,
                       EvaluationArrays, ProblemSpec, evaluate, evaluate_arrays,
                       evaluate_batch, pareto_set_sample)
 from gpdbench.evaluator import _evaluations
+from gpdbench.spec import COMPOSITIONS, DISTANCE_KINDS, MIXED_LANDSCAPES
 
 VALUE_INJECTIONS = ("nan", "inf", "-inf", "below", "above")
 SHAPE_INJECTIONS = ("wide", "narrow", "nested")

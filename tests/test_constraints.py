@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpdbench import (
-    ConstraintSpec,
-    ProblemSpec,
-    constraint_table,
-    evaluate_constraints,
-    nearest_axis,
-    normalized_angle,
-)
+from gpdbench import ConstraintSpec, ProblemSpec, evaluate_constraints
+from gpdbench.constraints import constraint_table, nearest_axis
+from gpdbench.distance import normalized_angle
 
 DIAG3 = np.ones(3) / np.sqrt(3.0)
 

@@ -25,9 +25,9 @@ AVX2_ONLY = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
 CHECK = r"""
 import json
 import numpy as np
-from gpdbench import (ConstraintSpec, ProblemSpec, ROBUST_MINIMIZER, deceptive_g,
-                      evaluate, evaluate_arrays, evaluate_batch, pareto_set_sample,
-                      robust_term)
+from gpdbench import (ConstraintSpec, ProblemSpec, ROBUST_MINIMIZER, evaluate,
+                      evaluate_arrays, evaluate_batch, pareto_set_sample)
+from gpdbench.distance import deceptive_g, robust_term
 try:
     from numpy.lib.introspect import opt_func_info
     dispatch = {name: {sig: info["current"] for sig, info in sigs.items()}

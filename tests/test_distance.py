@@ -12,20 +12,13 @@ from gpdbench import (
     ProblemSpec,
     ROBUST_MINIMIZER,
     ROBUST_STABLE_RANGE,
-    compose,
-    constraint_table,
-    deceptive_g,
-    deceptive_term,
     evaluate_constraints,
-    nearest_axis,
-    normalized_angle,
-    radial_profile,
-    robust_g,
-    robust_term,
-    valley_center,
-    valley_radius,
 )
-from gpdbench.distance import _prepared_reference, _scaled_rows
+from gpdbench.constraints import constraint_table, nearest_axis
+from gpdbench.distance import (_prepared_reference, _scaled_rows, compose,
+                               deceptive_g, deceptive_term, normalized_angle,
+                               radial_profile, robust_g, robust_term,
+                               valley_center, valley_radius)
 
 DIAG3 = np.ones(3) / np.sqrt(3.0)
 

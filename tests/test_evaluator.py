@@ -7,18 +7,15 @@ from gpdbench import (
     BatchError,
     ConstraintSpec,
     ProblemSpec,
-    compose,
     evaluate,
     evaluate_arrays,
     evaluate_batch,
-    meta_variables,
-    normalized_angle,
     pareto_set_sample,
     parse_spec,
-    position_point,
-    radial_profile,
     render_spec,
 )
+from gpdbench.distance import compose, normalized_angle, radial_profile
+from gpdbench.position import meta_variables, position_point
 
 TINY = ProblemSpec(objectives=2, distance_vars=1, distance_kind="deceptive")
 

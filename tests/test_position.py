@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from gpdbench import (
-    ProblemSpec,
+from gpdbench import ProblemSpec, realize_position
+from gpdbench.distance import normalized_angle
+from gpdbench.evaluator import _position_stage
+from gpdbench.position import (
     dissimilarize,
     meta_variables,
-    normalized_angle,
     p_norm,
     position_point,
-    realize_position,
     spherical_map,
 )
-from gpdbench.evaluator import _position_stage
 
 
 def test_meta_window_example():

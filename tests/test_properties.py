@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from test_array_pipeline import specs
 
-from gpdbench import (ProblemSpec, deceptive_g, dominance_mask, evaluate_arrays,
-                      front_sample, igd, p_norm, pareto_set_sample)
+from gpdbench import (ProblemSpec, dominance_mask, evaluate_arrays,
+                      front_sample, igd, pareto_set_sample)
+from gpdbench.distance import deceptive_g
+from gpdbench.position import p_norm
 
 
 @st.composite

@@ -6,30 +6,31 @@ import numpy as np
 import pytest
 
 from gpdbench import (
-    COMPOSITIONS,
     ROBUST_MINIMIZER,
     ConstraintSpec,
     FrontSample,
     ProblemSpec,
-    compose,
     dominance_filter,
     dominance_mask,
     evaluate,
     evaluate_arrays,
     front_sample,
     igd,
-    meta_variables,
-    normalized_angle,
-    p_norm,
     pareto_set_sample,
     perturb_experiment,
+)
+from gpdbench.distance import (
+    compose,
+    normalized_angle,
     radial_profile,
     robust_g,
     robust_term,
     valley_center,
 )
 from gpdbench.evaluator import _landscape_g, _objective_stage
+from gpdbench.position import meta_variables, p_norm
 from gpdbench.reference import _CHUNK, _PERTURB_BLOCK, _lattice, _set_targets
+from gpdbench.spec import COMPOSITIONS
 
 
 def brute_force_nondominated(pts):

@@ -27,8 +27,9 @@ from test_array_pipeline import specs
 import gpdbench.evaluator
 import gpdbench.reference
 from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
-                      front_sample, igd, meta_variables, pareto_set_sample,
-                      perturb_experiment, realize_position)
+                      front_sample, igd, pareto_set_sample, perturb_experiment,
+                      realize_position)
+from gpdbench.position import meta_variables
 from gpdbench.reference import _CHUNK, _SEED, _halton, _screen_terms
 
 
@@ -477,7 +478,7 @@ def test_seeded_igd_on_fronts_equals_cdist(m, n_a, n_r, noise, block, scale, see
 
 
 @pytest.mark.parametrize("m", (1, 2, 3, 4, 5))
-def test_swept_igd_with_ties_on_the_sort_coordinate(m):
+def test_igd_with_ties_on_the_sort_coordinate(m):
     rng = np.random.default_rng(m)
     # Every first coordinate equal: each row's reach is all of a.
     a, r = rng.uniform(size=(700, m)), rng.uniform(size=(300, m))
@@ -647,7 +648,7 @@ def test_igd_with_fewer_approximations_than_a_seed_window(m):
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
-def test_swept_igd_finishes_rows_left_open_beside_their_approximations(m):
+def test_igd_finishes_rows_left_open_beside_their_approximations(m):
     # Each reference row has an approximation within about 1e-3, which its
     # seed window misses for some rows: those stay open, and the plain
     # blocks must find the approximation past their window.

@@ -339,6 +339,8 @@ def test_read_choices_diagnostics(text, errors):
 @pytest.mark.parametrize("count, ranges, errors", [
     (0, {"objectives": [3]}, ["suite count must be >= 1, got 0"]),
     (1, {"objectives": []}, ["empty choice set for 'objectives'"]),
+    (2.5, {"objectives": [3]}, ["suite count must be an integer, got 2.5"]),
+    ("3", {"objectives": [3]}, ["suite count must be an integer, got '3'"]),
 ])
 def test_generate_suite_diagnostics(count, ranges, errors):
     with pytest.raises(SpecError) as exc:
@@ -361,6 +363,14 @@ def test_generate_suite_diagnostics(count, ranges, errors):
     (dict(norm_p="nan"), ["norm_p must be positive and finite, got nan"]),
     (dict(objectives=3.0), ["objectives must be an integer >= 2, got 3.0"]),
     (dict(distance_vars="2"), ["distance_vars must be an integer >= 1, got '2'"]),
+    (dict(dissimilar="false"), ["dissimilar must be true or false, got 'false'"]),
+    (dict(dissimilar=2), ["dissimilar must be true or false, got 2"]),
+    (dict(use_meta="no", meta_q=5, meta_t=1), ["use_meta must be true or false, got 'no'"]),
+    (dict(use_meta=None), ["use_meta must be true or false, got None"]),
+    (dict(norm_p="wide", constraints=(
+        ConstraintSpec(kind="min_angle", reference="e1", threshold_a="x"),)),
+     ["norm_p must be a positive real or 'auto', got 'wide'",
+      "constraint 1: threshold_a must be a real number, got 'x'"]),
 ])
 def test_problem_spec_diagnostics(fields, errors):
     with pytest.raises(SpecError) as exc:
@@ -423,8 +433,31 @@ def test_resolve_reference_diagnostics(reference, message):
      "threshold_b only applies to band constraints"),
     (dict(kind="nearest_axis", axis_j=2.7), "axis_j must be an integer, got 2.7"),
     (dict(kind="nearest_axis", axis_j="x"), "axis_j must be an integer, got 'x'"),
+    (dict(kind="band", reference="e1", threshold_a=0.2, threshold_b="y"),
+     "threshold_b must be a real number, got 'y'"),
+    (dict(kind="band", reference="e1", threshold_a=[0.2], threshold_b=0.5),
+     "threshold_a must be a real number, got [0.2]"),
 ])
 def test_constraint_spec_diagnostics(fields, message):
     with pytest.raises(SpecError) as exc:
         make(constraints=(ConstraintSpec(**fields),))
     assert exc.value.errors == [f"constraint 1: {message}"]
+
+
+def test_numpy_bool_flags_make_the_bool_built_spec():
+    got = make(meta_q=4, meta_t=1, use_meta=np.True_, dissimilar=np.True_)
+    want = make(meta_q=4, meta_t=1, use_meta=True, dissimilar=True)
+    assert got == want and hash(got) == hash(want)
+    assert type(got.use_meta) is bool and type(got.dissimilar) is bool
+
+
+@pytest.mark.parametrize("seed", [2.5, "1", None, -1])
+def test_generate_suite_seed_is_a_nonnegative_integer(seed):
+    with pytest.raises(SpecError) as exc:
+        generate_suite(seed, 1, {"objectives": [3]})
+    assert exc.value.errors == [f"suite seed must be an integer >= 0, got {seed!r}"]
+
+
+def test_generate_suite_numpy_seed_and_count_draw_the_int_suite():
+    ranges = {"objectives": [2, 3, 4], "distance": ["robust", "deceptive"]}
+    assert generate_suite(np.int64(7), np.uint8(5), ranges) == generate_suite(7, 5, ranges)

@@ -10,23 +10,12 @@ with signed zeros and rows too small or too large to square.
 import numpy as np
 import pytest
 
-from gpdbench import (
-    ConstraintSpec,
-    constraint_table,
-    deceptive_g,
-    deceptive_term,
-    meta_variables,
-    nearest_axis,
-    normalized_angle,
-    p_norm,
-    radial_profile,
-    robust_g,
-    robust_term,
-    spherical_map,
-    valley_center,
-    valley_radius,
-)
-from gpdbench.distance import _scaled_rows
+from gpdbench import ConstraintSpec
+from gpdbench.constraints import constraint_table, nearest_axis
+from gpdbench.distance import (_scaled_rows, deceptive_g, deceptive_term,
+                               normalized_angle, radial_profile, robust_g,
+                               robust_term, valley_center, valley_radius)
+from gpdbench.position import meta_variables, p_norm, spherical_map
 
 
 def ref_meta_variables(x, q, t):

@@ -308,11 +308,16 @@ def _screen_terms(r, a):
     return np.column_stack([-2.0 * r, np.ones(r.shape[0])]), np.vstack([a.T, a_sq]), 2 * e
 
 
-def _screened_block(screen, r0, a0, rb, ab, near, out, mask):
-    """Lower near to the exact minima of the block at (r0, a0) via the screen.
+def _screened_block(screen, r0, a0, out, mask, kept):
+    """Append the candidates of the block at (r0, a0) to kept, for _kept_minima.
 
-    Returns False, leaving near alone, when the block keeps more than
-    _SCREEN_CAP candidates per reference row.
+    The candidates go as one (rows, columns) pair of index arrays into the
+    screen's rows and columns.  A row's limit is its argmin's screen value
+    plus its slack.  When no row has a second entry at or below its limit,
+    each row's argmin is its only candidate and no mask is built;
+    otherwise a mask of out <= limit picks them.  Returns False, appending
+    nothing, when the block keeps more than _SCREEN_CAP candidates per
+    reference row.
     """
     r_aug, a_aug, slack = screen
     rows, cols = out.shape
@@ -321,28 +326,48 @@ def _screened_block(screen, r0, a0, rb, ab, near, out, mask):
     half = cols // 2
     for lo, hi in ((0, half), (half, cols)):
         np.matmul(r_aug[r0:r0 + rows], a_aug[:, a0 + lo:a0 + hi], out=out[:, lo:hi])
-    limit = out.min(axis=1)
-    limit += slack[r0:r0 + rows]
-    flat = np.flatnonzero(np.less_equal(out, limit[:, None], out=mask))
-    if flat.size > _SCREEN_CAP * rows:
-        return False
-    ri, cj = np.divmod(flat, cols)
-    d = _squared_distances(rb[:, ri], ab[:, cj], np.empty(flat.size), np.empty(flat.size))
-    first = np.ones(ri.size, dtype=bool)
-    np.not_equal(ri[1:], ri[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    hit = ri[starts]
-    near[hit] = np.minimum(near[hit], np.minimum.reduceat(d, starts))
+    flat_out = out.reshape(-1)
+    cj = out.argmin(axis=1)
+    at = cj + np.arange(0, rows * cols, cols)
+    low = flat_out[at]
+    limit = low + slack[r0:r0 + rows]
+    flat_out[at] = np.inf
+    if (out.min(axis=1) > limit).all():
+        ri = np.arange(rows)
+    else:
+        flat_out[at] = low
+        flat = np.flatnonzero(np.less_equal(out, limit[:, None], out=mask))
+        if flat.size > _SCREEN_CAP * rows:
+            return False
+        ri, cj = np.divmod(flat, cols)
+    kept.append((ri + r0, cj + a0))
     return True
 
 
-def _block_minima(rb, r0, a_cols, near, buf, screen):
+def _kept_minima(pc, a_cols, near, kept, buf):
+    """Lower near by the kept pairs' squared distances, in cdist order.
+
+    The pairs go in batches that gather at most one buffer of coordinates
+    from each side; min is exact, so the order they fold in does not matter.
+    """
+    ri = np.concatenate([i for i, _ in kept])
+    cj = np.concatenate([j for _, j in kept])
+    total, term, _ = buf
+    step = max(1, total.size // pc.shape[0])
+    for p0 in range(0, ri.size, step):
+        i, j = ri[p0:p0 + step], cj[p0:p0 + step]
+        d = _squared_distances(np.take(pc, i, axis=1), np.take(a_cols, j, axis=1),
+                               total[:i.size], term[:i.size])
+        np.minimum.at(near, i, d)
+
+
+def _block_minima(rb, r0, a_cols, near, buf, screen, kept):
     """Lower near to the row minima of rb against all of a_cols.
 
     rb holds the open reference rows r0 onwards.  The columns go in chunks of
-    at most the size of buf.  The screen settles a chunk when there is one
-    and the chunk stays under its cap; otherwise the chunk is computed in
-    cdist order.
+    at most the size of buf.  The screen takes a chunk when there is one and
+    the chunk stays under its cap, and adds its candidates to kept;
+    otherwise the chunk is computed in cdist order.
     """
     total, term, mask = buf
     rows = rb.shape[1]
@@ -352,8 +377,8 @@ def _block_minima(rb, r0, a_cols, near, buf, screen):
         cols = ab.shape[1]
         size = rows * cols
         if screen is not None and _screened_block(
-                screen, r0, c0, rb, ab, near, total[:size].reshape(rows, cols),
-                mask[:size].reshape(rows, cols)):
+                screen, r0, c0, total[:size].reshape(rows, cols),
+                mask[:size].reshape(rows, cols), kept):
             continue
         # numpy loops fastest along the longer side, so it goes last.
         if cols >= rows:
@@ -413,8 +438,19 @@ def _nearest(r, a):
         rows = max(1, _IGD_BLOCK // a.shape[0])
         near = nearest[plain]
         pc = r_cols[:, plain]
+        kept = []
         for r0 in range(0, plain.size, rows):
-            _block_minima(pc[:, r0:r0 + rows], r0, a_cols, near[r0:r0 + rows], buf, screen)
+            _block_minima(pc[:, r0:r0 + rows], r0, a_cols, near[r0:r0 + rows], buf, screen,
+                          kept)
+            # An entry holds at most _SCREEN_CAP pairs per row of its block, so
+            # folding once there are as many row slots as open rows keeps the
+            # waiting pairs O(r + a).  A call whose chunks all pass the screen
+            # folds once, after its last block.
+            if len(kept) * rows >= plain.size:
+                _kept_minima(pc, a_cols, near, kept, buf)
+                kept.clear()
+        if kept:
+            _kept_minima(pc, a_cols, near, kept, buf)
         nearest[plain] = near
     return nearest
 
@@ -433,11 +469,12 @@ def igd(approximation, reference) -> float:
     Two steps settle the reference rows; each only picks which pairs are
     skipped, and every pair computed at all is computed in full, in chunks
     of at most 65536 distance entries (two float blocks and one bool block,
-    about 1.1 MB), so memory stays O(r + a).  With finite inputs, a is
-    sorted by coordinate 0 and every row first meets its own seed window;
-    the rows left open go on to the plain blocks.  A NaN or infinite input
-    sends every row to the plain blocks.  The rows keep their input order
-    throughout, as the mean's pairwise summation needs.
+    about 1.1 MB).  With the screen's waiting pairs (below), memory stays
+    O(r + a).  With finite inputs, a is sorted by coordinate 0 and every
+    row first meets its own seed window; the rows left open go on to the
+    plain blocks.  A NaN or infinite input sends every row to the plain
+    blocks.  The rows keep their input order throughout, as the mean's
+    pairwise summation needs.
 
     Seeds.  A reference row's seed window is the eight approximations around
     its position on coordinate 0, shifted to stay inside a (all of a when
@@ -486,8 +523,20 @@ def igd(approximation, reference) -> float:
     subnormals.  The screen keeps every j with s_ij <= min_k s_ik + 2 e_i,
     e_i = 6 (M + 4) (u N_i + one subnormal), which covers j* with
     (2M + 36) u N_i and 9M + 47 subnormals to spare for the rounding of the
-    threshold itself and for the higher-order terms.  Only the kept pairs
-    are recomputed, in cdist order, so every row minimum is unchanged.
+    threshold itself and for the higher-order terms.
+
+    The screen finds those j from each row's argmin j0 first: s_ij0 plus
+    2 e_i is the row's limit, the same double as min_k s_ik + 2 e_i, and
+    with s_ij0 set aside one more row minimum gives the next value.  When
+    every row's next value lies above its limit, each row keeps its j0
+    alone and no mask is built; otherwise a mask of s_ij <= limit picks
+    the candidates.  The kept (row, column) pairs of all plain blocks wait
+    as index arrays and are recomputed once per call, in cdist order, a
+    buffer of gathered coordinates at a time, then folded into the row
+    minima by an exact minimum, so every row minimum is unchanged.  A
+    call whose a needs several chunks per row also folds whenever its
+    waiting blocks hold as many rows as there are open rows, so at most
+    16 pairs per open row and per chunk of one block wait, O(r + a).
 
     Fallbacks compute every pair of a plain block, O(rows * a * M) time:
     any NaN or infinite input, for the whole call; a squared norm near

@@ -260,18 +260,15 @@ class ProblemSpec:
         flag("dissimilar")
 
         p = self.norm_p
-        if isinstance(p, str):
-            if p.strip() == "auto":
-                p = None if m is None else suggested_norm(m)
-            else:
-                try:
-                    p = float(p)
-                except ValueError:
-                    errors.append(f"norm_p must be a positive real or 'auto', got {self.norm_p!r}")
-                    p = None
-        if p is not None:
-            p = float(p)
-            if not math.isfinite(p) or p <= 0:
+        if isinstance(p, str) and p.strip() == "auto":
+            p = None if m is None else suggested_norm(m)
+        else:
+            try:
+                p = float(p)
+            except (TypeError, ValueError):
+                errors.append(f"norm_p must be a positive real or 'auto', got {self.norm_p!r}")
+                p = None
+            if p is not None and not (math.isfinite(p) and p > 0):
                 errors.append(f"norm_p must be positive and finite, got {p!r}")
                 p = None
         object.__setattr__(self, "norm_p", p)
@@ -279,13 +276,19 @@ class ProblemSpec:
         if m is not None:
             ref = _resolve_reference(self.distance_reference, m, "distance_reference", errors)
             object.__setattr__(self, "distance_reference", ref)
-            resolved = tuple(
-                c._validated(m, f"constraint {i + 1}", errors)
-                for i, c in enumerate(self.constraints)
-            )
-            object.__setattr__(self, "constraints", resolved)
-        else:
-            object.__setattr__(self, "constraints", tuple(self.constraints))
+        given = self.constraints
+        if isinstance(given, (str, bytes)) or not isinstance(given, Iterable):
+            errors.append(f"constraints must be a collection of ConstraintSpec, got {given!r}")
+            given = ()
+        resolved = []
+        for i, c in enumerate(given):
+            where = f"constraint {i + 1}"
+            if not isinstance(c, ConstraintSpec):
+                errors.append(f"{where}: expected a ConstraintSpec, got {c!r}")
+            elif m is not None:
+                c = c._validated(m, where, errors)
+            resolved.append(c)
+        object.__setattr__(self, "constraints", tuple(resolved))
 
         if errors:
             raise SpecError(errors)

@@ -506,7 +506,7 @@ def test_igd_with_ties_on_the_sort_coordinate(m):
 
 @pytest.mark.parametrize("m", (2, 3, 4, 5))
 @pytest.mark.parametrize("sign", (1.0, -1.0))
-def test_swept_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
+def test_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
     # The origin's seed window, the 2 * _SEED approximations next to it in
     # coordinate 0, bounds its distance by 1.  The nearest point lies just
     # past the window, at a coordinate-0 offset within 2^-30 of that bound,
@@ -806,9 +806,9 @@ def test_screened_igd_blocks_see_all_approximations_at_once(monkeypatch):
     real = gpdbench.reference._screened_block
     real_terms = gpdbench.reference._screen_terms
 
-    def spy(screen, r0, a0, rb, ab, *rest):
-        blocks.append((r0, a0, rb.shape[1], ab.shape[1]))
-        return real(screen, r0, a0, rb, ab, *rest)
+    def spy(screen, r0, a0, out, *rest):
+        blocks.append((r0, a0, *out.shape))
+        return real(screen, r0, a0, out, *rest)
 
     def terms(r, a):
         opened.append(r.shape[0])
@@ -853,6 +853,95 @@ def test_igd_does_not_depend_on_the_blas_thread_count(screened):
         screened.clear()
         assert float(single) == igd(x, y) == cdist_igd(x, y)
         assert screened and all(screened)
+
+
+@pytest.mark.parametrize("m", (2, 3, 10))
+def test_screened_block_mixes_single_candidates_with_ties_inside_the_slack(m, monkeypatch):
+    # The origin is exactly as far from e_2 as from -e_2, so its two screen
+    # values tie inside any slack; every other open row has one nearest
+    # approximation.  The fillers put more than a seed window's eight
+    # approximations within the origin's reach on coordinate 0, so it stays
+    # open.  The origin's block keeps both ties and one pair per other row
+    # through the mask; every later block keeps its argmins without one.
+    outcomes = []
+    real = gpdbench.reference._screened_block
+
+    def spy(screen, r0, a0, out, mask, kept):
+        mask[...] = True
+        before = len(kept)
+        done = real(screen, r0, a0, out, mask, kept)
+        outcomes.append((done, out.shape[0], sum(i.size for i, _ in kept[before:]),
+                         bool(mask.all())))
+        return done
+
+    monkeypatch.setattr(gpdbench.reference, "_screened_block", spy)
+    monkeypatch.setattr(gpdbench.reference, "_IGD_BLOCK", 40 * 250)  # 40 rows a block
+    rng = np.random.default_rng(m)
+    ties = np.zeros((2, m))
+    ties[:, 1] = 1.0, -1.0
+    fillers = np.zeros((20, m))
+    fillers[:, 0] = np.linspace(-0.5, 0.5, 20)
+    fillers[:, 1] = 5.0
+    a = np.concatenate([ties, fillers, rng.uniform(2.0, 3.0, size=(228, m))])
+    r = np.concatenate([np.zeros((1, m)), rng.uniform(2.0, 3.0, size=(99, m))])
+    assert_same_igd(a, r)
+    (done, rows, pairs, untouched), *later = outcomes
+    assert done and pairs == rows + 1 and not untouched
+    assert later and all(done and pairs == rows and untouched
+                         for done, rows, pairs, untouched in later)
+
+
+@pytest.mark.parametrize("nearest", ("plain", "seed", "screened"))
+def test_row_minimum_folds_its_seed_screened_and_plain_chunks(nearest, screened, monkeypatch):
+    # With 64 distances a buffer, the origin's block is one row and meets a in
+    # chunks of 64 sorted approximations.  Chunk 0 holds 20 copies of one
+    # point, over the cap, so it is computed in full; chunk 1 holds the
+    # origin's seed window and chunk 2 a point on coordinate 0, both
+    # screened.  The points that chunk 0, the seed window and chunk 2 offer
+    # lie 0.6, 0.7 and 0.8 from the origin, except the one the parameter
+    # names, which lies 0.5 away; the row's minimum must come from it.
+    monkeypatch.setattr(gpdbench.reference, "_IGD_BLOCK", 64)
+    near = dict(zip(("plain", "seed", "screened"), (0.6, 0.7, 0.8)))
+    near[nearest] = 0.5
+    chunk0 = np.zeros((64, 3))
+    chunk0[:44, 0] = np.linspace(-60.0, -40.0, 44)
+    chunk0[44:, 0] = -near["plain"]
+    chunk1 = np.zeros((64, 3))
+    chunk1[:, 0] = np.linspace(-0.3, 0.3, 64)
+    chunk1[:, 1] = 5.0
+    chunk1[32, 1] = np.sqrt(near["seed"] ** 2 - chunk1[32, 0] ** 2)  # inside the seed window
+    chunk2 = np.zeros((64, 3))
+    chunk2[:, 0] = np.linspace(1.0, 2.0, 64)
+    chunk2[:, 2] = 5.0
+    chunk2[0] = near["screened"], 0.0, 0.0
+    a = np.concatenate([chunk0, chunk1, chunk2])
+    r = np.zeros((1, 3))
+    with igd_paths() as paths:
+        assert_same_igd(a, r)
+    assert paths == ["full"] and screened == [False, True, True]
+    assert abs(igd(a, r) - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("m", (2, 5, 10))
+def test_kept_pairs_past_one_buffer_are_recomputed_in_batches(m, monkeypatch):
+    # Random points: nearly every row stays open after its seeds and keeps at
+    # least one pair in each of its two screened chunks.  Each fold holds
+    # several buffers' worth of pairs, and as a is wider than a buffer the
+    # pairs fold as the blocks go, not only at the end.
+    batches = []
+    real = gpdbench.reference._kept_minima
+
+    def spy(pc, a_cols, near, kept, buf):
+        batches.append((sum(i.size for i, _ in kept), buf[0].size // pc.shape[0]))
+        return real(pc, a_cols, near, kept, buf)
+
+    monkeypatch.setattr(gpdbench.reference, "_kept_minima", spy)
+    monkeypatch.setattr(gpdbench.reference, "_IGD_BLOCK", 200)
+    rng = np.random.default_rng(m)
+    a, r = rng.uniform(size=(400, m)), rng.uniform(size=(600, m))
+    assert_same_igd(a, r)
+    assert len(batches) > 1
+    assert all(pairs > 2 * per_batch for pairs, per_batch in batches), batches
 
 
 # --- _halton -----------------------------------------------------------------

@@ -341,6 +341,9 @@ def test_read_choices_diagnostics(text, errors):
     (1, {"objectives": []}, ["empty choice set for 'objectives'"]),
     (2.5, {"objectives": [3]}, ["suite count must be an integer, got 2.5"]),
     ("3", {"objectives": [3]}, ["suite count must be an integer, got '3'"]),
+    (1, {"objectives": [3], "constraints": [1]},
+     ["no valid specification found for instance 1 after 1000 draws",
+      "constraint 1: expected a ConstraintSpec, got 1"]),
 ])
 def test_generate_suite_diagnostics(count, ranges, errors):
     with pytest.raises(SpecError) as exc:
@@ -371,6 +374,15 @@ def test_generate_suite_diagnostics(count, ranges, errors):
         ConstraintSpec(kind="min_angle", reference="e1", threshold_a="x"),)),
      ["norm_p must be a positive real or 'auto', got 'wide'",
       "constraint 1: threshold_a must be a real number, got 'x'"]),
+    (dict(norm_p=None), ["norm_p must be a positive real or 'auto', got None"]),
+    (dict(norm_p=[1]), ["norm_p must be a positive real or 'auto', got [1]"]),
+    (dict(constraints=ConstraintSpec(kind="band")),
+     ["constraints must be a collection of ConstraintSpec, got ConstraintSpec(kind='band', "
+      "reference=None, threshold_a=None, threshold_b=None, axis_j=None)"]),
+    (dict(constraints=[("band",)]), ["constraint 1: expected a ConstraintSpec, got ('band',)"]),
+    (dict(objectives=1, constraints=(ConstraintSpec(kind="nearest_axis", axis_j=1), 7)),
+     ["objectives must be an integer >= 2, got 1",
+      "constraint 2: expected a ConstraintSpec, got 7"]),
 ])
 def test_problem_spec_diagnostics(fields, errors):
     with pytest.raises(SpecError) as exc:

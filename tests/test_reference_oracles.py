@@ -506,7 +506,7 @@ def test_igd_with_ties_on_the_sort_coordinate(m):
 
 @pytest.mark.parametrize("m", (2, 3, 4, 5))
 @pytest.mark.parametrize("sign", (1.0, -1.0))
-def test_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
+def test_swept_igd_window_reaches_the_minimum_just_inside_its_bound(m, sign):
     # The origin's seed window, the 2 * _SEED approximations next to it in
     # coordinate 0, bounds its distance by 1.  The nearest point lies just
     # past the window, at a coordinate-0 offset within 2^-30 of that bound,

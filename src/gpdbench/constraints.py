@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import row_all, row_max
 from .distance import _normalized_angle, _scaled_rows
 
 
@@ -38,7 +39,7 @@ def nearest_axis(f: np.ndarray):
     stack of points.
     """
     f = np.asarray(f, dtype=float)
-    if (f == 0.0).all(axis=-1).any():
+    if row_all(f == 0.0).any():
         raise ValueError("nearest axis of a zero vector is undefined")
     idx = f.argmax(axis=-1) + 1
     return int(idx) if idx.ndim == 0 else idx
@@ -72,7 +73,7 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
             cos = f / fn[..., None]
             cos = np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
             gap = (np.arccos(cos[..., con.axis_j - 1])
-                   - np.arccos(np.maximum.reduce(cos, axis=-1)))
+                   - np.arccos(row_max(cos)))
             viol[..., col] = np.where(nearest_axis(f_p) == con.axis_j, 0.0, gap)
             continue
         phi = _normalized_angle(f, fn, con.reference)

@@ -14,6 +14,8 @@ import functools
 
 import numpy as np
 
+from ._rows import row_max, row_sum
+
 # Per-term global minimizer of the robust landscape: the computed robust_term is least here.
 ROBUST_MINIMIZER = 0.60006613899
 
@@ -32,15 +34,15 @@ def _scaled_rows(v) -> tuple[np.ndarray, np.ndarray]:
     """
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):
-        sq = np.add.reduce(v * v, axis=-1)
+        sq = row_sum(v * v)
     if (_TINY <= np.minimum.reduce(sq, axis=None, initial=np.inf)
             and np.maximum.reduce(sq, axis=None, initial=0.0) < np.inf):
         return v, sq
-    big = np.maximum.reduce(np.abs(v), axis=-1, keepdims=True)
+    big = row_max(np.abs(v))[..., None]
     bad = (sq < _TINY) | (sq == np.inf)
     bad &= (big[..., 0] > 0.0) & (big[..., 0] < np.inf)
     v = np.where(bad[..., None], v / np.where(bad[..., None], big, 1.0), v)
-    return v, np.add.reduce(v * v, axis=-1)
+    return v, row_sum(v * v)
 
 
 @functools.lru_cache(maxsize=64)
@@ -74,7 +76,7 @@ def _normalized_angle(f: np.ndarray, fn: np.ndarray, d) -> np.ndarray:
     d, dn, widest = _prepared_reference(d.shape, d.tobytes())
     if (fn == 0.0).any():
         raise ValueError("cannot take the angle of a zero vector")
-    cos = np.add.reduce(f * d, axis=-1) / (fn * dn)
+    cos = row_sum(f * d) / (fn * dn)
     # np.maximum(-0.0, 0.0) is +0.0 where np.clip keeps -0.0; the only 0.0
     # bound here meets arccos(...) / widest, which is never -0.0.
     angle = np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0))
@@ -158,7 +160,7 @@ def deceptive_g(x_d: np.ndarray, phi, k: int) -> np.ndarray:
     idx = np.arange(1, s + 1, dtype=float)
     v = valley_center(phi[..., None], idx)
     r = valley_radius(phi[..., None], k)
-    return np.add.reduce(deceptive_term(x_d, v, r), axis=-1)
+    return row_sum(deceptive_term(x_d, v, r))
 
 
 def robust_term(x) -> np.ndarray:
@@ -180,7 +182,7 @@ def robust_term(x) -> np.ndarray:
 def robust_g(x_d: np.ndarray) -> np.ndarray:
     """Sum of robust terms over the distance vector."""
     x_d = np.asarray(x_d, dtype=float)
-    return np.add.reduce(robust_term(x_d), axis=-1)
+    return row_sum(robust_term(x_d))
 
 
 def radial_profile(g, phi, kind: str, composition: str) -> np.ndarray:

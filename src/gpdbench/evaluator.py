@@ -11,7 +11,8 @@ batch at once and returns one array per result field.  ``evaluate`` and
 objects; a single evaluation runs the batch kernel on one row, so the two
 paths are bit-identical by construction.  ``perturb_experiment`` runs g and
 the objective stage on samples sharing one position part; the reference
-samplers run the position stage, and the front the objective stage at g*.
+samplers run the position stage (the Pareto set on deceptive landscapes
+only), and the front the objective stage at g*.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from itertools import repeat
 
 import numpy as np
 
+from ._rows import row_all
 from .constraints import ConstraintReport, constraint_table
 from .distance import (compose, deceptive_g, normalized_angle, radial_profile,
                        robust_g)
@@ -192,7 +194,7 @@ def _pipeline(x: np.ndarray, spec: ProblemSpec) -> EvaluationArrays:
         objectives=f, position_point=f_p, distance_value=f_d, distance_phi=phi,
         phi_per_constraint=phis, violations=viol,
         nearest_axis_of_point=f_p.argmax(axis=-1) + 1,
-        feasible=(viol == 0.0).all(axis=-1))
+        feasible=row_all(viol == 0.0))
 
 
 def _row_tuples(col: np.ndarray):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._rows import row_accumulate, row_max, row_sum
+
 
 def meta_variables(x_p: np.ndarray, q: int, t: int) -> np.ndarray:
     """Collapse the position part into meta-variables.
@@ -43,7 +45,7 @@ def meta_variables(x_p: np.ndarray, q: int, t: int) -> np.ndarray:
             f"with q={q}, t={t}")
     padded = np.empty(x.shape[:-1] + (r + 1,))
     padded[..., 0] = 0.0
-    np.add.accumulate(x, axis=-1, out=padded[..., 1:])
+    row_accumulate(np.add, x, padded[..., 1:])
     # Window i runs from prefix sum i*q to i*q + width; the last ends at r.
     sums = padded[..., width::q] - padded[..., :groups * q:q]
     return np.divide(np.abs(sums, out=sums), width, out=sums)
@@ -71,7 +73,7 @@ def spherical_map(y: np.ndarray) -> np.ndarray:
     m1 = y.shape[-1]
     head = np.empty(y.shape[:-1] + (m1 + 1,))
     head[..., 0] = 1.0
-    np.multiply.accumulate(np.cos(ang, out=ang), axis=-1, out=head[..., 1:])
+    row_accumulate(np.multiply, np.cos(ang, out=ang), head[..., 1:])
     out = np.empty(y.shape[:-1] + (m1 + 1,), dtype=float)
     out[..., 0] = head[..., m1]
     out[..., 1:] = head[..., m1 - 1::-1] * s[..., ::-1]
@@ -91,10 +93,10 @@ def p_norm(v: np.ndarray, p: float) -> np.ndarray:
     if v.shape[-1] == 0:
         raise ValueError("p-norm of an empty vector")
     a = np.abs(v)
-    peak = np.maximum.reduce(a, axis=-1)
+    peak = row_max(a)
     safe = np.where(peak == 0.0, 1.0, peak)
     scaled = np.divide(a, safe[..., None], out=a)
-    return peak * np.add.reduce(scaled ** p, axis=-1) ** (1.0 / p)
+    return peak * row_sum(scaled ** p) ** (1.0 / p)
 
 
 def position_point(y: np.ndarray, p: float) -> np.ndarray:

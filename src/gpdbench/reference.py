@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import row_all, row_any, row_max, row_sum
 from .constraints import constraint_table
 from .distance import ROBUST_MINIMIZER, valley_center
 from .evaluator import (Evaluation, _landscape_g, _objective_stage, _position_stage,
@@ -191,7 +192,7 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     keep = np.ones(n, dtype=bool)
     if n == 0 or m == 0:  # without objectives all rows are equal
         return keep
-    rows = np.flatnonzero(~np.isnan(pts).any(axis=1))
+    rows = np.flatnonzero(~row_any(np.isnan(pts)))
     ranks = np.empty((m, rows.size), dtype=np.min_scalar_type(rows.size - 1))
     rank = np.zeros(rows.size, dtype=ranks.dtype)  # rank[0] stays 0
     for j in range(m):
@@ -565,12 +566,19 @@ def _count(value, name: str, least: int) -> int:
     return count
 
 
-def _optimal_distance(phi: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Pareto-optimal distance parts (B, S) at angles phi: valley centers or ROBUST_MINIMIZER."""
+def _optimal_distance(y: np.ndarray, spec: ProblemSpec, phi=None) -> np.ndarray:
+    """Pareto-optimal distance parts (B, S) at meta-variables y (B, M-1).
+
+    ROBUST_MINIMIZER on robust landscapes, which need no angle; on deceptive
+    ones the valley centers at phi, the angle of y's position point, which
+    the position stage gives here unless the caller passes it.
+    """
     s = spec.distance_vars
-    if spec.g_landscape == "deceptive":
-        return valley_center(phi[:, None], np.arange(1, s + 1, dtype=float))
-    return np.full((phi.shape[0], s), ROBUST_MINIMIZER)
+    if spec.g_landscape != "deceptive":
+        return np.full((y.shape[0], s), ROBUST_MINIMIZER)
+    if phi is None:
+        _, phi = _position_stage(y, spec)
+    return valley_center(phi[:, None], np.arange(1, s + 1, dtype=float))
 
 
 def front_sample(spec: ProblemSpec, resolution: int,
@@ -593,11 +601,11 @@ def front_sample(spec: ProblemSpec, resolution: int,
     # Lattices explode past four objectives; switch to a low-discrepancy set.
     targets = _set_targets(m, resolution ** (m - 1) if m <= 4 else resolution ** 3)
     f_p, phi = _position_stage(targets, spec)
-    g = _landscape_g(_optimal_distance(phi[:1], spec), phi[:1], spec)
+    g = _landscape_g(_optimal_distance(targets[:1], spec, phi[:1]), phi[:1], spec)
     _, pts = _objective_stage(np.full_like(phi, g[0]), f_p, phi, spec)
     if feasible_only and spec.constraints:
         _, viol = constraint_table(f_p, spec.constraints)
-        mask = np.all(viol == 0.0, axis=-1)
+        mask = row_all(viol == 0.0)
         pts, f_p, phi = pts[mask], f_p[mask], phi[mask]
     keep = dominance_mask(pts)
     pts, f_p, phi = pts[keep], f_p[keep], phi[keep]
@@ -617,19 +625,18 @@ def pareto_set_sample(spec: ProblemSpec, n: int) -> SetSample:
     Position parts are realized from the meta-variable targets; distance
     parts sit at the landscape optimum, which depends on the angle of the
     realized position point for the deceptive landscape (per-variable valley
-    centers) and is the constant brittle minimizer for the robust one.  The
-    angle is recomputed from the realized position through the evaluator's
-    position stage, so the evaluator sees the distance variables exactly on
-    target.
+    centers) and is the constant brittle minimizer for the robust one.  On a
+    deceptive landscape the angle is recomputed from the realized position
+    through the evaluator's position stage, so the evaluator sees the
+    distance variables exactly on target; a robust one needs no angle.
     """
     n = _count(n, "n", 1)
     targets = _set_targets(spec.objectives, n)
     q, t = spec.meta_q, spec.meta_t
     x_p = realize_position(targets, q, t)
     y = meta_variables(x_p, q, t)
-    residuals = np.max(np.abs(y - targets), axis=-1)
-    _, phi = _position_stage(y, spec)
-    return SetSample(vectors=np.concatenate([x_p, _optimal_distance(phi, spec)], axis=1),
+    residuals = row_max(np.abs(y - targets))
+    return SetSample(vectors=np.concatenate([x_p, _optimal_distance(y, spec)], axis=1),
                      residuals=residuals)
 
 
@@ -688,7 +695,7 @@ def _perturbed(x, radius: float, samples: int, spec: ProblemSpec, seed: int,
         g = _landscape_g(np.clip(x_d + delta, 0.0, 1.0), phi[:b], spec)
         _, f = _objective_stage(g, f_p[:b], phi[:b], spec)
         moved = f - f_0
-        disp[lo:lo + b] = np.sqrt(np.sum(moved * moved, axis=-1))
+        disp[lo:lo + b] = np.sqrt(row_sum(moved * moved))
     return PerturbReport(worst=float(disp.max()), mean=float(disp.mean()),
                          base_objectives=base.objectives,
                          radius=float(radius), samples=n,

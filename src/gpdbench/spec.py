@@ -284,7 +284,7 @@ class ProblemSpec:
         for i, c in enumerate(given):
             where = f"constraint {i + 1}"
             if not isinstance(c, ConstraintSpec):
-                errors.append(f"{where}: expected a ConstraintSpec, got {c!r}")
+                errors.append(_not_a_constraint(i, c))
             elif m is not None:
                 c = c._validated(m, where, errors)
             resolved.append(c)
@@ -312,6 +312,11 @@ class ProblemSpec:
         if self.distance_kind in ("deceptive", "robust"):
             return self.distance_kind
         return self.mixed_landscape
+
+
+def _not_a_constraint(i: int, c) -> str:
+    """The diagnostic for constraint entry i (0-based) that is not a ConstraintSpec."""
+    return f"constraint {i + 1}: expected a ConstraintSpec, got {c!r}"
 
 
 # Top-level keys, in the order generate_suite draws them: the order fixes
@@ -511,11 +516,12 @@ def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[
     Every field present in ranges is drawn uniformly from its choices; absent
     fields keep their defaults.  Keys are those parse_ranges returns; any
     other key is a SpecError, and so is a value that is not a collection of
-    choices (a bare string or a scalar).  Draws that fail validation (for
-    example an invalid q, t pair) are rejected and redrawn, up to a bounded
-    number of attempts per instance.  Equal (seed, count, ranges) always produce the
-    identical list.  seed and count take any integer type, as the integer
-    spec fields do; seed must be >= 0 and count >= 1.
+    choices (a bare string or a scalar), and so is a constraint entry that
+    is not a ConstraintSpec, before any draw.  Draws that fail validation
+    (for example an invalid q, t pair) are rejected and redrawn, up to a
+    bounded number of attempts per instance.  Equal (seed, count, ranges)
+    always produce the identical list.  seed and count take any integer
+    type, as the integer spec fields do; seed must be >= 0 and count >= 1.
     """
     n, s = _integer(count), _integer(seed)
     if n is None:
@@ -528,6 +534,11 @@ def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[
     if unknown:
         raise SpecError([f"unknown ranges key {key!r}" for key in unknown])
     fixed_constraints = tuple(_choices(ranges, "constraints")) if "constraints" in ranges else ()
+    # An entry that is not a ConstraintSpec fails every draw, so no draw is made.
+    wrong = [_not_a_constraint(i, c) for i, c in enumerate(fixed_constraints)
+             if not isinstance(c, ConstraintSpec)]
+    if wrong:
+        raise SpecError(wrong)
     sampled: list[tuple[str, Sequence]] = []
     for key in _RANGE_ORDER:
         if key not in ranges:

@@ -5,7 +5,9 @@ CPU's features, and kernels for different features may round differently,
 so objectives need not keep their bits from one feature set to another.
 The guarantees checked here are exact under any dispatch: a deceptive
 Pareto-set row has g == 0, the robust term at ROBUST_MINIMIZER keeps its
-pinned value, and evaluate equals evaluate_batch row for row in one process.
+pinned value, evaluate equals evaluate_batch row for row in one process,
+and the row helpers, on either side of their row threshold, give numpy's
+own bits for sums, maxima and accumulations in that process.
 """
 
 import json
@@ -27,6 +29,7 @@ import json
 import numpy as np
 from gpdbench import (ConstraintSpec, ProblemSpec, ROBUST_MINIMIZER, evaluate,
                       evaluate_arrays, evaluate_batch, pareto_set_sample)
+from gpdbench import _rows
 from gpdbench.distance import deceptive_g, robust_term
 try:
     from numpy.lib.introspect import opt_func_info
@@ -54,9 +57,20 @@ for spec in (deceptive, robust):
                       rng.uniform(lo, 1.0, size=(8, spec.total_dim))])
     batch = evaluate_batch(rows, spec)
     rowwise &= [repr(evaluate(row, spec)) for row in rows] == list(map(repr, batch))
+helpers = True
+np.seterr(all="ignore")  # products of 19 factors of up to 1e20 overflow
+for w in range(1, 20):
+    for n in (_rows.COLUMN_ROWS - 1, _rows.COLUMN_ROWS):
+        x = rng.standard_normal((n, w)) * 10.0 ** rng.uniform(-20, 20, size=(n, w))
+        x[rng.random((n, w)) < 0.3 / w] = rng.choice([0.0, -0.0, 5e-324, -1e-310, 1e300])
+        helpers &= _rows.row_sum(x).tobytes() == np.add.reduce(x, axis=-1).tobytes()
+        helpers &= _rows.row_max(x).tobytes() == np.maximum.reduce(x, axis=-1).tobytes()
+        for ufunc in (np.add, np.multiply):
+            got = _rows.row_accumulate(ufunc, x, np.empty_like(x))
+            helpers &= got.tobytes() == ufunc.accumulate(x, axis=-1).tobytes()
 print(json.dumps({"dispatch": dispatch, "pareto_g_zero": bool((g == 0.0).all()),
                   "robust_at_minimizer": float(robust_term(ROBUST_MINIMIZER)),
-                  "rowwise": rowwise}))
+                  "rowwise": rowwise, "helpers": helpers}))
 """
 
 
@@ -72,6 +86,7 @@ def run_check(extra_env):
 
 def test_exact_guarantees_hold_under_the_default_and_the_avx2_dispatch():
     runs = [run_check({}), run_check(AVX2_ONLY)]
+    assert all(run["helpers"] for run in runs)
     if runs[0]["dispatch"] is None:
         pytest.skip("numpy before 2.0 cannot report which kernels it dispatches")
     if runs[0]["dispatch"] == runs[1]["dispatch"]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from test_array_pipeline import specs
 
+import gpdbench.spec
 from gpdbench import (
     ConstraintSpec,
     ProblemSpec,
@@ -342,13 +343,23 @@ def test_read_choices_diagnostics(text, errors):
     (2.5, {"objectives": [3]}, ["suite count must be an integer, got 2.5"]),
     ("3", {"objectives": [3]}, ["suite count must be an integer, got '3'"]),
     (1, {"objectives": [3], "constraints": [1]},
-     ["no valid specification found for instance 1 after 1000 draws",
-      "constraint 1: expected a ConstraintSpec, got 1"]),
+     ["constraint 1: expected a ConstraintSpec, got 1"]),
 ])
 def test_generate_suite_diagnostics(count, ranges, errors):
     with pytest.raises(SpecError) as exc:
         generate_suite(0, count, ranges)
     assert exc.value.errors == errors
+
+
+def test_generate_suite_reports_a_malformed_constraint_before_any_draw(monkeypatch):
+    built = []
+    monkeypatch.setattr(gpdbench.spec, "ProblemSpec", lambda **kw: built.append(kw))
+    ranges = {"objectives": [2, 3],
+              "constraints": [ConstraintSpec(kind="nearest_axis", axis_j=1), ("band",)]}
+    with pytest.raises(SpecError) as exc:
+        generate_suite(0, 3, ranges)
+    assert exc.value.errors == ["constraint 2: expected a ConstraintSpec, got ('band',)"]
+    assert built == []
 
 
 @pytest.mark.parametrize("fields, errors", [

@@ -4,13 +4,14 @@ The kernels call numpy's ufuncs and their reduce/accumulate methods directly.
 The references below are the forms they replaced, written with np.clip,
 np.sum, np.concatenate and np.broadcast_arrays; every output must match
 them byte for byte on single points, (B, K) stacks and (A, B, K) stacks,
-with signed zeros and rows too small or too large to square.
+with signed zeros and rows too small or too large to square, also on stacks
+of enough rows for the row helpers to work a column at a time.
 """
 
 import numpy as np
 import pytest
 
-from gpdbench import ConstraintSpec
+from gpdbench import ConstraintSpec, _rows
 from gpdbench.constraints import constraint_table, nearest_axis
 from gpdbench.distance import (_scaled_rows, deceptive_g, deceptive_term,
                                normalized_angle, radial_profile, robust_g,
@@ -99,7 +100,9 @@ def same(got, want):
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-RANKS = ((), (7,), (3, 5))  # leading shapes: a single point, (B, K), (A, B, K)
+# Leading shapes: a single point, (B, K), (A, B, K), and (A, B, K) with A
+# large enough for the row helpers to work a column at a time.
+RANKS = ((), (7,), (3, 5), (1000, 2))
 
 
 def signed(rng, lead, k, lo=-1.0):
@@ -171,3 +174,7 @@ def test_deceptive_term_keeps_its_bits_on_broadcast_and_scalar_operands():
     for args in ((x, v, r), (x, v[:1], r), (0.5, v, r), (x, v, 0.03), (x[0], v[0], r[0]),
                  (0.5, 0.5, 0.02), (0.1, 0.5, 0.02), (0.51, 0.5, 0.02), (np.nan, 0.5, 0.02)):
         assert same(deceptive_term(*args), ref_deceptive_term(*args))
+
+
+def test_the_largest_leading_shape_takes_the_column_paths():
+    assert RANKS[-1][0] >= _rows.COLUMN_ROWS

@@ -52,9 +52,8 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
     Angle constraints report the normalized angle to their own reference;
     nearest_axis constraints report the normalized angle to the required
     axis.  Violation rules: min_angle max(0, A - phi); max_angle
-    max(0, phi - A); band max(0, A - phi) + max(0, phi - B); nearest_axis 0
-    when the required axis is the closest one, else the raw angular gap to
-    the closest (continuous, zero exactly on the feasible set).
+    max(0, phi - A); band max(0, A - phi) + max(0, phi - B); nearest_axis the
+    angular gap from the required axis to the closest (0 exactly on the feasible set).
     """
     f_p = np.asarray(f_p, dtype=float)
     shape = f_p.shape[:-1] + (len(constraints),)
@@ -69,12 +68,11 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
             axis = np.zeros(f_p.shape[-1])
             axis[con.axis_j - 1] = 1.0
             phis[..., col] = _normalized_angle(f, fn, axis)
-            # arccos is decreasing, so the largest cosine is the smallest angle.
+            # arccos is decreasing and scaling keeps ties: a nearest axis_j has gap +0.0.
             cos = f / fn[..., None]
             cos = np.minimum(np.maximum(cos, -1.0, out=cos), 1.0, out=cos)
-            gap = (np.arccos(cos[..., con.axis_j - 1])
-                   - np.arccos(row_max(cos)))
-            viol[..., col] = np.where(nearest_axis(f_p) == con.axis_j, 0.0, gap)
+            viol[..., col] = (np.arccos(cos[..., con.axis_j - 1])
+                              - np.arccos(row_max(cos)))
             continue
         phi = _normalized_angle(f, fn, con.reference)
         phis[..., col] = phi

@@ -109,7 +109,8 @@ def _validate(rows, spec: ProblemSpec):
     input order.  Any rows that np.asarray turns into a (B, N) float array
     (an array of any layout or numeric dtype, or a list, tuple, deque or
     other sequence of equal-width flat rows) are taken whole; anything else
-    (a generator, ragged, nested or wrong-width rows) is checked row by row.
+    (a generator, ragged, nested or wrong-width rows, or a row that float()
+    cannot read) is checked row by row.
     The box rule lo <= x <= 1, with lo = -1 on the position part and 0 on
     the distance part, then runs once over the stacked well-shaped rows; NaN
     and +-inf fail it.
@@ -127,7 +128,12 @@ def _validate(rows, spec: ProblemSpec):
         shaped = []
         good = []
         for i, row in enumerate(rows):
-            x = np.atleast_1d(np.asarray(row, dtype=float))
+            try:
+                x = np.atleast_1d(np.asarray(row, dtype=float))
+            except (ValueError, TypeError, OverflowError):
+                # numpy's own text for these differs between its versions.
+                errors.append((i, "cannot read the decision vector as real numbers"))
+                continue
             if x.ndim != 1:
                 errors.append((i, f"expected a flat decision vector, got shape {x.shape}"))
             elif x.shape[0] != n:
@@ -261,9 +267,10 @@ def evaluate_arrays(rows, spec: ProblemSpec) -> EvaluationArrays:
 def evaluate(x, spec: ProblemSpec) -> Evaluation:
     """Evaluate one decision vector.
 
-    Raises ValueError on a dimension mismatch or any coordinate outside its
-    box ([-1, 1] for the position part, [0, 1] for the distance part); the
-    offending coordinate index is named.  No clamping, no repair.
+    Raises ValueError on a value float() cannot read, a dimension mismatch
+    or any coordinate outside its box ([-1, 1] for the position part,
+    [0, 1] for the distance part); the offending coordinate index is named.
+    No clamping, no repair.
     """
     try:
         arrays = evaluate_arrays([x], spec)

@@ -84,17 +84,24 @@ def _real(value, name: str, where: str, errors: list[str]) -> float | None:
         return None
 
 
-def _resolve_reference(raw, n_objectives: int, where: str, errors: list[str]):
-    """Turn 'diagonal', an axis label like 'e2', or an explicit vector into a tuple."""
+def _resolve_reference(raw, n_objectives: int | None, where: str, errors: list[str]):
+    """Turn 'diagonal', an axis label like 'e2', or an explicit vector into a tuple.
+
+    With n_objectives None only the checks that hold at every M run: the
+    length goes unchecked, and 'diagonal' and axis labels give None.
+    """
     if raw is None:
         errors.append(f"{where}: missing reference")
         return None
+    values = raw
     if isinstance(raw, str):
         token = raw.strip()
         if token == "diagonal":
-            return (1.0,) * n_objectives
+            return None if n_objectives is None else (1.0,) * n_objectives
         # isdigit() would also pass "²", which int() rejects.
         if token.startswith("e") and token[1:].isdecimal():
+            if n_objectives is None:
+                return None
             j = int(token[1:])
             if not 1 <= j <= n_objectives:
                 errors.append(f"{where}: axis label {token!r} out of range 1..{n_objectives}")
@@ -102,18 +109,13 @@ def _resolve_reference(raw, n_objectives: int, where: str, errors: list[str]):
             vec = [0.0] * n_objectives
             vec[j - 1] = 1.0
             return tuple(vec)
-        try:
-            parts = tuple(float(p) for p in token.split(","))
-        except ValueError:
-            errors.append(f"{where}: cannot read reference {raw!r}")
-            return None
-        raw = parts
+        values = token.split(",")
     try:
-        vec = tuple(float(v) for v in raw)
+        vec = tuple(float(v) for v in values)
     except (TypeError, ValueError):
         errors.append(f"{where}: cannot read reference {raw!r}")
         return None
-    if len(vec) != n_objectives:
+    if n_objectives is not None and len(vec) != n_objectives:
         errors.append(f"{where}: reference has {len(vec)} components, expected {n_objectives}")
         return None
     if not all(math.isfinite(v) for v in vec):
@@ -142,7 +144,9 @@ class ConstraintSpec:
     threshold_b: float | None = None
     axis_j: int | None = None
 
-    def _validated(self, n_objectives: int, where: str, errors: list[str]) -> "ConstraintSpec":
+    def _validated(self, n_objectives: int | None, where: str, errors: list[str]
+                   ) -> "ConstraintSpec":
+        """Resolved at n_objectives; with None only the checks that hold at every M run."""
         kind = self.kind
         if kind not in CONSTRAINT_KINDS:
             errors.append(f"{where}: unknown constraint type {kind!r}")
@@ -157,7 +161,7 @@ class ConstraintSpec:
                 errors.append(f"{where}: nearest_axis requires axis_j")
             elif j is None:
                 errors.append(f"{where}: axis_j must be an integer, got {self.axis_j!r}")
-            elif not 1 <= j <= n_objectives:
+            elif n_objectives is not None and not 1 <= j <= n_objectives:
                 errors.append(f"{where}: axis_j must lie in 1..{n_objectives}, got {j}")
             return ConstraintSpec(kind, None, None, None, j)
         if self.axis_j is not None:
@@ -247,15 +251,11 @@ class ProblemSpec:
                 errors.append(f"2t+1 < q violated ({2 * t + 1} >= {q})")
         object.__setattr__(self, "use_meta", use_meta)
 
-        if self.distance_kind not in DISTANCE_KINDS:
-            errors.append(f"unknown distance kind {self.distance_kind!r}; "
-                          f"expected one of {', '.join(DISTANCE_KINDS)}")
-        if self.composition not in COMPOSITIONS:
-            errors.append(f"unknown composition {self.composition!r}; "
-                          f"expected one of {', '.join(COMPOSITIONS)}")
-        if self.mixed_landscape not in MIXED_LANDSCAPES:
-            errors.append(f"unknown mixed_landscape {self.mixed_landscape!r}; "
-                          f"expected one of {', '.join(MIXED_LANDSCAPES)}")
+        for value, label, choices in ((self.distance_kind, "distance kind", DISTANCE_KINDS),
+                                      (self.composition, "composition", COMPOSITIONS),
+                                      (self.mixed_landscape, "mixed_landscape", MIXED_LANDSCAPES)):
+            if value not in choices:
+                errors.append(f"unknown {label} {value!r}; expected one of {', '.join(choices)}")
         integer("valleys_k", 1)
         flag("dissimilar")
 
@@ -516,12 +516,14 @@ def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[
     Every field present in ranges is drawn uniformly from its choices; absent
     fields keep their defaults.  Keys are those parse_ranges returns; any
     other key is a SpecError, and so is a value that is not a collection of
-    choices (a bare string or a scalar), and so is a constraint entry that
-    is not a ConstraintSpec, before any draw.  Draws that fail validation
-    (for example an invalid q, t pair) are rejected and redrawn, up to a
-    bounded number of attempts per instance.  Equal (seed, count, ranges)
-    always produce the identical list.  seed and count take any integer
-    type, as the integer spec fields do; seed must be >= 0 and count >= 1.
+    choices (a bare string or a scalar), and so, before any draw, is a
+    constraint entry that is not a ConstraintSpec or that no draw of M can
+    make valid (only axis ranges, axis labels and reference lengths depend
+    on M).  Draws that fail validation (for example an invalid q, t pair)
+    are rejected and redrawn, up to a bounded number of attempts per
+    instance.  Equal (seed, count, ranges) always produce the identical
+    list.  seed and count take any integer type, as the integer spec fields
+    do; seed must be >= 0 and count >= 1.
     """
     n, s = _integer(count), _integer(seed)
     if n is None:
@@ -534,9 +536,13 @@ def generate_suite(seed: int, count: int, ranges: Mapping[str, object]) -> list[
     if unknown:
         raise SpecError([f"unknown ranges key {key!r}" for key in unknown])
     fixed_constraints = tuple(_choices(ranges, "constraints")) if "constraints" in ranges else ()
-    # An entry that is not a ConstraintSpec fails every draw, so no draw is made.
-    wrong = [_not_a_constraint(i, c) for i, c in enumerate(fixed_constraints)
-             if not isinstance(c, ConstraintSpec)]
+    # An error that does not depend on M fails every draw, so no draw is made.
+    wrong: list[str] = []
+    for i, c in enumerate(fixed_constraints):
+        if isinstance(c, ConstraintSpec):
+            c._validated(None, f"constraint {i + 1}", wrong)
+        else:
+            wrong.append(_not_a_constraint(i, c))
     if wrong:
         raise SpecError(wrong)
     sampled: list[tuple[str, Sequence]] = []

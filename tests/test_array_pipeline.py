@@ -27,14 +27,18 @@ from gpdbench.evaluator import _evaluations
 from gpdbench.spec import COMPOSITIONS, DISTANCE_KINDS, MIXED_LANDSCAPES
 
 VALUE_INJECTIONS = ("nan", "inf", "-inf", "below", "above")
-SHAPE_INJECTIONS = ("wide", "narrow", "nested")
+SHAPE_INJECTIONS = ("wide", "narrow", "nested", "unreadable")
+UNREADABLE = "cannot read the decision vector as real numbers"
 CONTAINERS = ("same", "tuple", "row arrays", "deque", "generator",
               "fortran", "strided", "int")
 
 
 def reference_row_error(row, spec):
     """Per-row validator, one coordinate at a time; None for a good row."""
-    x = np.atleast_1d(np.asarray(row, dtype=float))
+    try:
+        x = np.atleast_1d(np.asarray(row, dtype=float))
+    except (ValueError, TypeError, OverflowError):
+        return UNREADABLE
     n = spec.total_dim
     if x.ndim != 1:
         return f"expected a flat decision vector, got shape {x.shape}"
@@ -126,7 +130,7 @@ def batches(draw, spec):
     part is left alone or nudged by less than the narrowest valley radius,
     so that in-valley coordinates land at other positions in a batch than
     in its single rows.  Each row may then carry up to two bad values and
-    change shape; a width shift applied to every row makes a whole batch too
+    change shape or hold a value float() cannot read; a width shift applied to every row makes a whole batch too
     wide or too narrow.  The array containers get an array batch with no shape
     injections; for an integer array every row sits on the box edges and
     the bad values are whole steps past them.
@@ -166,9 +170,12 @@ def batches(draw, spec):
             x = x[:-1]
         if shape == "nested":
             x = x[None, :]
+        if shape == "unreadable":  # a value float() rejects, whatever the container
+            x = x.astype(object)
+            x[draw(st.integers(0, len(x) - 1))] = draw(st.sampled_from(("x", 10 ** 400)))
         rows.append(x)
     if array_only or (len({x.shape for x in rows}) <= 1 and all(x.ndim == 1 for x in rows)
-                      and draw(st.booleans())):
+                      and all(x.dtype == float for x in rows) and draw(st.booleans())):
         width = rows[0].shape[0] if rows else n + shift
         batch = np.array(rows, dtype=float).reshape(len(rows), width)
     else:

@@ -423,11 +423,34 @@ def test_search_with_an_empty_front_warns_and_omits_igd(tmp_path, capsys):
     assert read_rows(dst).shape == (1, 3)
 
 
+def test_search_with_no_feasible_row_writes_only_the_header(tmp_path, capsys):
+    p = tmp_path / "thin.spec"
+    p.write_text("objectives = 3\ndistance_vars = 2\ndistance = robust\n\n"
+                 "[constraint]\ntype = band\nreference = diagonal\n"
+                 "threshold_a = 0.5\nthreshold_b = 0.5001\n")
+    dst = tmp_path / "archive.csv"
+    code, out, err = run(["search", "--spec", str(p), "--budget", "20", "--out", str(dst)],
+                         capsys)
+    assert (code, out, err) == (0, "feasible = 0\n", "")
+    assert dst.read_text() == "# f1,f2,f3\n"
+
+
+def test_search_budget_0_exits_3(tmp_path, capsys, m2):
+    dst = tmp_path / "a.csv"
+    code, out, err = run(["search", "--spec", str(m2), "--budget", "0", "--out", str(dst)],
+                         capsys)
+    assert (code, out, err) == (3, "", "error: budget must be at least 1, got 0\n")
+    assert not dst.exists()
+
+
 def test_usage_errors_exit_1(tmp_path, capsys, m2):
     assert run(["bogus"], capsys)[0] == 1
     assert run([], capsys)[0] == 1
     assert run(["front", "--spec", str(m2)], capsys)[0] == 1  # --out missing
     assert run(["eval", "--spec", str(m2), "--nope"], capsys)[0] == 1
+    code, _, err = run(["search", "--spec", str(m2), "--budget", "10", "--seed", "abc",
+                        "--out", str(tmp_path / "a.csv")], capsys)
+    assert code == 1 and "argument --seed: invalid int value: 'abc'" in err
 
 
 @pytest.mark.parametrize("command", ["suite", "perturb", "search"])

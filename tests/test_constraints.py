@@ -194,3 +194,20 @@ def test_evaluate_constraints_requires_single_point():
     s = spec_with(c)
     with pytest.raises(ValueError):
         evaluate_constraints(np.ones((2, 3)), s.constraints)
+
+
+def test_constraint_table_refuses_an_unvalidated_kind():
+    wedge = ConstraintSpec(kind="wedge", reference=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="^unknown constraint kind: 'wedge'$"):
+        constraint_table(np.array([[0.5, 0.2, 0.1]]), (wedge,))
+
+
+def test_nearest_axis_violation_of_a_nan_row_is_nan_on_every_axis():
+    # A NaN phi goes with a NaN violation: the row is infeasible on every axis,
+    # also on the axis where argmax finds its first NaN.
+    f = np.array([[0.3, np.nan, 0.5], [np.nan, 0.2, 0.1], [0.2, 0.9, 0.1]])
+    cons = tuple(ConstraintSpec(kind="nearest_axis", axis_j=j) for j in (1, 2, 3))
+    with np.errstate(invalid="ignore"):
+        phis, viol = constraint_table(f, cons)
+    assert np.isnan(phis[:2]).all() and np.isnan(viol[:2]).all()
+    assert viol[2, 1] == 0.0 and (viol[2, [0, 2]] > 0.0).all()

@@ -137,6 +137,20 @@ def test_batch_reports_first_bad_row_and_keeps_going():
     assert err.results[0].objectives == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [["x", 0.3], [1 + 2j, 0.3], [object(), 0.3], [[0.1], 0.3],
+                                 [10 ** 400, 0.3]],
+                         ids=["text", "complex", "object", "inhomogeneous", "overflow"])
+def test_batch_reports_a_row_float_cannot_read(bad):
+    unreadable = "cannot read the decision vector as real numbers"
+    with pytest.raises(BatchError) as exc:
+        evaluate_batch([[0.0, 0.5], bad, [0.0, 0.0]], TINY)
+    assert exc.value.row_errors == [(1, unreadable)]
+    assert [ev is None for ev in exc.value.results] == [False, True, False]
+    with pytest.raises(ValueError) as one:
+        evaluate(bad, TINY)
+    assert str(one.value) == unreadable
+
+
 def test_batch_accepts_list_of_rows():
     out = evaluate_batch([[0.0, 0.5], [0.0, 0.0]], TINY)
     assert len(out) == 2
@@ -233,7 +247,7 @@ STAGE_BINDINGS = {
         ConstraintSpec(kind="nearest_axis", axis_j=2))),
      ["meta_variables", "position_point", "spherical_map", "p_norm", "normalized_angle",
       "deceptive_g", "valley_center", "valley_radius", "deceptive_term", "radial_profile",
-      "compose", "constraint_table", "nearest_axis"]),
+      "compose", "constraint_table"]),
     (rich_spec(objectives=5, distance_kind="robust", dissimilar=True, constraints=(
         ConstraintSpec(kind="band", reference="diagonal", threshold_a=0.2, threshold_b=0.8),)),
      ["meta_variables", "position_point", "spherical_map", "p_norm", "normalized_angle",

@@ -32,6 +32,10 @@ def test_meta_zero_input():
 def test_meta_length_check():
     with pytest.raises(ValueError, match="does not split"):
         meta_variables(np.zeros(5), 3, 1)
+    with pytest.raises(ValueError, match="^window stride q must be >= 1, got 0$"):
+        meta_variables(np.zeros(5), 0, 0)
+    with pytest.raises(ValueError, match="^window overlap t must be >= 0, got -1$"):
+        meta_variables(np.zeros(5), 4, -1)
 
 
 def test_meta_range_property():
@@ -118,6 +122,14 @@ def test_p_norm_small_exponent_stays_finite():
 def test_p_norm_rejects_nonpositive_exponent():
     with pytest.raises(ValueError, match="must be positive"):
         p_norm(np.ones(2), 0.0)
+
+
+def test_position_kernels_refuse_empty_rows():
+    for empty in (np.zeros(0), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="^need at least one meta-variable$"):
+            spherical_map(empty)
+        with pytest.raises(ValueError, match="^p-norm of an empty vector$"):
+            p_norm(empty, 2.0)
 
 
 def test_position_point_examples():
@@ -220,3 +232,5 @@ def test_realize_stacked_targets_keep_their_leading_shape():
 def test_realize_rejects_targets_outside_unit_interval():
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         realize_position(np.array([0.5, 1.5]), 3, 1)
+    with pytest.raises(ValueError, match=r"^y must be an array of meta-variables shaped"):
+        realize_position(np.array(0.5), 3, 1)

@@ -252,6 +252,10 @@ def test_igd_errors():
         igd(np.ones(3), np.ones((3, 3)))
 
 
+def test_igd_of_zero_dimensional_points_is_zero():
+    assert igd(np.zeros((3, 0)), np.zeros((4, 0))) == 0.0
+
+
 def test_pareto_set_deceptive_rows_are_exact():
     spec = ProblemSpec(objectives=2, distance_vars=3, distance_kind="deceptive",
                        norm_p=2.0)

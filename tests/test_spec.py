@@ -36,6 +36,8 @@ def test_suggested_norm_values():
     assert suggested_norm(8) == 3.0
     assert suggested_norm(9) == 4.0
     assert suggested_norm(1024) == 10.0
+    with pytest.raises(SpecError, match="^objective count must be an integer >= 2, got 1$"):
+        suggested_norm(1)
 
 
 def test_dimension_arithmetic():
@@ -332,6 +334,7 @@ def test_read_diagnostics(parse):
 @pytest.mark.parametrize("text, errors", [
     ("objectives = 4..2\n", ["line 1: empty span '4..2'"]),
     ("distance = robust,,deceptive\n", ["line 1: empty choice in 'robust,,deceptive'"]),
+    ("objectives = a..3\n", ["line 1: expected an integer, got 'a'"]),
 ])
 def test_read_choices_diagnostics(text, errors):
     assert_errors(parse_ranges, text, errors)
@@ -344,11 +347,66 @@ def test_read_choices_diagnostics(text, errors):
     ("3", {"objectives": [3]}, ["suite count must be an integer, got '3'"]),
     (1, {"objectives": [3], "constraints": [1]},
      ["constraint 1: expected a ConstraintSpec, got 1"]),
+    # Constraint errors that hold at every M, reported before any draw.
+    (1, {"objectives": [3, 4], "constraints": [ConstraintSpec(kind="wedge")]},
+     ["constraint 1: unknown constraint type 'wedge'"]),
+    (1, {"objectives": [3, 4], "constraints": [
+        ConstraintSpec(kind="min_angle", reference="diagonal"),
+        ConstraintSpec(kind="max_angle", reference="e1", threshold_a="wide"),
+        ConstraintSpec(kind="band", reference="diagonal", threshold_a=2.0, threshold_b=0.5),
+        ConstraintSpec(kind="band", reference="diagonal", threshold_a=0.6, threshold_b=0.4),
+        ConstraintSpec(kind="band", reference="diagonal", threshold_a=0.2)]},
+     ["constraint 1: min_angle requires threshold_a",
+      "constraint 2: threshold_a must be a real number, got 'wide'",
+      "constraint 3: threshold_a must lie strictly inside (0, 1), got 2.0",
+      "constraint 3: band needs threshold_a < threshold_b, got 2.0 >= 0.5",
+      "constraint 4: band needs threshold_a < threshold_b, got 0.6 >= 0.4",
+      "constraint 5: band requires threshold_b"]),
+    (1, {"objectives": [3, 4], "constraints": [
+        ConstraintSpec(kind="nearest_axis", reference="e1", threshold_a=0.5),
+        ConstraintSpec(kind="min_angle", reference="diagonal", threshold_a=0.5, axis_j=1),
+        ConstraintSpec(kind="max_angle", reference="diagonal", threshold_a=0.5,
+                       threshold_b=0.7),
+        ConstraintSpec(kind="nearest_axis"),
+        ConstraintSpec(kind="nearest_axis", axis_j=1.5)]},
+     ["constraint 1: nearest_axis takes axis_j, not a reference",
+      "constraint 1: nearest_axis takes no thresholds",
+      "constraint 1: nearest_axis requires axis_j",
+      "constraint 2: axis_j only applies to nearest_axis constraints",
+      "constraint 3: threshold_b only applies to band constraints",
+      "constraint 4: nearest_axis requires axis_j",
+      "constraint 5: axis_j must be an integer, got 1.5"]),
+    (1, {"objectives": [3], "constraints": [
+        ConstraintSpec(kind="min_angle", reference="1,x", threshold_a=0.5),
+        ConstraintSpec(kind="min_angle", reference=(1.0, float("inf"), 1.0), threshold_a=0.5),
+        ConstraintSpec(kind="min_angle", reference="-1,1,1", threshold_a=0.5),
+        ConstraintSpec(kind="min_angle", reference=None, threshold_a=0.5),
+        ConstraintSpec(kind="min_angle", reference="ex", threshold_a=0.5)]},
+     ["constraint 1: cannot read reference '1,x'",
+      "constraint 2: reference must be finite",
+      "constraint 3: reference must be nonnegative with at least one positive component",
+      "constraint 4: missing reference",
+      "constraint 5: cannot read reference 'ex'"]),
 ])
-def test_generate_suite_diagnostics(count, ranges, errors):
+def test_generate_suite_diagnostics(monkeypatch, count, ranges, errors):
+    built = []
+    monkeypatch.setattr(gpdbench.spec, "ProblemSpec", lambda **kw: built.append(kw))
     with pytest.raises(SpecError) as exc:
         generate_suite(0, count, ranges)
     assert exc.value.errors == errors
+    assert built == []
+
+
+def test_generate_suite_leaves_the_errors_that_depend_on_m_to_the_draws():
+    fits_m5 = (ConstraintSpec(kind="nearest_axis", axis_j=5),
+               ConstraintSpec(kind="min_angle", reference="e5", threshold_a=0.5),
+               ConstraintSpec(kind="band", reference="1,0,0,0,1", threshold_a=0.2,
+                              threshold_b=0.6))
+    suite = generate_suite(0, 4, {"objectives": [3, 5], "constraints": fits_m5})
+    assert [s.objectives for s in suite] == [5] * 4
+    with pytest.raises(SpecError) as exc:
+        generate_suite(0, 1, {"objectives": [3, 4], "constraints": fits_m5[1:2]})
+    assert exc.value.errors[0] == "no valid specification found for instance 1 after 1000 draws"
 
 
 def test_generate_suite_reports_a_malformed_constraint_before_any_draw(monkeypatch):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -92,11 +93,13 @@ def _as_matrix(rows: np.ndarray | list[list[float]], path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def _write_rows(path: str | None, header: list[str], rows) -> None:
+    """A '#' header line, then 17-digit rows; to stdout when path is None."""
+    with (nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
         fh.write("# " + ",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n"
+                      for row in np.asarray(rows, dtype=float).tolist())
 
 
 def _load_spec(path: str):
@@ -123,7 +126,7 @@ def cmd_eval(args) -> int:
               + ["feasible"])
     table = np.column_stack([ev.objectives, ev.phi_per_constraint,
                              ev.violations, ev.feasible.astype(float)])
-    _write_rows(args.out, header, table.tolist())
+    _write_rows(args.out, header, table)
     return 0
 
 
@@ -174,15 +177,9 @@ def cmd_perturb(args) -> int:
     _check_perturbation(args.radius, args.samples)  # before any row is read
     rows = _read_rows(args.infile)
     bases = evaluate_batch(rows, spec)  # a bad row fails here, named by its number
-    lines = ["# worst,mean"]
-    for row, base in zip(rows, bases):
-        report = _perturbed(row, args.radius, args.samples, spec, args.seed, base)
-        lines.append(f"{_fmt(report.worst)},{_fmt(report.mean)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    reports = [_perturbed(row, args.radius, args.samples, spec, args.seed, base)
+               for row, base in zip(rows, bases)]
+    _write_rows(args.out, ["worst", "mean"], [(r.worst, r.mean) for r in reports])
     return 0
 
 

@@ -71,8 +71,8 @@ def suggested_norm(n_objectives: int) -> float:
     return float(math.ceil(math.log2(m)))
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+# format(float(v), ".17g") as a bound C method: no Python frame per value.
+_fmt = "%.17g".__mod__
 
 
 def _real(value, name: str, where: str, errors: list[str]) -> float | None:

@@ -13,6 +13,7 @@ import pytest
 import gpdbench
 from gpdbench import evaluate_batch, front_sample, parse_spec
 from gpdbench.cli import _read_rows, main
+from gpdbench.spec import _fmt
 
 M2_SPEC = "objectives = 2\ndistance_vars = 1\ndistance = deceptive\nnorm_p = 2\n"
 M3_SPEC = ("objectives = 3\ndistance_vars = 10\ndistance = deceptive\n"
@@ -220,6 +221,56 @@ def test_front_default_resolution_is_bounded_at_m4(tmp_path, capsys):
     assert 0 < got.shape[0] <= 9 ** 3
 
 
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, np.finfo(float).max, 1e16, 1e17,
+    0.1, np.float64(0.1), np.float64(-0.0), np.float32(0.1), np.float32(3e38),
+    7, -(10 ** 17), 2 ** 53 + 1, True, False,
+], ids=repr)
+def test_fmt_is_the_17_digit_format_of_the_float(value):
+    assert _fmt(value) == format(float(value), ".17g")
+
+
+def rendering(header, rows):
+    """The CSV text the writer promises: a '#' header, then format(v, ".17g") rows."""
+    return "# " + ",".join(header) + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
+
+
+THIN_BAND_M3 = ("objectives = 3\ndistance_vars = 2\ndistance = robust\n\n"
+                "[constraint]\ntype = band\nreference = diagonal\n"
+                "threshold_a = 0.5\nthreshold_b = 0.5001\n")
+
+
+@pytest.mark.parametrize("text, resolution", [
+    (M2_SPEC, 25), (M3_SPEC, 7), (THIN_BAND_M3, 2)], ids=["m2", "m3", "empty"])
+def test_front_file_is_the_17_digit_rendering_of_the_library_front(
+        tmp_path, capsys, text, resolution):
+    spec = parse_spec(text)
+    (tmp_path / "p.spec").write_text(text)
+    dst = tmp_path / "front.csv"
+    code, _, _ = run(["front", "--spec", str(tmp_path / "p.spec"), "--resolution",
+                      str(resolution), "--out", str(dst)], capsys)
+    assert code == 0
+    points = front_sample(spec, resolution).points
+    assert (len(points) == 0) == (text is THIN_BAND_M3)
+    assert dst.read_bytes() == rendering(
+        [f"f{j}" for j in range(1, spec.objectives + 1)], points).encode()
+
+
+@pytest.mark.parametrize("text", [M2_SPEC, M3_SPEC], ids=["m2", "m3"])
+def test_pset_file_is_the_17_digit_rendering_of_the_library_sample(
+        tmp_path, capsys, text):
+    spec = parse_spec(text)
+    (tmp_path / "p.spec").write_text(text)
+    dst = tmp_path / "pset.csv"
+    code, _, _ = run(["pset", "--spec", str(tmp_path / "p.spec"), "--n", "40",
+                      "--out", str(dst)], capsys)
+    assert code == 0
+    vectors = gpdbench.pareto_set_sample(spec, 40).vectors
+    assert dst.read_bytes() == rendering(
+        [f"x{j}" for j in range(1, spec.total_dim + 1)], vectors).encode()
+
+
 @pytest.mark.parametrize("raised, message", [
     (MemoryError("Unable to allocate 745. MiB for an array with shape (100000000,)"),
      "error: out of memory: Unable to allocate 745. MiB for an array with shape (100000000,)"),
@@ -302,6 +353,38 @@ def test_perturb_stdout_matches_out_file(tmp_path, capsys):
     assert dst.read_text() == out
     worst = read_rows(dst)[:, 0]
     assert worst[1] > 10 * worst[0]  # needle sits under the noise, plateau does not
+
+
+def test_perturb_stdout_bytes_equal_the_out_file_in_a_subprocess(tmp_path):
+    # capsys sees text; a real process shows the bytes stdout writes.
+    spec = tmp_path / "robust.spec"
+    spec.write_text("objectives = 2\ndistance_vars = 2\ndistance = robust\n")
+    src = tmp_path / "pts.csv"
+    src.write_text("0.3,0.2,0.2\n0.3,0.600066066066066,0.600066066066066\n")
+    argv = [sys.executable, "-m", "gpdbench", "perturb", "--spec", str(spec),
+            "--in", str(src), "--radius", "0.1", "--samples", "100", "--seed", "11"]
+    dst = tmp_path / "rep.csv"
+    to_file = subprocess.run(argv + ["--out", str(dst)], capture_output=True,
+                             env=package_env(), timeout=120)
+    to_stdout = subprocess.run(argv, capture_output=True, env=package_env(), timeout=120)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+    assert to_stdout.stdout == dst.read_bytes()
+    assert to_stdout.stdout.startswith(b"# worst,mean\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "front", "pset", "search", "perturb"])
+def test_an_empty_out_path_exits_3_for_every_command(command, tmp_path, capsys, m2):
+    (tmp_path / "x.csv").write_text("0.3,0.5\n")
+    flags = {"eval": ["--in", str(tmp_path / "x.csv")],
+             "front": [],
+             "pset": ["--n", "5"],
+             "search": ["--budget", "10"],
+             "perturb": ["--in", str(tmp_path / "x.csv"), "--radius", "0.1",
+                         "--samples", "5"]}[command]
+    code, out, err = run([command, "--spec", str(m2), *flags, "--out", ""], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 @pytest.mark.parametrize("text", [

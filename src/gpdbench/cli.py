@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluator import BatchError, evaluate_arrays, evaluate_batch
+from .evaluator import BatchError, evaluate_arrays
 from .reference import (_check_perturbation, _perturbed, dominance_filter,
                         front_sample, igd, pareto_set_sample)
 from .spec import (SpecError, _fmt, generate_suite, parse_ranges, parse_spec,
@@ -176,10 +176,10 @@ def cmd_perturb(args) -> int:
     spec = _load_spec(args.spec)
     _check_perturbation(args.radius, args.samples)  # before any row is read
     rows = _read_rows(args.infile)
-    bases = evaluate_batch(rows, spec)  # a bad row fails here, named by its number
-    reports = [_perturbed(row, args.radius, args.samples, spec, args.seed, base)
-               for row, base in zip(rows, bases)]
-    _write_rows(args.out, ["worst", "mean"], [(r.worst, r.mean) for r in reports])
+    ev = evaluate_arrays(rows, spec)  # a bad row fails here, named by its number
+    pairs = [_perturbed(x, f_p, phi, f_0, args.radius, args.samples, spec, args.seed)
+             for x, f_p, phi, f_0 in zip(rows, ev.position_point, ev.distance_phi, ev.objectives)]
+    _write_rows(args.out, ["worst", "mean"], pairs)
     return 0
 
 

@@ -101,16 +101,24 @@ def _box_low(r: int, n: int) -> np.ndarray:
     return lo
 
 
+def _real_array(values) -> np.ndarray:
+    """values as a float array; TypeError if complex, which numpy casts with only a warning."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        raise TypeError("complex values are not real numbers")
+    return a.astype(float, copy=False)
+
+
 def _validate(rows, spec: ProblemSpec):
     """Split rows into a stacked (G, N) matrix of good rows and diagnostics.
 
     Returns (matrix, good, errors): good lists the input index of each
     matrix row, errors the (index, message) pairs of rejected rows, both in
-    input order.  Any rows that np.asarray turns into a (B, N) float array
-    (an array of any layout or numeric dtype, or a list, tuple, deque or
-    other sequence of equal-width flat rows) are taken whole; anything else
-    (a generator, ragged, nested or wrong-width rows, or a row that float()
-    cannot read) is checked row by row.
+    input order.  Any rows that np.asarray turns into a (B, N) real array
+    (an array of any layout or real numeric dtype, or a list, tuple, deque
+    or other sequence of equal-width flat rows) are taken whole; anything
+    else (a generator, ragged, nested or wrong-width rows, or a row that
+    float() cannot read or that holds complex values) is checked row by row.
     The box rule lo <= x <= 1, with lo = -1 on the position part and 0 on
     the distance part, then runs once over the stacked well-shaped rows; NaN
     and +-inf fail it.
@@ -118,7 +126,7 @@ def _validate(rows, spec: ProblemSpec):
     n, r = spec.total_dim, spec.position_dim
     errors: list[tuple[int, str]] = []
     try:
-        matrix = np.asarray(rows, dtype=float)
+        matrix = _real_array(rows)
     except (ValueError, TypeError, OverflowError):
         matrix = None
     if matrix is not None and matrix.ndim == 2 and matrix.shape[1] == n:
@@ -129,7 +137,7 @@ def _validate(rows, spec: ProblemSpec):
         good = []
         for i, row in enumerate(rows):
             try:
-                x = np.atleast_1d(np.asarray(row, dtype=float))
+                x = np.atleast_1d(_real_array(row))
             except (ValueError, TypeError, OverflowError):
                 # numpy's own text for these differs between its versions.
                 errors.append((i, "cannot read the decision vector as real numbers"))

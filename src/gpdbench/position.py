@@ -15,6 +15,14 @@ import numpy as np
 from ._rows import row_accumulate, row_max, row_sum
 
 
+def _check_windows(q: int, t: int) -> None:
+    """Reject a window stride below 1 or a negative overlap."""
+    if q < 1:
+        raise ValueError(f"window stride q must be >= 1, got {q}")
+    if t < 0:
+        raise ValueError(f"window overlap t must be >= 0, got {t}")
+
+
 def meta_variables(x_p: np.ndarray, q: int, t: int) -> np.ndarray:
     """Collapse the position part into meta-variables.
 
@@ -31,10 +39,7 @@ def meta_variables(x_p: np.ndarray, q: int, t: int) -> np.ndarray:
     Returns:
         Array shaped (..., M-1).
     """
-    if q < 1:
-        raise ValueError(f"window stride q must be >= 1, got {q}")
-    if t < 0:
-        raise ValueError(f"window overlap t must be >= 0, got {t}")
+    _check_windows(q, t)
     x = np.asarray(x_p, dtype=float)
     r = x.shape[-1]
     width = q + t
@@ -187,25 +192,25 @@ def realize_position(y: np.ndarray, q: int, t: int) -> np.ndarray:
         a single target of shape (M-1,) gives one vector of shape (R,).
 
     Raises:
-        ValueError: if any target leaves [0, 1] or no sign pattern is
-            feasible for some row.
+        ValueError: for q < 1, t < 0 or, from three windows up, t > q; for
+            a target outside [0, 1]; or if no sign pattern is feasible.
     """
+    _check_windows(q, t)
     y = np.asarray(y, dtype=float)
     if y.ndim < 1 or y.shape[-1] < 1:
         raise ValueError("y must be an array of meta-variables shaped (..., M-1)")
+    g = y.shape[-1]
+    if g > 2 and t > q:  # windows that are not neighbours would share coordinates
+        raise ValueError(f"window overlap t={t} exceeds the stride q={q}")
     if np.any(y < 0.0) or np.any(y > 1.0) or not np.all(np.isfinite(y)):
         raise ValueError("meta-variables must lie in [0, 1]")
-    g = y.shape[-1]
     width = q + t
     target = y.reshape(-1, g) * width
-    # Exclusive-block capacities: end windows give up one shared block,
-    # middle windows two.  2t + 1 < q keeps every capacity positive.
+    # Exclusive-block capacities: each window gives up t coordinates to each
+    # neighbour, which leaves a middle window none at t = q.
     n_excl = np.full(g, width, dtype=float)
-    if g > 1:
-        n_excl[0] -= t
-        n_excl[-1] -= t
-        if g > 2:
-            n_excl[1:-1] -= 2 * t
+    n_excl[1:] -= t
+    n_excl[:-1] -= t
 
     signs = np.ones_like(target)
     lo, hi, ok = _shared_intervals(target, n_excl, t)
@@ -229,7 +234,8 @@ def realize_position(y: np.ndarray, q: int, t: int) -> np.ndarray:
         start = i * q
         excl_lo = start + (t if i > 0 else 0)
         excl_hi = start + width - (t if i < g - 1 else 0)
-        x[:, excl_lo:excl_hi] = ((w[:, i] - nxt - prev) / n_excl[i])[:, None]
+        if n_excl[i]:
+            x[:, excl_lo:excl_hi] = ((w[:, i] - nxt - prev) / n_excl[i])[:, None]
         if t > 0 and i > 0:
             x[:, start:start + t] = (prev / t)[:, None]
         nxt = prev

@@ -18,8 +18,7 @@ import numpy as np
 from ._rows import row_all, row_any, row_max, row_sum
 from .constraints import constraint_table
 from .distance import ROBUST_MINIMIZER, valley_center
-from .evaluator import (Evaluation, _landscape_g, _objective_stage, _position_stage,
-                        evaluate)
+from .evaluator import _landscape_g, _objective_stage, _position_stage, evaluate
 from .position import meta_variables, realize_position
 from .spec import ProblemSpec, _integer
 
@@ -657,7 +656,11 @@ def perturb_experiment(x, radius: float, samples: int, spec: ProblemSpec,
     so the report does not depend on the block size.
     """
     _check_perturbation(radius, samples)
-    return _perturbed(x, radius, samples, spec, seed)
+    base = evaluate(x, spec)
+    worst, mean = _perturbed(x, base.position_point, base.distance_phi, base.objectives,
+                             radius, samples, spec, seed)
+    return PerturbReport(worst=worst, mean=mean, base_objectives=base.objectives,
+                         radius=float(radius), samples=int(samples), seed=int(seed))
 
 
 def _check_perturbation(radius: float, samples: int) -> None:
@@ -668,15 +671,14 @@ def _check_perturbation(radius: float, samples: int) -> None:
     _count(samples, "samples", 1)
 
 
-def _perturbed(x, radius: float, samples: int, spec: ProblemSpec, seed: int,
-               base: Evaluation | None = None) -> PerturbReport:
-    """perturb_experiment around x, whose Evaluation base a caller may pass in.
+def _perturbed(x, f_p, phi, f_0, radius: float, samples: int, spec: ProblemSpec,
+               seed: int) -> tuple[float, float]:
+    """perturb_experiment's worst and mean displacement around one evaluated row x.
 
-    radius and samples have passed _check_perturbation; x is evaluated
-    unless base is given.
+    f_p, phi and f_0 are x's position point, distance angle and objectives
+    as the evaluator gave them; radius and samples have passed
+    _check_perturbation.
     """
-    if base is None:
-        base = evaluate(x, spec)
     x_d = np.asarray(x, dtype=float)[spec.position_dim:]
     n = int(samples)
     s = spec.distance_vars
@@ -685,9 +687,9 @@ def _perturbed(x, radius: float, samples: int, spec: ProblemSpec, seed: int,
     # Every sample shares the position part, so only g and the objective stage
     # run per sample.  phi is a filled column, not a broadcast view, so the
     # ufuncs that read it directly see the layout a full batch gives them.
-    f_p = np.broadcast_to(np.asarray(base.position_point), (step, spec.objectives))
-    phi = np.full(step, base.distance_phi)
-    f_0 = np.asarray(base.objectives)
+    f_p = np.broadcast_to(np.asarray(f_p), (step, spec.objectives))
+    phi = np.full(step, phi)
+    f_0 = np.asarray(f_0)
     disp = np.empty(n)
     for lo in range(0, n, step):
         b = min(step, n - lo)
@@ -696,7 +698,4 @@ def _perturbed(x, radius: float, samples: int, spec: ProblemSpec, seed: int,
         _, f = _objective_stage(g, f_p[:b], phi[:b], spec)
         moved = f - f_0
         disp[lo:lo + b] = np.sqrt(row_sum(moved * moved))
-    return PerturbReport(worst=float(disp.max()), mean=float(disp.mean()),
-                         base_objectives=base.objectives,
-                         radius=float(radius), samples=n,
-                         seed=int(seed))
+    return float(disp.max()), float(disp.mean())

@@ -419,6 +419,27 @@ def test_perturb_output_is_the_per_row_library_reports(tmp_path, capsys,
     assert out == want
 
 
+def test_perturb_builds_no_evaluation_per_row(tmp_path, capsys, monkeypatch):
+    text = "objectives = 2\ndistance_vars = 2\ndistance = robust\n"
+    (tmp_path / "p.spec").write_text(text)
+    rows = [[0.3, 0.2, 0.2], [-0.7, 0.6, 0.1]]
+    src = tmp_path / "pts.csv"
+    src.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    want = "# worst,mean\n" + "".join(
+        f"{r.worst:.17g},{r.mean:.17g}\n"
+        for r in (gpdbench.perturb_experiment(row, 0.1, 20, parse_spec(text), seed=3)
+                  for row in rows))
+
+    def no_evaluations(arrays):
+        raise AssertionError("perturb packed Evaluation objects")
+
+    # The command perturbs each row from the evaluator's arrays.
+    monkeypatch.setattr(gpdbench.evaluator, "_evaluations", no_evaluations)
+    code, out, _ = run(["perturb", "--spec", str(tmp_path / "p.spec"), "--in", str(src),
+                        "--radius", "0.1", "--samples", "20", "--seed", "3"], capsys)
+    assert (code, out) == (0, want)
+
+
 @pytest.mark.parametrize("second_row, message", [
     ("0.3,2,0.5", "data row 2: coordinate 2 is 2, outside [0, 1]"),
     ("0.3,0.5", "data row 2: decision vector has 2 coordinates, expected 3"),

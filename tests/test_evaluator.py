@@ -151,6 +151,23 @@ def test_batch_reports_a_row_float_cannot_read(bad):
     assert str(one.value) == unreadable
 
 
+def test_complex_batches_and_rows_are_rejected_row_by_row():
+    # numpy casts complex to float with a warning and drops the imaginary part.
+    unreadable = "cannot read the decision vector as real numbers"
+    batch = np.array([[0.0, 0.5], [0.1 + 5j, 0.3]])
+    for call in (evaluate_batch, evaluate_arrays):
+        with pytest.raises(BatchError) as whole:
+            call(batch, TINY)
+        assert whole.value.row_errors == [(0, unreadable), (1, unreadable)]
+        with pytest.raises(BatchError) as mixed:
+            call([[0.0, 0.5], batch[1]], TINY)
+        assert mixed.value.row_errors == [(1, unreadable)]
+    for row in batch:
+        with pytest.raises(ValueError) as one:
+            evaluate(row, TINY)
+        assert str(one.value) == unreadable
+
+
 def test_batch_accepts_list_of_rows():
     out = evaluate_batch([[0.0, 0.5], [0.0, 0.0]], TINY)
     assert len(out) == 2

@@ -234,3 +234,37 @@ def test_realize_rejects_targets_outside_unit_interval():
         realize_position(np.array([0.5, 1.5]), 3, 1)
     with pytest.raises(ValueError, match=r"^y must be an array of meta-variables shaped"):
         realize_position(np.array(0.5), 3, 1)
+
+
+@pytest.mark.parametrize("q, t", [(0, 0), (3, -1)])
+def test_realize_checks_window_arguments_as_meta_variables_does(q, t):
+    with pytest.raises(ValueError) as want:
+        meta_variables(np.zeros(5), q, t)
+    with pytest.raises(ValueError) as got:
+        realize_position(np.array([[0.5, 1.0, 0.0]]), q, t)
+    assert str(got.value) == str(want.value)
+
+
+def test_realize_rejects_overlaps_that_reach_past_the_neighbour():
+    # Every coordinate at 0.5 realizes [0.5] * 3 with q = 1, t = 2, but from
+    # three windows up t > q makes windows that are not neighbours share
+    # coordinates, which the solver does not model.
+    assert meta_variables(np.full(5, 0.5), 1, 2).tolist() == [0.5] * 3
+    with pytest.raises(ValueError, match="^window overlap t=2 exceeds the stride q=1$"):
+        realize_position(np.array([0.5, 0.5, 0.5]), 1, 2)
+    # Two windows have no other windows to share with.
+    x = realize_position(np.array([0.5, 1.0]), 1, 2)
+    np.testing.assert_allclose(meta_variables(x, 1, 2), [0.5, 1.0], atol=1e-12)
+
+
+def test_realize_with_middle_windows_of_no_own_coordinates():
+    # At t = q a middle window has no coordinates of its own.  The suite's
+    # warning filter makes any RuntimeWarning on the way an error.
+    y = np.array([[0.5, 1.0, 0.0]])
+    x = realize_position(y, 2, 2)
+    assert meta_variables(x, 2, 2).tolist() == y.tolist()
+
+
+def test_realize_reports_targets_no_sign_pattern_reaches():
+    with pytest.raises(ValueError, match="^no sign pattern realizes these meta-variables$"):
+        realize_position(np.array([1.0, 0.5, 1.0, 0.9]), 3, 2)

@@ -59,9 +59,10 @@ def _read_rows(path: str) -> np.ndarray | list[list[float]]:
     again line by line with float(), which returns a list of rows that may
     be ragged, or names the first data row that cannot be parsed.  Width
     contracts are enforced by the consumer so the error can name the
-    expected width.  A file without data rows gives [].
+    expected width.  A file without data rows gives [].  A UTF-8 byte-order
+    mark at the start of the file is skipped, as in spec and ranges files.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [line for line in map(str.strip, fh)
                  if line and not line.startswith("#")]
     if not lines:
@@ -103,7 +104,7 @@ def _write_rows(path: str | None, header: list[str], rows) -> None:
 
 
 def _load_spec(path: str):
-    return parse_spec(Path(path).read_text(encoding="utf-8"))
+    return parse_spec(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def cmd_new(args) -> int:
@@ -161,7 +162,7 @@ def cmd_pset(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    ranges = parse_ranges(Path(args.ranges).read_text(encoding="utf-8"))
+    ranges = parse_ranges(Path(args.ranges).read_text(encoding="utf-8-sig"))
     specs = generate_suite(args.seed, args.count, ranges)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rows import row_all, row_max
+from ._rows import real_array, row_all, row_max
 from .distance import _normalized_angle, _scaled_rows
 
 
@@ -38,7 +38,7 @@ def nearest_axis(f: np.ndarray):
     smallest index.  Returns an int for a single point, an int array for a
     stack of points.
     """
-    f = np.asarray(f, dtype=float)
+    f = real_array(f)
     if row_all(f == 0.0).any():
         raise ValueError("nearest axis of a zero vector is undefined")
     idx = f.argmax(axis=-1) + 1
@@ -55,7 +55,7 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
     max(0, phi - A); band max(0, A - phi) + max(0, phi - B); nearest_axis the
     angular gap from the required axis to the closest (0 exactly on the feasible set).
     """
-    f_p = np.asarray(f_p, dtype=float)
+    f_p = real_array(f_p)
     shape = f_p.shape[:-1] + (len(constraints),)
     phis = np.zeros(shape, dtype=float)
     viol = np.zeros(shape, dtype=float)
@@ -90,7 +90,7 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
 
 def evaluate_constraints(f_p: np.ndarray, constraints) -> ConstraintReport:
     """Constraint report for a single position point."""
-    f_p = np.asarray(f_p, dtype=float)
+    f_p = real_array(f_p)
     if f_p.ndim != 1:
         raise ValueError("evaluate_constraints takes a single point")
     _, viol = constraint_table(f_p, constraints)

@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from ._rows import row_max, row_sum
+from ._rows import real_array, row_max, row_sum
 
 # Per-term global minimizer of the robust landscape: the computed robust_term is least here.
 ROBUST_MINIMIZER = 0.60006613899
@@ -32,7 +32,7 @@ def _scaled_rows(v) -> tuple[np.ndarray, np.ndarray]:
     or overflows is first divided by its largest magnitude, which leaves its
     direction alone.  Every other row, and its squared norm, keeps its bits.
     """
-    v = np.asarray(v, dtype=float)
+    v = real_array(v)
     with np.errstate(over="ignore"):
         sq = row_sum(v * v)
     if (_TINY <= np.minimum.reduce(sq, axis=None, initial=np.inf)
@@ -69,7 +69,7 @@ def _normalized_angle(f: np.ndarray, fn: np.ndarray, d) -> np.ndarray:
     d is checked before f is, on every call, but scaled only once per
     distinct reference (see _prepared_reference).
     """
-    d = np.asarray(d, dtype=float)
+    d = real_array(d)
     if d.ndim != 1 or d.shape[0] < 2 or d.shape[0] != f.shape[-1]:
         raise ValueError(f"reference must be one vector of at least 2 components, as long "
                          f"as the rows; got shape {d.shape} for rows of shape {f.shape}")
@@ -107,8 +107,8 @@ def valley_center(phi: np.ndarray, i) -> np.ndarray:
     v = (1.2 + sin(2*pi*(1-phi)**(1.05*i))) / 2.4, which stays in
     [1/12, 11/12]; higher i makes the center oscillate faster in phi.
     """
-    phi = np.asarray(phi, dtype=float)
-    i = np.asarray(i, dtype=float)
+    phi = real_array(phi)
+    i = real_array(i)
     return (1.2 + np.sin(2.0 * np.pi * (1.0 - phi) ** (1.05 * i))) / 2.4
 
 
@@ -118,7 +118,7 @@ def valley_radius(phi: np.ndarray, k: int) -> np.ndarray:
     Stays in [0.01, 0.04]; k sets how many times the valley narrows as phi
     sweeps the front.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = real_array(phi)
     return 0.015 * np.cos(2.0 * k * np.pi * phi) + 0.025
 
 
@@ -134,7 +134,7 @@ def deceptive_term(x, v, r) -> np.ndarray:
     The cosine runs only on the coordinates in [v - r, v + r], through the
     same doubles it would see on the whole array; NaN takes the right line.
     """
-    x, v, r = (np.asarray(a, dtype=float) for a in (x, v, r))
+    x, v, r = (real_array(a) for a in (x, v, r))
     left = v - r
     below = x < left
     out = np.where(below, 5.0 * (x + r - v) / left + 10.0,
@@ -154,8 +154,8 @@ def deceptive_g(x_d: np.ndarray, phi, k: int) -> np.ndarray:
     the radius is shared.  Zero exactly when every variable sits at its
     center; at most 10 per variable.
     """
-    x_d = np.asarray(x_d, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    x_d = real_array(x_d)
+    phi = real_array(phi)
     s = x_d.shape[-1]
     idx = np.arange(1, s + 1, dtype=float)
     v = valley_center(phi[..., None], idx)
@@ -172,7 +172,7 @@ def robust_term(x) -> np.ndarray:
     penalizes x near 0.  The 0.631 offset puts the global minimum just above
     zero, at +1.9e-4 (ROBUST_MINIMIZER).
     """
-    x = np.asarray(x, dtype=float)
+    x = real_array(x)
     y = 1.0 / (1.0 + np.exp(-20.0 * (x - 0.6)))
     z = 1.0 / (1.0 + np.exp(-20.0 * (x - 0.7)))
     w = np.cos(40.0 * np.pi * x)
@@ -181,7 +181,7 @@ def robust_term(x) -> np.ndarray:
 
 def robust_g(x_d: np.ndarray) -> np.ndarray:
     """Sum of robust terms over the distance vector."""
-    x_d = np.asarray(x_d, dtype=float)
+    x_d = real_array(x_d)
     return row_sum(robust_term(x_d))
 
 
@@ -196,8 +196,8 @@ def radial_profile(g, phi, kind: str, composition: str) -> np.ndarray:
     The library's g is never negative; a caller's g down to -1e-3 is floored
     at zero as rounding noise, and lower values indicate a bug and raise.
     """
-    g = np.asarray(g, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    g = real_array(g)
+    phi = real_array(phi)
     if (g < -1e-3).any():
         raise ValueError("auxiliary distance value below the -1e-3 floor")
     g = np.maximum(g, 0.0)
@@ -212,8 +212,8 @@ def radial_profile(g, phi, kind: str, composition: str) -> np.ndarray:
 
 def compose(f_p: np.ndarray, f_d, composition: str) -> np.ndarray:
     """Combine the position point with the scalar distance value."""
-    f_p = np.asarray(f_p, dtype=float)
-    f_d = np.asarray(f_d, dtype=float)
+    f_p = real_array(f_p)
+    f_d = real_array(f_d)
     if composition == "multiplicative":
         return f_p * f_d[..., None]
     if composition == "additive":

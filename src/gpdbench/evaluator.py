@@ -24,7 +24,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._rows import row_all
+from ._rows import real_array, row_all
 from .constraints import ConstraintReport, constraint_table
 from .distance import (compose, deceptive_g, normalized_angle, radial_profile,
                        robust_g)
@@ -81,16 +81,27 @@ class BatchError(ValueError):
 
     row_errors holds (index, message) pairs in input order with 0-based
     indices; results holds an Evaluation per good row and None per bad row,
-    because the contract is to keep evaluating past the first failure.
+    because the contract is to keep evaluating past the first failure.  The
+    results argument is an iterable of those, or a function that returns
+    their list when results is first read: the batch functions hand over
+    one that evaluates and packs the good rows then, so a caller that reads
+    only row_errors pays for neither.  A read that raises can be repeated.
     """
 
     def __init__(self, row_errors, results):
         self.row_errors = list(row_errors)
-        self.results = list(results)
+        self._results = results if callable(results) else list(results)
         index, message = self.row_errors[0]
         extra = len(self.row_errors) - 1
         tail = f" (and {extra} more rejected rows)" if extra else ""
         super().__init__(f"row {index}: {message}{tail}")
+
+    @functools.cached_property
+    def results(self) -> list:
+        return self._results() if callable(self._results) else self._results
+
+    def __reduce__(self):  # pickle and copy the packed results, not the function
+        return type(self), (self.row_errors, self.results)
 
 
 @functools.lru_cache(maxsize=16)
@@ -99,14 +110,6 @@ def _box_low(r: int, n: int) -> np.ndarray:
     lo = np.repeat([-1.0, 0.0], [r, n - r])
     lo.flags.writeable = False
     return lo
-
-
-def _real_array(values) -> np.ndarray:
-    """values as a float array; TypeError if complex, which numpy casts with only a warning."""
-    a = np.asarray(values)
-    if a.dtype.kind == "c":
-        raise TypeError("complex values are not real numbers")
-    return a.astype(float, copy=False)
 
 
 def _validate(rows, spec: ProblemSpec):
@@ -126,7 +129,7 @@ def _validate(rows, spec: ProblemSpec):
     n, r = spec.total_dim, spec.position_dim
     errors: list[tuple[int, str]] = []
     try:
-        matrix = _real_array(rows)
+        matrix = real_array(rows)
     except (ValueError, TypeError, OverflowError):
         matrix = None
     if matrix is not None and matrix.ndim == 2 and matrix.shape[1] == n:
@@ -137,7 +140,7 @@ def _validate(rows, spec: ProblemSpec):
         good = []
         for i, row in enumerate(rows):
             try:
-                x = np.atleast_1d(_real_array(row))
+                x = np.atleast_1d(real_array(row))
             except (ValueError, TypeError, OverflowError):
                 # numpy's own text for these differs between its versions.
                 errors.append((i, "cannot read the decision vector as real numbers"))
@@ -258,18 +261,22 @@ def evaluate_arrays(rows, spec: ProblemSpec) -> EvaluationArrays:
 
     rows is a (B, N) array or any sequence of rows.  Row validation and the
     BatchError contract are those of evaluate_batch: when any row is
-    rejected, every valid row is still evaluated and a BatchError carrying
-    per-row diagnostics plus the partial Evaluation results is raised.  An
-    empty batch gives arrays with zero rows.
+    rejected, a BatchError carrying per-row diagnostics plus the partial
+    Evaluation results is raised.  An empty batch gives arrays with zero rows.
     """
     matrix, good, errors = _validate(rows, spec)
-    arrays = _pipeline(matrix, spec)
     if errors:
-        results: list[Evaluation | None] = [None] * (len(good) + len(errors))
-        for i, ev in zip(good, _evaluations(arrays)):
-            results[i] = ev
-        raise BatchError(errors, results)
-    return arrays
+        raise BatchError(errors, functools.partial(_placed, matrix, good,
+                                                   len(good) + len(errors), spec))
+    return _pipeline(matrix, spec)
+
+
+def _placed(matrix: np.ndarray, good, n: int, spec: ProblemSpec) -> list:
+    """The n results of a rejected batch, None at each row not in good."""
+    results: list[Evaluation | None] = [None] * n
+    for i, ev in zip(good, _evaluations(_pipeline(matrix, spec))):
+        results[i] = ev
+    return results
 
 
 def evaluate(x, spec: ProblemSpec) -> Evaluation:
@@ -290,9 +297,10 @@ def evaluate(x, spec: ProblemSpec) -> Evaluation:
 def evaluate_batch(rows, spec: ProblemSpec) -> list[Evaluation]:
     """Evaluate many decision vectors, preserving input order.
 
-    Rows that fail validation do not stop the batch: every valid row is still
-    evaluated, and a BatchError carrying per-row diagnostics plus the partial
-    results is raised at the end.  An empty batch returns an empty list.
+    Rows that fail validation do not stop the batch: a BatchError carrying
+    per-row diagnostics plus the results of every valid row is raised at the
+    end, and those rows are evaluated when its results are first read.  An
+    empty batch returns an empty list.
 
     Packing rows into Evaluation objects is much of the cost, garbage
     collection included, so bulk callers should use evaluate_arrays, which

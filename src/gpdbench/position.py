@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._rows import row_accumulate, row_max, row_sum
+from ._rows import real_array, row_accumulate, row_max, row_sum
 
 
 def _check_windows(q: int, t: int) -> None:
@@ -40,7 +40,7 @@ def meta_variables(x_p: np.ndarray, q: int, t: int) -> np.ndarray:
         Array shaped (..., M-1).
     """
     _check_windows(q, t)
-    x = np.asarray(x_p, dtype=float)
+    x = real_array(x_p)
     r = x.shape[-1]
     width = q + t
     groups, rem = divmod(r - t, q)
@@ -70,7 +70,7 @@ def spherical_map(y: np.ndarray) -> np.ndarray:
     Returns:
         Array shaped (..., M) of nonnegative components.
     """
-    y = np.asarray(y, dtype=float)
+    y = real_array(y)
     if y.shape[-1] < 1:
         raise ValueError("need at least one meta-variable")
     ang = y * (np.pi / 2.0)
@@ -94,7 +94,7 @@ def p_norm(v: np.ndarray, p: float) -> np.ndarray:
     """
     if not p > 0:
         raise ValueError(f"norm exponent must be positive, got {p}")
-    v = np.asarray(v, dtype=float)
+    v = real_array(v)
     if v.shape[-1] == 0:
         raise ValueError("p-norm of an empty vector")
     a = np.abs(v)
@@ -196,7 +196,7 @@ def realize_position(y: np.ndarray, q: int, t: int) -> np.ndarray:
             a target outside [0, 1]; or if no sign pattern is feasible.
     """
     _check_windows(q, t)
-    y = np.asarray(y, dtype=float)
+    y = real_array(y)
     if y.ndim < 1 or y.shape[-1] < 1:
         raise ValueError("y must be an array of meta-variables shaped (..., M-1)")
     g = y.shape[-1]
@@ -251,6 +251,6 @@ def dissimilarize(f: np.ndarray) -> np.ndarray:
     closer together than about 1e-16 onto one double, so a point can end up
     dominated by another; reference fronts are filtered after it.
     """
-    f = np.asarray(f, dtype=float)
+    f = real_array(f)
     idx = np.arange(1, f.shape[-1] + 1, dtype=float)
     return 2.0 * idx * (2.0 * f - 1.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rows import row_all, row_any, row_max, row_sum
+from ._rows import real_array, row_all, row_any, row_max, row_sum
 from .constraints import constraint_table
 from .distance import ROBUST_MINIMIZER, valley_center
 from .evaluator import _landscape_g, _objective_stage, _position_stage, evaluate
@@ -184,7 +184,7 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     M - 1 comparisons, and the two boolean blocks of a chunk against a
     3375-point archive take 1.7 MB.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = real_array(points)
     if pts.ndim != 2:
         raise ValueError("expected a 2-d array of points")
     n, m = pts.shape
@@ -272,7 +272,7 @@ def _archive_sweep(distinct: np.ndarray) -> np.ndarray:
 
 def dominance_filter(points) -> np.ndarray:
     """The nondominated subset, in stable input order."""
-    pts = np.asarray(points, dtype=float)
+    pts = real_array(points)
     return pts[dominance_mask(pts)]
 
 
@@ -543,8 +543,8 @@ def igd(approximation, reference) -> float:
     overflow, for the rows the seeds leave open; and any block
     keeping more than 16 candidates per reference row (near-ties).
     """
-    a = np.asarray(getattr(approximation, "points", approximation), dtype=float)
-    r = np.asarray(getattr(reference, "points", reference), dtype=float)
+    a = real_array(getattr(approximation, "points", approximation))
+    r = real_array(getattr(reference, "points", reference))
     if a.ndim != 2 or r.ndim != 2:
         raise ValueError("igd expects 2-d point sets")
     if a.shape[0] == 0 or r.shape[0] == 0:
@@ -679,7 +679,7 @@ def _perturbed(x, f_p, phi, f_0, radius: float, samples: int, spec: ProblemSpec,
     as the evaluator gave them; radius and samples have passed
     _check_perturbation.
     """
-    x_d = np.asarray(x, dtype=float)[spec.position_dim:]
+    x_d = real_array(x)[spec.position_dim:]
     n = int(samples)
     s = spec.distance_vars
     step = min(n, max(1, _PERTURB_BLOCK // s))

@@ -119,6 +119,28 @@ def test_eval_bad_row_exits_3_with_one_based_row(tmp_path, capsys, m2):
     assert "data row 2" in err
 
 
+def test_a_rejected_batch_evaluates_its_rows_only_when_results_are_read(tmp_path, capsys, m2,
+                                                                    monkeypatch):
+    rows = [[0.0, 0.5], [-0.3, 0.2], [0.4, 2.0], [0.9, 0.1]]
+    spec = parse_spec(M2_SPEC)
+    with pytest.raises(gpdbench.BatchError) as exc:
+        evaluate_batch(rows, spec)
+    assert exc.value.results == [None if i == 2 else gpdbench.evaluate(row, spec)
+                                 for i, row in enumerate(rows)]
+
+    def no_results(*args):
+        raise AssertionError("eval evaluated the good rows of a rejected batch")
+
+    # eval reports the first bad row and never reads the results.
+    monkeypatch.setattr(gpdbench.evaluator, "_evaluations", no_results)
+    monkeypatch.setattr(gpdbench.evaluator, "_pipeline", no_results)
+    src = tmp_path / "pts.csv"
+    src.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    code, _, err = run(["eval", "--spec", str(m2), "--in", str(src),
+                        "--out", str(tmp_path / "out.csv")], capsys)
+    assert (code, err) == (3, "error: data row 3: coordinate 2 is 2, outside [0, 1]\n")
+
+
 def test_eval_missing_input_exits_3(tmp_path, capsys, m2):
     code, _, err = run(["eval", "--spec", str(m2),
                         "--in", str(tmp_path / "nope.csv"),
@@ -321,6 +343,35 @@ def test_suite_writes_count_files(tmp_path, capsys):
     for f in files:
         s = parse_spec(f.read_text())
         assert 2 <= s.objectives <= 4
+
+
+def test_input_files_may_start_with_a_utf8_byte_order_mark(tmp_path, capsys, m2):
+    # Windows editors and "CSV UTF-8" spreadsheet exports write one.
+    front = tmp_path / "front.csv"
+    run(["front", "--spec", str(m2), "--resolution", "10", "--out", str(front)], capsys)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0,0.5\n-0.3,0.2\n")
+    ranges = tmp_path / "ranges.txt"
+    ranges.write_text("objectives = 2..4\ndistance_vars = 2..6\n")
+
+    def outputs(tag, spec, pts, front, ranges):
+        out, suite = tmp_path / f"{tag}.csv", tmp_path / f"{tag}-suite"
+        evaluated = run(["eval", "--spec", str(spec), "--in", str(pts), "--out", str(out)],
+                        capsys)
+        scored = run(["igd", "--ref", str(front), "--approx", str(pts)], capsys)
+        code = run(["suite", "--ranges", str(ranges), "--seed", "3", "--count", "3",
+                    "--out-dir", str(suite)], capsys)[0]
+        return (evaluated, out.read_bytes(), scored, code,
+                [f.read_bytes() for f in sorted(suite.glob("*.spec"))])
+
+    boms = []
+    for path in (m2, pts, front, ranges):
+        bom = tmp_path / f"bom-{path.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        boms.append(bom)
+    plain = outputs("plain", m2, pts, front, ranges)
+    assert plain[0][0] == plain[2][0] == plain[3] == 0
+    assert outputs("bom", *boms) == plain
 
 
 def test_suite_deterministic(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """End-to-end instance evaluation: single points, batches, error reporting."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,44 @@ def test_batch_reports_first_bad_row_and_keeps_going():
     # the valid rows were still evaluated; rejected slots stay None
     assert [ev is None for ev in err.results] == [False, True, False, True]
     assert err.results[0].objectives == (1.0, 0.0)
+
+
+def test_batch_error_pickles_and_copies_with_its_results():
+    with pytest.raises(BatchError) as exc:
+        evaluate_batch([[0.0, 0.5], [0.0, 7.0]], TINY)
+    for twin in (pickle.loads(pickle.dumps(exc.value)), copy.copy(exc.value)):
+        assert type(twin) is BatchError and str(twin) == str(exc.value)
+        assert twin.row_errors == exc.value.row_errors
+        assert twin.results == exc.value.results
+        assert twin.results[0].objectives == (1.0, 0.0) and twin.results[1] is None
+
+
+def test_batch_error_results_can_be_read_again_after_a_failed_read(monkeypatch):
+    import gpdbench.evaluator as evaluator
+
+    expected = [evaluate([0.0, 0.5], TINY), None, evaluate([0.5, 0.5], TINY)]
+    with pytest.raises(BatchError) as exc:
+        evaluate_batch([[0.0, 0.5], [0.0, 7.0], [0.5, 0.5]], TINY)
+    packed = evaluator._evaluations
+    calls = []
+
+    def fails_once(arrays):
+        calls.append(arrays)
+        if len(calls) == 1:
+            raise MemoryError
+        return packed(arrays)
+
+    monkeypatch.setattr(evaluator, "_evaluations", fails_once)
+    with pytest.raises(MemoryError):
+        exc.value.results
+    # The interrupted read cached nothing: the next one packs every good row.
+    assert exc.value.results == expected
+    assert exc.value.results is exc.value.results and len(calls) == 2
+
+
+def test_batch_error_takes_an_iterable_of_results():
+    err = BatchError([(1, "bad")], iter([None, None]))
+    assert err.results == [None, None] and err.results == err.results
 
 
 @pytest.mark.parametrize("bad", [["x", 0.3], [1 + 2j, 0.3], [object(), 0.3], [[0.1], 0.3],

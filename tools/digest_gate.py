@@ -17,6 +17,7 @@ and exits 1 when either dispatch's triples differ or a run fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -27,6 +28,21 @@ from pathlib import Path
 TREE = Path(__file__).resolve().parent.parent
 BENCH_ARGS = ("--workload", "all", "--seed", "3", "--seconds", "8", "--trace", "1")
 DISPATCHES = {"default": None, "avx2": "AVX512_SPR AVX512_ICL X86_V4"}
+
+
+@contextlib.contextmanager
+def exported(ref: str):
+    """A temporary directory holding REF's committed files, from `git archive`."""
+    with tempfile.TemporaryDirectory(prefix="bench-ref-") as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=TREE,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        yield Path(tmp)
+
+
+def final_record(stdout: str) -> dict:
+    """The JSON record a bench run prints as its last line."""
+    return json.loads(stdout.splitlines()[-1])
 
 
 def traced_run(root: Path, disabled: str | None) -> tuple[list[str], int | None]:
@@ -47,7 +63,7 @@ def traced_run(root: Path, disabled: str | None) -> tuple[list[str], int | None]
     if done.returncode != 0 or not lines:
         sys.stderr.write(done.stderr)
         return digests, None
-    return digests, json.loads(lines[-1])["failed"]
+    return digests, final_record(done.stdout)["failed"]
 
 
 def main(argv=None) -> int:
@@ -55,13 +71,10 @@ def main(argv=None) -> int:
     parser.add_argument("ref", help="git ref to compare the working tree against")
     ref = parser.parse_args(argv).ref
     ok = True
-    with tempfile.TemporaryDirectory(prefix="digest-gate-") as tmp:
-        archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=TREE,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+    with exported(ref) as ref_tree:
         for dispatch, disabled in DISPATCHES.items():
             triples = []
-            for label, root in ((ref, Path(tmp)), ("working tree", TREE)):
+            for label, root in ((ref, ref_tree), ("working tree", TREE)):
                 digests, failed = traced_run(root, disabled)
                 print(f"{dispatch:8} {label:12} {' '.join(digests) or '-'} failed {failed}")
                 triples.append(digests)

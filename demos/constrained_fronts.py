@@ -7,6 +7,7 @@ coordinates: keep-away cones around axes, cones around arbitrary
 references, bands of allowed angle, and a nearest-axis membership rule.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -21,7 +22,7 @@ os.makedirs(OUT, exist_ok=True)
 def carve(label, *constraints):
     spec = ProblemSpec(objectives=3, distance_vars=2, distance_kind="robust",
                        norm_p=2.0, constraints=tuple(constraints))
-    full = front_sample(spec, 30, feasible_only=False)
+    full = front_sample(dataclasses.replace(spec, constraints=()), 30)
     kept = front_sample(spec, 30)
     print(f"  {label:24s} kept {kept.points.shape[0]:3d}/"
           f"{full.points.shape[0]} grid points")

@@ -80,8 +80,19 @@ def row_accumulate(ufunc, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def real_array(values) -> np.ndarray:
-    """values as a float64 array; ValueError naming the dtype if they are complex."""
+    """values as a float64 array, if they are real numbers.
+
+    Where numpy would keep the real part of a complex number, parse text,
+    read True as 1 or count time in ticks, this raises a ValueError that
+    names the dtype: complex, text, bytes, bool, datetime, timedelta and
+    void input.  An object array raises naming its first element that is
+    None, text, bytes or a bool; other elements go to float().
+    """
     a = np.asarray(values)
-    if a.dtype.kind == "c":  # numpy would keep the real part, with only a warning
-        raise ValueError(f"expected real numbers, got dtype {a.dtype}")
+    if a.dtype.kind not in "fiu":
+        if a.dtype.kind != "O":
+            raise ValueError(f"expected real numbers, got dtype {a.dtype}")
+        for v in a.flat:
+            if v is None or isinstance(v, (str, bytes, bool, np.bool_)):
+                raise ValueError(f"expected real numbers, got {v!r}")
     return a.astype(float, copy=False)

@@ -20,6 +20,8 @@ large for memory.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -51,35 +53,43 @@ def _seed(text: str) -> int:
     return value
 
 
+def _data_lines(fh):
+    """The stripped lines of fh that are neither blank nor start with '#'."""
+    return (line for line in map(str.strip, fh) if line and not line.startswith("#"))
+
+
 def _read_rows(path: str) -> np.ndarray | list[list[float]]:
     """Read a CSV of reals, skipping blank lines and lines that start with '#'.
 
-    Values follow Python float() syntax.  The data rows are parsed in one
-    pass into a (rows, width) array; only when that fails are they parsed
-    again line by line with float(), which returns a list of rows that may
-    be ragged, or names the first data row that cannot be parsed.  Width
-    contracts are enforced by the consumer so the error can name the
-    expected width.  A file without data rows gives [].  A UTF-8 byte-order
-    mark at the start of the file is skipped, as in spec and ranges files.
+    Values follow Python float() syntax.  The data rows stream in one pass
+    into a (rows, width) array, so the file's lines are not held in memory;
+    only when that fails is the file read again and parsed line by line
+    with float(), which returns a list of rows that may be ragged, or names
+    the first data row that cannot be parsed.  Width contracts are enforced
+    by the consumer so the error can name the expected width.  A file
+    without data rows gives [].  A UTF-8 byte-order mark at the start of
+    the file is skipped, as in spec and ranges files.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [line for line in map(str.strip, fh)
-                 if line and not line.startswith("#")]
-    if not lines:
-        return []
-    try:
-        # comments=None: a '#' after the start of a line is a parse error, as
-        # it is for float().
-        return np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except ValueError:
-        pass
-    rows: list[list[float]] = []
-    for data_row, line in enumerate(lines, start=1):
+        rest = _data_lines(fh)
+        first = next(rest, None)
+        if first is None:  # numpy warns on empty input
+            return []
         try:
-            rows.append([float(part) for part in line.split(",")])
+            # comments=None: a '#' after the start of a line is a parse error,
+            # as it is for float().
+            return np.loadtxt((line for block in ((first,), rest) for line in block),
+                              delimiter=",", comments=None, dtype=float, ndmin=2)
         except ValueError:
-            raise ValueError(
-                f"{path}: data row {data_row}: cannot parse {line!r}") from None
+            pass
+    rows: list[list[float]] = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for data_row, line in enumerate(_data_lines(fh), start=1):
+            try:
+                rows.append([float(part) for part in line.split(",")])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: data row {data_row}: cannot parse {line!r}") from None
     return rows
 
 
@@ -107,6 +117,12 @@ def _load_spec(path: str):
     return parse_spec(Path(path).read_text(encoding="utf-8-sig"))
 
 
+def _check_out(path: str | None) -> None:
+    """Raise before any work the error opening path would raise if its directory is missing."""
+    if path is not None and not Path(path).parent.exists():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_new(args) -> int:
     spec = _load_spec(args.spec)
     sys.stdout.write(render_spec(spec))
@@ -118,6 +134,7 @@ def cmd_new(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = _load_spec(args.spec)
+    _check_out(args.out)
     ev = evaluate_arrays(_read_rows(args.infile), spec)
     m = spec.objectives
     c = len(spec.constraints)
@@ -148,6 +165,7 @@ def _front(args, spec):
 
 def cmd_front(args) -> int:
     spec = _load_spec(args.spec)
+    _check_out(args.out)
     header = [f"f{j}" for j in range(1, spec.objectives + 1)]
     _write_rows(args.out, header, _front(args, spec).points)
     return 0
@@ -155,6 +173,7 @@ def cmd_front(args) -> int:
 
 def cmd_pset(args) -> int:
     spec = _load_spec(args.spec)
+    _check_out(args.out)
     sample = pareto_set_sample(spec, args.n)
     header = [f"x{j}" for j in range(1, spec.total_dim + 1)]
     _write_rows(args.out, header, sample.vectors)
@@ -176,6 +195,7 @@ def cmd_suite(args) -> int:
 def cmd_perturb(args) -> int:
     spec = _load_spec(args.spec)
     _check_perturbation(args.radius, args.samples)  # before any row is read
+    _check_out(args.out)
     rows = _read_rows(args.infile)
     ev = evaluate_arrays(rows, spec)  # a bad row fails here, named by its number
     pairs = [_perturbed(x, f_p, phi, f_0, args.radius, args.samples, spec, args.seed)
@@ -195,6 +215,7 @@ def cmd_search(args) -> int:
     spec = _load_spec(args.spec)
     if args.budget < 1:
         raise ValueError(f"budget must be at least 1, got {args.budget}")
+    _check_out(args.out)
     rng = np.random.default_rng(args.seed)
     r, s = spec.position_dim, spec.distance_vars
     xs = np.empty((args.budget, spec.total_dim))

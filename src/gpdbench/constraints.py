@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rows import real_array, row_all, row_max
+from ._rows import real_array, row_max
 from .distance import _normalized_angle, _scaled_rows
 
 
@@ -20,29 +20,12 @@ from .distance import _normalized_angle, _scaled_rows
 class ConstraintReport:
     """Violation magnitudes for one evaluated point.
 
-    violations              one nonnegative real per constraint, input order
-    feasible                True iff every violation is exactly zero
-    nearest_axis_of_point   1-based canonical axis closest in angle (ties go
-                            to the smallest index)
+    violations  one nonnegative real per constraint, input order
+    feasible    True iff every violation is exactly zero
     """
 
     violations: tuple[float, ...]
     feasible: bool
-    nearest_axis_of_point: int
-
-
-def nearest_axis(f: np.ndarray):
-    """1-based index of the axis with the smallest angle to f.
-
-    The smallest angle belongs to the largest component; ties break to the
-    smallest index.  Returns an int for a single point, an int array for a
-    stack of points.
-    """
-    f = real_array(f)
-    if row_all(f == 0.0).any():
-        raise ValueError("nearest axis of a zero vector is undefined")
-    idx = f.argmax(axis=-1) + 1
-    return int(idx) if idx.ndim == 0 else idx
 
 
 def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarray]:
@@ -94,9 +77,5 @@ def evaluate_constraints(f_p: np.ndarray, constraints) -> ConstraintReport:
     if f_p.ndim != 1:
         raise ValueError("evaluate_constraints takes a single point")
     _, viol = constraint_table(f_p, constraints)
-    violations = tuple(float(v) for v in viol)
-    return ConstraintReport(
-        violations=violations,
-        feasible=all(v == 0.0 for v in violations),
-        nearest_axis_of_point=nearest_axis(f_p),
-    )
+    violations = tuple(viol.tolist())
+    return ConstraintReport(violations, all(v == 0.0 for v in violations))

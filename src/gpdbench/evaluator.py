@@ -62,7 +62,6 @@ class EvaluationArrays:
     distance_phi           (B,) normalized angle to the distance reference
     phi_per_constraint     (B, C) normalized angle per constraint
     violations             (B, C) violation magnitudes
-    nearest_axis_of_point  (B,) 1-based closest canonical axis
     feasible               (B,) True iff every violation is exactly zero
     """
 
@@ -72,7 +71,6 @@ class EvaluationArrays:
     distance_phi: np.ndarray
     phi_per_constraint: np.ndarray
     violations: np.ndarray
-    nearest_axis_of_point: np.ndarray
     feasible: np.ndarray
 
 
@@ -121,7 +119,7 @@ def _validate(rows, spec: ProblemSpec):
     (an array of any layout or real numeric dtype, or a list, tuple, deque
     or other sequence of equal-width flat rows) are taken whole; anything
     else (a generator, ragged, nested or wrong-width rows, or a row that
-    float() cannot read or that holds complex values) is checked row by row.
+    real_array rejects) is checked row by row.
     The box rule lo <= x <= 1, with lo = -1 on the position part and 0 on
     the distance part, then runs once over the stacked well-shaped rows; NaN
     and +-inf fail it.
@@ -209,9 +207,7 @@ def _pipeline(x: np.ndarray, spec: ProblemSpec) -> EvaluationArrays:
     phis, viol = constraint_table(f_p, spec.constraints)
     return EvaluationArrays(
         objectives=f, position_point=f_p, distance_value=f_d, distance_phi=phi,
-        phi_per_constraint=phis, violations=viol,
-        nearest_axis_of_point=f_p.argmax(axis=-1) + 1,
-        feasible=row_all(viol == 0.0))
+        phi_per_constraint=phis, violations=viol, feasible=row_all(viol == 0.0))
 
 
 def _row_tuples(col: np.ndarray):
@@ -237,19 +233,19 @@ def _packed(cls, n: int, *columns) -> list:
     return rows
 
 
+# The report of every row without constraints; reports are frozen, so rows
+# share it.  Reports are not memoised on their values in general: a tuple key
+# equates -0.0 with 0.0.
+_UNCONSTRAINED = ConstraintReport((), True)
+
+
 def _evaluations(a: EvaluationArrays) -> list[Evaluation]:
     n = a.objectives.shape[0]
-    axes = a.nearest_axis_of_point.tolist()
     if a.violations.shape[1] == 0:
-        # Without constraints every report is ((), True, axis): share one per
-        # axis, since reports are frozen.  Reports are not memoised on their
-        # values in general: a tuple key equates -0.0 with 0.0.
-        m = a.position_point.shape[1]
-        shared = {k: ConstraintReport((), True, k) for k in range(1, m + 1)}
-        reports = map(shared.__getitem__, axes)
+        reports = repeat(_UNCONSTRAINED, n)
     else:
         reports = _packed(ConstraintReport, n, _row_tuples(a.violations),
-                          a.feasible.tolist(), axes)
+                          a.feasible.tolist())
     return _packed(Evaluation, n, _row_tuples(a.objectives),
                    _row_tuples(a.position_point), a.distance_value.tolist(),
                    a.distance_phi.tolist(), _row_tuples(a.phi_per_constraint),

@@ -35,8 +35,6 @@ class FrontSample:
     points: np.ndarray
     position_points: np.ndarray
     phis: np.ndarray
-    resolution: int
-    feasible_only: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -580,8 +578,7 @@ def _optimal_distance(y: np.ndarray, spec: ProblemSpec, phi=None) -> np.ndarray:
     return valley_center(phi[:, None], np.arange(1, s + 1, dtype=float))
 
 
-def front_sample(spec: ProblemSpec, resolution: int,
-                 feasible_only: bool = True) -> FrontSample:
+def front_sample(spec: ProblemSpec, resolution: int) -> FrontSample:
     """Sample the known Pareto front at the optimal g.
 
     g* is the landscape's g at one optimal distance part, as it does not
@@ -590,10 +587,12 @@ def front_sample(spec: ProblemSpec, resolution: int,
     evaluator's objective stage at g*, dissimilarity included.  Grid
     resolution counts points per meta-variable axis (total points for the
     low-discrepancy regime are resolution cubed).  Constraint-violating
-    points are dropped first, then the dominance filter runs on the final
-    points; an empty result is legitimate, not an error.  Dissimilarity is
-    increasing in every component, but its rounding can merge components
-    closer together than about 1e-16, so the filter runs after it.
+    points are dropped first (for the front without them, pass
+    dataclasses.replace(spec, constraints=())), then the dominance filter
+    runs on the final points; an empty result is legitimate, not an error.
+    Dissimilarity is increasing in every component, but its rounding can
+    merge components closer together than about 1e-16, so the filter runs
+    after it.
     """
     resolution = _count(resolution, "resolution", 2)
     m = spec.objectives
@@ -602,15 +601,12 @@ def front_sample(spec: ProblemSpec, resolution: int,
     f_p, phi = _position_stage(targets, spec)
     g = _landscape_g(_optimal_distance(targets[:1], spec, phi[:1]), phi[:1], spec)
     _, pts = _objective_stage(np.full_like(phi, g[0]), f_p, phi, spec)
-    if feasible_only and spec.constraints:
+    if spec.constraints:
         _, viol = constraint_table(f_p, spec.constraints)
         mask = row_all(viol == 0.0)
         pts, f_p, phi = pts[mask], f_p[mask], phi[mask]
     keep = dominance_mask(pts)
-    pts, f_p, phi = pts[keep], f_p[keep], phi[keep]
-    return FrontSample(points=pts, position_points=f_p, phis=phi,
-                       resolution=resolution,
-                       feasible_only=bool(feasible_only))
+    return FrontSample(points=pts[keep], position_points=f_p[keep], phis=phi[keep])
 
 
 def pareto_set_sample(spec: ProblemSpec, n: int) -> SetSample:

@@ -1,7 +1,8 @@
 """Properties of the array evaluation path over generated specs and batches.
 
 Batches mix valid rows with injected bad ones (non-finite values, values one
-ulp outside a box edge, wrong widths, ragged and nested rows) and with rows
+ulp outside a box edge, wrong widths, ragged and nested rows, text, bytes and
+None values, rows of bools) and with rows
 sitting exactly on the box edges or in the deceptive valleys, as lists and
 as arrays, and reach the evaluator in any container it accepts.  The
 vectorized validator must agree with a plain per-row loop, the packed
@@ -34,7 +35,15 @@ CONTAINERS = ("same", "tuple", "row arrays", "deque", "generator",
 
 
 def reference_row_error(row, spec):
-    """Per-row validator, one coordinate at a time; None for a good row."""
+    """Per-row validator, one coordinate at a time; None for a good row.
+
+    A row is unreadable when it holds text, bytes or None, when it holds
+    only bools, or when float() rejects one of its values.
+    """
+    values = np.asarray(row, dtype=object).ravel().tolist()
+    if (any(v is None or isinstance(v, (str, bytes)) for v in values)
+            or values and all(isinstance(v, bool) for v in values)):
+        return UNREADABLE
     try:
         x = np.atleast_1d(np.asarray(row, dtype=float))
     except (ValueError, TypeError, OverflowError):
@@ -53,10 +62,8 @@ def reference_row_error(row, spec):
 
 def reference_evaluations(a):
     """The row-wise packer: one tuple per row, one report per row."""
-    reports = [ConstraintReport(violations=v, feasible=ok, nearest_axis_of_point=k)
-               for v, ok, k in zip(map(tuple, a.violations.tolist()),
-                                   a.feasible.tolist(),
-                                   a.nearest_axis_of_point.tolist())]
+    reports = [ConstraintReport(violations=v, feasible=ok)
+               for v, ok in zip(map(tuple, a.violations.tolist()), a.feasible.tolist())]
     return [Evaluation(objectives=f, position_point=p, distance_value=d,
                        distance_phi=phi, phi_per_constraint=c, report=rep)
             for f, p, d, phi, c, rep in zip(
@@ -130,10 +137,13 @@ def batches(draw, spec):
     part is left alone or nudged by less than the narrowest valley radius,
     so that in-valley coordinates land at other positions in a batch than
     in its single rows.  Each row may then carry up to two bad values and
-    change shape or hold a value float() cannot read; a width shift applied to every row makes a whole batch too
-    wide or too narrow.  The array containers get an array batch with no shape
-    injections; for an integer array every row sits on the box edges and
-    the bad values are whole steps past them.
+    change shape or hold a value float() cannot read, text, bytes or None; a
+    width shift applied to every row makes a whole batch too wide or too
+    narrow.  Some list batches hold bools in place of every row's values:
+    numpy stacks bools with numbers as numbers, so they come alone.  The
+    array containers get an array batch with no shape injections; for an
+    integer array every row sits on the box edges and the bad values are
+    whole steps past them.
     """
     n, r = spec.total_dim, spec.position_dim
     lo = np.concatenate([np.full(r, -1.0), np.zeros(spec.distance_vars)])
@@ -142,6 +152,7 @@ def batches(draw, spec):
     how = draw(st.sampled_from(CONTAINERS))
     array_only = how in ("fortran", "strided", "int")
     bad_values = ("below", "above") if how == "int" else VALUE_INJECTIONS
+    bools = not array_only and draw(st.integers(0, 5)) == 0
     pset = pareto_set_sample(spec, draw(st.integers(1, 4))).vectors
     rows = []
     for _ in range(draw(st.integers(0, 12))):
@@ -153,7 +164,9 @@ def batches(draw, spec):
             x = pset[rng.integers(len(pset))].copy()
             nudge = rng.uniform(-0.009, 0.009, n - r) * rng.integers(0, 2, n - r)
             x[r:] = np.clip(x[r:] + nudge, 0.0, 1.0)
-        for how_bad in draw(st.lists(st.sampled_from(bad_values), max_size=2)):
+        if bools:
+            x = rng.random(n) < 0.5
+        for how_bad in [] if bools else draw(st.lists(st.sampled_from(bad_values), max_size=2)):
             j = draw(st.integers(0, n - 1))
             if how_bad == "nan":
                 x[j] = np.nan
@@ -165,14 +178,15 @@ def batches(draw, spec):
                 x[j] = 2.0 if how == "int" else np.nextafter(1.0, np.inf)
         shape = None if array_only else draw(st.sampled_from((None,) * 6 + SHAPE_INJECTIONS))
         if shape == "wide" or shift == 1:
-            x = np.append(x, 1.0)
+            x = np.append(x, True if bools else 1.0)
         if shape == "narrow" or shift == -1:
             x = x[:-1]
         if shape == "nested":
             x = x[None, :]
         if shape == "unreadable":  # a value float() rejects, whatever the container
             x = x.astype(object)
-            x[draw(st.integers(0, len(x) - 1))] = draw(st.sampled_from(("x", 10 ** 400)))
+            x[draw(st.integers(0, len(x) - 1))] = draw(
+                st.sampled_from(("x", 10 ** 400, "0.5", b"0.5", None)))
         rows.append(x)
     if array_only or (len({x.shape for x in rows}) <= 1 and all(x.ndim == 1 for x in rows)
                       and all(x.dtype == float for x in rows) and draw(st.booleans())):
@@ -236,8 +250,6 @@ def test_batch_validation_packing_and_single_row_agree(case):
     assert same_bits(arrays.phi_per_constraint, [ev.phi_per_constraint for ev in good])
     assert same_bits(arrays.violations, [ev.report.violations for ev in good])
     assert arrays.feasible.tolist() == [ev.report.feasible for ev in good]
-    assert arrays.nearest_axis_of_point.tolist() == [
-        ev.report.nearest_axis_of_point for ev in good]
 
     for batch in (rows, container(rows, how)):
         try:
@@ -294,7 +306,6 @@ def test_packing_keeps_negative_zero_bits(c):
         distance_value=np.array([0.0, -0.0] * (b // 2)),
         distance_phi=np.array([-0.0, 0.0] * (b // 2)),
         phi_per_constraint=phis, violations=violations,
-        nearest_axis_of_point=rng.integers(1, m + 1, size=b),
         feasible=np.all(violations == 0.0, axis=-1))
     got, want = _evaluations(a), reference_evaluations(a)
     assert repr(got) == repr(want)

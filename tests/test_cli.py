@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,22 @@ def test_read_rows_names_the_unparsable_data_row(tmp_path, bad):
     with pytest.raises(ValueError) as info:
         _read_rows(str(src))
     assert str(info.value) == f"{src}: data row 2: cannot parse {bad!r}"
+
+
+def test_read_rows_streams_the_file_into_the_array(tmp_path):
+    # The lines of the file are not all held at once: the read peaks near
+    # the array's own bytes.
+    rows = np.random.default_rng(5).random((20000, 10))
+    src = tmp_path / "rows.csv"
+    np.savetxt(src, rows, delimiter=",", fmt="%.17g", header="x1")
+    tracemalloc.start()
+    try:
+        got = _read_rows(str(src))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == rows.tobytes()
+    assert peak < 1.5 * rows.nbytes
 
 
 @pytest.mark.parametrize("text, eval_error, igd_error", [
@@ -436,6 +453,48 @@ def test_an_empty_out_path_exits_3_for_every_command(command, tmp_path, capsys, 
     code, out, err = run([command, "--spec", str(m2), *flags, "--out", ""], capsys)
     assert (code, out) == (3, "")
     assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "front", "pset", "search", "perturb"])
+def test_an_out_path_in_a_missing_directory_fails_before_any_work(command, tmp_path,
+                                                                  capsys, m2, monkeypatch):
+    (tmp_path / "x.csv").write_text("0.3,0.5\n")
+    flags = {"eval": ["--in", str(tmp_path / "x.csv")],
+             "front": [],
+             "pset": ["--n", "5"],
+             "search": ["--budget", "10"],
+             "perturb": ["--in", str(tmp_path / "x.csv"), "--radius", "0.1",
+                         "--samples", "5"]}[command]
+
+    def no_work(*args):
+        raise AssertionError("the command worked before checking --out")
+
+    for name in ("_read_rows", "evaluate_arrays", "front_sample", "pareto_set_sample",
+                 "_perturbed"):
+        monkeypatch.setattr(gpdbench.cli, name, no_work)
+    dst = tmp_path / "missing" / "out.csv"
+    code, out, err = run([command, "--spec", str(m2), *flags, "--out", str(dst)], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{dst}'\n"
+    assert not dst.parent.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["front", "--spec", "{bad}"], 2, "error: line 1: "),
+    (["perturb", "--spec", "{m2}", "--in", "{x}", "--radius", "0", "--samples", "5"], 3,
+     "error: perturbation radius must lie in "),
+    (["search", "--spec", "{m2}", "--budget", "0"], 3, "error: budget must be at least 1"),
+], ids=["spec", "perturbation", "budget"])
+def test_checks_that_ran_first_still_come_before_the_out_check(argv, code, message,
+                                                               tmp_path, capsys, m2):
+    bad = tmp_path / "bad.spec"
+    bad.write_text("objectives = one\n")
+    (tmp_path / "x.csv").write_text("0.3,0.5\n")
+    paths = {"bad": bad, "m2": m2, "x": tmp_path / "x.csv"}
+    argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "missing" / "o.csv")]
+    got, out, err = run(argv, capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("text", [

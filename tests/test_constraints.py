@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpdbench import ConstraintSpec, ProblemSpec, evaluate_constraints
-from gpdbench.constraints import constraint_table, nearest_axis
+from gpdbench.constraints import constraint_table
 from gpdbench.distance import normalized_angle
 
 DIAG3 = np.ones(3) / np.sqrt(3.0)
@@ -32,28 +32,44 @@ def axis_angles(f):
     return np.arccos(np.clip(f / norm[..., None], -1.0, 1.0))
 
 
+def nearest_axis_verdicts(f):
+    """For points f (..., M), whether each axis j passes nearest_axis(j): shaped (..., M).
+
+    Also checks that a passing axis has a gap of exactly +0.0.
+    """
+    f = np.asarray(f, dtype=float)
+    m = f.shape[-1]
+    cons = tuple(ConstraintSpec(kind="nearest_axis", axis_j=j) for j in range(1, m + 1))
+    _, viol = constraint_table(f, cons)
+    ok = viol == 0.0
+    assert not np.signbit(viol[ok]).any()
+    return ok
+
+
 def test_nearest_axis_examples():
-    assert nearest_axis(np.array([0.9, 0.1, 0.1])) == 1
-    assert nearest_axis(np.array([1.0, 1.0, 1.0])) == 1  # ties break low
-    assert nearest_axis(np.array([0.0, 1.0, 0.0])) == 2
+    assert nearest_axis_verdicts([0.9, 0.1, 0.1]).tolist() == [True, False, False]
+    # Every tied axis is nearest, each with gap +0.0.
+    assert nearest_axis_verdicts([1.0, 1.0, 1.0]).tolist() == [True, True, True]
+    assert nearest_axis_verdicts([0.0, 1.0, 0.0]).tolist() == [False, True, False]
 
 
 def test_nearest_axis_rejects_only_all_zero_rows():
-    # The squared norm of these rows underflows to 0; their argmax does not.
-    assert nearest_axis(np.array([1e-170, 0.0, 0.0])) == 1
-    assert nearest_axis(np.array([[0.0, 1e-170], [1e-300, 5e-324]])).tolist() == [2, 1]
-    with pytest.raises(ValueError, match="nearest axis of a zero vector is undefined"):
-        nearest_axis(np.zeros(3))
-    with pytest.raises(ValueError, match="nearest axis of a zero vector is undefined"):
-        nearest_axis(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # The squared norm of these rows underflows to 0; their direction does not.
+    assert nearest_axis_verdicts([1e-170, 0.0, 0.0]).tolist() == [True, False, False]
+    assert nearest_axis_verdicts([[0.0, 1e-170], [1e-300, 5e-324]]).tolist() == [
+        [False, True], [True, False]]
+    with pytest.raises(ValueError, match="^cannot take the angle of a zero vector$"):
+        nearest_axis_verdicts(np.zeros(3))
+    with pytest.raises(ValueError, match="^cannot take the angle of a zero vector$"):
+        nearest_axis_verdicts([[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_nearest_axis_matches_angle_argmin():
     rng = np.random.default_rng(20)
     f = rng.uniform(0.01, 1.0, size=(200, 4))
-    for row in f:
-        j = nearest_axis(row)
-        assert j == int(np.argmin(axis_angles(row))) + 1
+    ok = nearest_axis_verdicts(f)
+    # No ties in these draws: exactly the axis of the smallest angle passes.
+    assert ok.tolist() == (np.arange(4) == np.argmin(axis_angles(f), axis=-1)[:, None]).tolist()
 
 
 @st.composite
@@ -130,10 +146,10 @@ def test_nearest_axis_constraint():
     s = spec_with(c)
     ok = evaluate_constraints(np.array([0.9, 0.1, 0.2]), s.constraints)
     assert ok.violations == (0.0,)
-    assert ok.nearest_axis_of_point == 1
+    assert ok.feasible is True
     bad = evaluate_constraints(np.array([0.1, 0.9, 0.2]), s.constraints)
     assert bad.feasible is False
-    assert bad.nearest_axis_of_point == 2
+    assert nearest_axis_verdicts([0.1, 0.9, 0.2]).tolist() == [False, True, False]
     # the violation is the raw angular gap between the target and winning axes
     ang = axis_angles(np.array([0.1, 0.9, 0.2]))
     assert bad.violations[0] == pytest.approx(ang[0] - ang.min(), rel=1e-12)

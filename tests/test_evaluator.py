@@ -179,8 +179,9 @@ def test_batch_error_takes_an_iterable_of_results():
 
 
 @pytest.mark.parametrize("bad", [["x", 0.3], [1 + 2j, 0.3], [object(), 0.3], [[0.1], 0.3],
-                                 [10 ** 400, 0.3]],
-                         ids=["text", "complex", "object", "inhomogeneous", "overflow"])
+                                 [10 ** 400, 0.3], ["0.5", 0.3], [b"0.5", 0.3], [None, 0.3]],
+                         ids=["text", "complex", "object", "inhomogeneous", "overflow",
+                              "numeric-text", "bytes", "none"])
 def test_batch_reports_a_row_float_cannot_read(bad):
     unreadable = "cannot read the decision vector as real numbers"
     with pytest.raises(BatchError) as exc:
@@ -190,6 +191,19 @@ def test_batch_reports_a_row_float_cannot_read(bad):
     with pytest.raises(ValueError) as one:
         evaluate(bad, TINY)
     assert str(one.value) == unreadable
+
+
+def test_bool_rows_are_rejected_unless_numpy_stacks_them_with_numbers():
+    unreadable = "cannot read the decision vector as real numbers"
+    with pytest.raises(ValueError, match=f"^{unreadable}$"):
+        evaluate([False, True], TINY)
+    with pytest.raises(BatchError) as exc:
+        evaluate_batch([[False, True], [True, False]], TINY)
+    assert exc.value.row_errors == [(0, unreadable), (1, unreadable)]
+    # np.asarray turns these bools into floats before any check sees them.
+    assert evaluate_batch([[False, True], [0.0, 0.5]], TINY) == evaluate_batch(
+        [[0.0, 1.0], [0.0, 0.5]], TINY)
+    assert evaluate([False, 0.5], TINY) == evaluate([0.0, 0.5], TINY)
 
 
 def test_complex_batches_and_rows_are_rejected_row_by_row():
@@ -287,15 +301,14 @@ def test_evaluator_reaches_angle_and_constraint_stages_through_module_globals(mo
 
 
 # Each stage the evaluator runs, with the module whose global the call goes
-# through; position_point, deceptive_g, robust_g and constraint_table call
-# their own inner stages through their modules' globals too.
+# through; position_point, deceptive_g and robust_g call their own inner
+# stages through their modules' globals too.
 STAGE_BINDINGS = {
     "evaluator": ("meta_variables", "position_point", "normalized_angle", "deceptive_g",
                   "robust_g", "radial_profile", "compose", "dissimilarize",
                   "constraint_table"),
     "position": ("spherical_map", "p_norm"),
     "distance": ("valley_center", "valley_radius", "deceptive_term", "robust_term"),
-    "constraints": ("nearest_axis",),
 }
 
 

@@ -1,7 +1,11 @@
 """Position map: meta-variables, spherical map, p-norms, realization."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpdbench import ProblemSpec, realize_position
 from gpdbench.distance import normalized_angle
@@ -268,3 +272,29 @@ def test_realize_with_middle_windows_of_no_own_coordinates():
 def test_realize_reports_targets_no_sign_pattern_reaches():
     with pytest.raises(ValueError, match="^no sign pattern realizes these meta-variables$"):
         realize_position(np.array([1.0, 0.5, 1.0, 0.9]), 3, 2)
+
+
+def dtlz2_front(y):
+    """The DTLZ2 front point of meta-variables y in [0, 1]^(M-1), as published.
+
+    f_1 = cos(y_1 pi/2) ... cos(y_(M-1) pi/2); f_i for i > 1 keeps the first
+    M - i cosines and multiplies them by sin(y_(M-i+1) pi/2) (Deb, Thiele,
+    Laumanns and Zitzler, "Scalable test problems for evolutionary
+    multiobjective optimization", 2005).
+    """
+    m = len(y) + 1
+    ang = [v * (math.pi / 2.0) for v in y]
+    f = []
+    for i in range(1, m + 1):
+        term = math.prod(math.cos(a) for a in ang[:m - i])
+        f.append(term * (math.sin(ang[m - i]) if i > 1 else 1.0))
+    return np.array(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10).flatmap(
+    lambda m: st.lists(st.floats(0.0, 1.0), min_size=m - 1, max_size=m - 1)))
+def test_spherical_map_is_the_dtlz2_front(y):
+    # A bound, not a bit check: the map may reorder its products.
+    got = spherical_map(np.array(y))
+    assert np.abs(got - dtlz2_front(y)).max() <= 4.4e-16

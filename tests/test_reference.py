@@ -1,10 +1,12 @@
 """Reference machinery: fronts, Pareto-set realization, filtering, metrics."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import gpdbench.reference
 from gpdbench import (
     ROBUST_MINIMIZER,
     ConstraintSpec,
@@ -46,7 +48,7 @@ def test_front_sample_biobjective_circle():
     assert fs.points.shape == (100, 2)
     np.testing.assert_allclose(np.linalg.norm(fs.points, axis=1), 1.0, rtol=1e-12)
     np.testing.assert_allclose(fs.points, fs.position_points)
-    assert fs.resolution == 100 and fs.feasible_only is True
+    assert fs.phis.shape == (100,)
 
 
 def test_front_sample_respects_p_norm():
@@ -83,8 +85,24 @@ def test_front_sample_drops_infeasible_points():
     # the e1 pole violates the keep-away constraint, so it cannot appear
     gaps = np.linalg.norm(fs.position_points - np.array([1.0, 0.0, 0.0]), axis=1)
     assert gaps.min() > 0.1
-    full = front_sample(spec, 15, feasible_only=False)
+    full = front_sample(dataclasses.replace(spec, constraints=()), 15)
     assert full.points.shape[0] > fs.points.shape[0]
+
+
+def test_front_without_constraints_is_the_unfiltered_front(monkeypatch):
+    # The front of the spec with its constraints dropped has the bytes of
+    # the spec's own front with the feasibility filter keeping every point.
+    band = ConstraintSpec(kind="band", reference="diagonal", threshold_a=0.3, threshold_b=0.7)
+    spec = ProblemSpec(objectives=3, distance_vars=2, distance_kind="disconnected",
+                       constraints=(band,))
+    bare = front_sample(dataclasses.replace(spec, constraints=()), 30)
+    carved = front_sample(spec, 30)
+    monkeypatch.setattr(gpdbench.reference, "constraint_table",
+                        lambda f_p, cons: (None, np.zeros(f_p.shape[:-1] + (len(cons),))))
+    unfiltered = front_sample(spec, 30)
+    assert bare.points.shape == (528, 3) and carved.points.shape[0] < 528
+    for field in ("points", "position_points", "phis"):
+        assert getattr(bare, field).tobytes() == getattr(unfiltered, field).tobytes()
 
 
 def test_front_sample_empty_is_legitimate():

@@ -9,11 +9,14 @@ path does not depend on its value.  The public kernels must give the same
 bits for F-ordered and sliced views as for C-ordered copies.
 
 Every public kernel converts its array arguments with real_array: real input
-of any dtype gets the bits of its float64 copy, and complex input raises a
-ValueError that names the dtype, where numpy would keep the real part.
+of any dtype gets the bits of its float64 copy, and complex, text, bytes,
+bool, datetime, timedelta and void input raises a ValueError that names the
+dtype, where numpy would keep the real part, parse the text or read True as
+1; an object array's first None, text, bytes or bool element is named.
 """
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -24,7 +27,7 @@ from test_stage_kernel_bits import same
 
 from gpdbench import ConstraintSpec, ProblemSpec, perturb_experiment
 from gpdbench import _rows
-from gpdbench.constraints import constraint_table, evaluate_constraints, nearest_axis
+from gpdbench.constraints import constraint_table, evaluate_constraints
 from gpdbench.distance import (compose, deceptive_g, deceptive_term, normalized_angle,
                                radial_profile, robust_g, robust_term, valley_center,
                                valley_radius)
@@ -91,8 +94,8 @@ def test_single_values_and_rows_keep_numpy_results():
         assert same(_rows.row_sum(v), np.add.reduce(v, axis=-1))
         assert same(_rows.row_max(v), np.maximum.reduce(v, axis=-1))
         assert same(_rows.row_all(v > 1.0), np.logical_and.reduce(v > 1.0, axis=-1))
+        assert same(_rows.row_any(v > 1.0), np.logical_or.reduce(v > 1.0, axis=-1))
     assert same(robust_g(0.5), robust_term(0.5))
-    assert nearest_axis(3.0) == 1
 
 
 def views(x):
@@ -151,7 +154,8 @@ KERNELS = {
     "robust_g": (robust_g, ([[0, 1]],), (0,)),
     "radial_profile": (radial_profile, ([0, 2], [0, 1], "convex_concave", "additive"), (0, 1)),
     "compose": (compose, ([[1, 2]], [3], "additive"), (0, 1)),
-    "nearest_axis": (nearest_axis, ([[1, 2, 0]],), (0,)),
+    # The nearest-axis verdict alone: a point with a zero component.
+    "nearest_axis": (constraint_table, ([[1, 2, 0]], BANDED[1:]), (0,)),
     "constraint_table": (constraint_table, ([[1, 2, 3]], BANDED), (0,)),
     "evaluate_constraints": (evaluate_constraints, ([1, 2, 3], BANDED), (0,)),
     "dominance_mask": (dominance_mask, ([[1, 2], [2, 1], [2, 2]],), (0,)),
@@ -198,6 +202,57 @@ def test_kernels_reject_complex_input_naming_the_dtype(name, pos, as_array):
         warnings.simplefilter("error")  # a ComplexWarning would escape pytest.raises
         with pytest.raises(ValueError, match="got dtype complex128"):
             with_argument(name, pos, np.array(values) if as_array else values)
+
+
+def first_replaced(values, new):
+    """values as nested lists with the first number replaced by new."""
+    if isinstance(values, list):
+        return [first_replaced(values[0], new)] + values[1:]
+    return new
+
+
+NON_REAL_DTYPES = {
+    "text": lambda a: a.astype(str),
+    "bytes": lambda a: a.astype(bytes),
+    "bool": lambda a: a.astype(bool),
+    "datetime": lambda a: a.astype("datetime64[D]"),
+    "timedelta": lambda a: a.astype("timedelta64[s]"),
+    "void": lambda a: np.ascontiguousarray(a, dtype=float).view("V8"),
+}
+
+
+@pytest.mark.parametrize("name, pos", ARGUMENTS)
+@pytest.mark.parametrize("kind", sorted(NON_REAL_DTYPES))
+def test_kernels_reject_non_numeric_dtypes_naming_the_dtype(name, pos, kind):
+    # numpy would parse the text, read True as 1 or count time in ticks.
+    values = NON_REAL_DTYPES[kind](np.array(KERNELS[name][1][pos]))
+    dtype = re.escape(str(values.dtype))
+    with pytest.raises(ValueError, match=f"^expected real numbers, got dtype {dtype}$"):
+        with_argument(name, pos, values)
+
+
+@pytest.mark.parametrize("name, pos", ARGUMENTS)
+@pytest.mark.parametrize("element", [None, "1", b"1", True, np.True_],
+                         ids=["None", "text", "bytes", "bool", "numpy-bool"])
+@pytest.mark.parametrize("as_array", [True, False], ids=["array", "list"])
+def test_kernels_reject_object_elements_that_are_not_numbers(name, pos, element, as_array):
+    values = first_replaced(KERNELS[name][1][pos], element)
+    if not as_array:
+        if isinstance(element, (bool, np.bool_)) and np.asarray(values).dtype != bool:
+            # In a list, numpy turns True to 1 next to other numbers, before any check.
+            with np.errstate(all="ignore"):  # 1 may sit outside a kernel's domain
+                want = with_argument(name, pos, first_replaced(KERNELS[name][1][pos], 1))
+                got = with_argument(name, pos, values)
+            assert all(same(a, b) for a, b in zip(parts(got), parts(want), strict=True))
+            return
+        # numpy makes text of a list holding text, an object array of one
+        # holding None, and a bool array of a list of bools alone.
+        message = "^expected real numbers, got (dtype ([<|][US]|bool)|None$)"
+    else:
+        values = np.array(values, dtype=object)
+        message = f"^expected real numbers, got {re.escape(repr(element))}$"
+    with pytest.raises(ValueError, match=message):
+        with_argument(name, pos, values)
 
 
 def test_perturb_experiment_rejects_a_complex_row_as_the_evaluator_does():

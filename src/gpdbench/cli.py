@@ -13,8 +13,8 @@ output uses 17 significant digits so doubles survive a write/read round trip.
     gpdbench search --spec problem.spec --budget 20000 --seed 1 --out arch.csv
 
 Exit codes: 0 success, 1 usage error, 2 invalid specification, 3 data error
-(unreadable file, malformed row, out-of-box coordinate) or a request too
-large for memory.
+(unreadable file, malformed row, out-of-box coordinate), a request past its
+bound (_MAX_TARGETS and the two below it) or one too large for memory.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import stat
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -33,6 +34,15 @@ from .reference import (_check_perturbation, _perturbed, dominance_filter,
                         front_sample, igd, pareto_set_sample)
 from .spec import (SpecError, _fmt, generate_suite, parse_ranges, parse_spec,
                    render_spec)
+
+
+# The largest requests the CLI takes on; a larger one exits 3 before any
+# work.  On a 2-core x86-64 host one at its bound took 3-10 s, and 16 s for a
+# front at M = 20 (README has the timings).  A front's targets are
+# resolution**(M - 1) up to M = 4 and resolution**3 above.
+_MAX_TARGETS = 1_500_000  # front targets up to three objectives
+_MAX_SWEEP_TARGETS = 100_000  # front targets from four objectives up: a quadratic filter
+_MAX_PSET_VALUES = 8_000_000  # pset rows times decision variables, mostly CSV formatting
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,9 +128,23 @@ def _load_spec(path: str):
 
 
 def _check_out(path: str | None) -> None:
-    """Raise before any work the error opening path would raise if its directory is missing."""
-    if path is not None and not Path(path).parent.exists():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    """Raise before any work the error opening path would raise for want of a directory.
+
+    That is an empty path, or a directory part that is missing or not a
+    directory.  A directory that exists but cannot be written still fails
+    only when the output is opened.
+    """
+    if path is None:
+        return
+    code = errno.ENOENT
+    if path:
+        try:
+            mode = os.stat(os.path.dirname(path) or os.curdir).st_mode
+            code = 0 if stat.S_ISDIR(mode) else errno.ENOTDIR
+        except OSError as err:
+            code = err.errno
+    if code:
+        raise OSError(code, os.strerror(code), path)  # the errno's subclass, as open's
 
 
 def cmd_new(args) -> int:
@@ -148,15 +172,25 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _front(args, spec):
-    """The reference front at --resolution when given, else an M-aware default.
+def _resolution(args, spec) -> int:
+    """--resolution when given, else an M-aware default of a few hundred points.
 
-    The default keeps the front at a few hundred points for every M, so front
-    and search finish in bounded time.  An empty front prints a warning.
+    A resolution whose front has more targets than its bound is refused.
     """
+    m = spec.objectives
     resolution = args.resolution
     if resolution is None:
-        resolution = {2: 200, 3: 24, 4: 9}.get(spec.objectives, 9)
+        return {2: 200, 3: 24, 4: 9}.get(m, 9)
+    targets = resolution ** (m - 1 if m <= 4 else 3)
+    bound = _MAX_TARGETS if m <= 3 else _MAX_SWEEP_TARGETS
+    if targets > bound:
+        raise ValueError(f"--resolution {resolution} asks for {targets} front targets "
+                         f"at M = {m}, more than the {bound} allowed")
+    return resolution
+
+
+def _front(spec, resolution: int):
+    """The reference front; an empty one prints a warning."""
     front = front_sample(spec, resolution)
     if front.points.shape[0] == 0:
         print("warning: feasible front is empty", file=sys.stderr)
@@ -165,14 +199,19 @@ def _front(args, spec):
 
 def cmd_front(args) -> int:
     spec = _load_spec(args.spec)
+    resolution = _resolution(args, spec)
     _check_out(args.out)
     header = [f"f{j}" for j in range(1, spec.objectives + 1)]
-    _write_rows(args.out, header, _front(args, spec).points)
+    _write_rows(args.out, header, _front(spec, resolution).points)
     return 0
 
 
 def cmd_pset(args) -> int:
     spec = _load_spec(args.spec)
+    values = args.n * spec.total_dim
+    if values > _MAX_PSET_VALUES:
+        raise ValueError(f"--n {args.n} asks for {values} values at N = {spec.total_dim}, "
+                         f"more than the {_MAX_PSET_VALUES} allowed")
     _check_out(args.out)
     sample = pareto_set_sample(spec, args.n)
     header = [f"x{j}" for j in range(1, spec.total_dim + 1)]
@@ -215,6 +254,7 @@ def cmd_search(args) -> int:
     spec = _load_spec(args.spec)
     if args.budget < 1:
         raise ValueError(f"budget must be at least 1, got {args.budget}")
+    resolution = _resolution(args, spec)
     _check_out(args.out)
     rng = np.random.default_rng(args.seed)
     r, s = spec.position_dim, spec.distance_vars
@@ -228,7 +268,7 @@ def cmd_search(args) -> int:
         _write_rows(args.out, header, [])
         print("feasible = 0")
         return 0
-    front = _front(args, spec)
+    front = _front(spec, resolution)
     archive = dominance_filter(feasible)
     _write_rows(args.out, header, archive)
     print(f"feasible = {len(feasible)}")

@@ -125,7 +125,8 @@ def _set_targets(m: int, n: int) -> np.ndarray:
     return _halton(m, n)
 
 
-_CHUNK = 256  # candidate rows tested against the archive at a time
+_CHUNK = 256  # candidate rows tested against the archive at a time, at most
+_SWEEP_BLOCK = 1 << 18  # comparison entries held at a time by the archive sweep
 _IGD_BLOCK = 1 << 16  # distance entries held at a time by igd
 _SCREEN_CAP = 16  # screened candidates per reference row before a block is recomputed
 _SCREEN_NORM_MAX = np.finfo(float).max / 8  # larger squared norms skip the screen
@@ -169,18 +170,23 @@ def dominance_mask(points: np.ndarray) -> np.ndarray:
     From four objectives up the distinct points are tested in sweep order
     against the nondominated archive built so far; by transitivity a
     dominated dominator is always covered by whichever archive point
-    dominates it.  Each chunk of at most 256 candidates needs a single
-    boolean block against archive + chunk, ANDed in place one objective at
-    a time, reading 1, 2 or 4 bytes a value instead of 8.  Objective 0 is
-    never compared: the archive and the chunk's earlier rows sort first, so
-    their rank there is no larger.  A later distinct point cannot cover an
-    earlier one, as it would then sort first, so a strictly lower triangle
-    over the chunk's own columns drops those pairs and each candidate's
-    pairing with itself.  Ties in objective 0 are no exception, since the
-    lexsort orders them by the remaining ranks.  The answer equals the
-    all-pairs filter's; the work is candidates times archive size times
-    M - 1 comparisons, and the two boolean blocks of a chunk against a
-    3375-point archive take 1.7 MB.
+    dominates it.  Each chunk of candidates needs a single boolean block
+    against archive + chunk, ANDed in place one objective at a time from a
+    scratch block of the same shape, reading 1, 2 or 4 bytes a value
+    instead of 8.  A chunk holds 256 candidates while the archive has at
+    most 768 points, and fewer beyond, so that each block holds at most
+    2**18 booleans (256 KiB) until the archive passes 261,888 points, and
+    one candidate's row after that.  Every chunk still meets the whole
+    archive in one compare per objective; only the candidate side shrinks.
+    Objective 0 is never compared: the archive and the chunk's earlier rows
+    sort first, so their rank there is no larger.  A later distinct point
+    cannot cover an earlier one, as it would then sort first, so a strictly
+    lower triangle over the chunk's own columns drops those pairs and each
+    candidate's pairing with itself.  Ties in objective 0 are no exception,
+    since the lexsort orders them by the remaining ranks.  The answer
+    equals the all-pairs filter's; the work is candidates times archive
+    size times M - 1 comparisons, and the memory the O(M n) ranks plus the
+    two blocks.
     """
     pts = real_array(points)
     if pts.ndim != 2:
@@ -237,17 +243,21 @@ def _archive_sweep(distinct: np.ndarray) -> np.ndarray:
     """Nondominated flags of distinct points, one column each, in sweep order.
 
     distinct holds the ranks of four or more objectives, its columns in
-    lexicographic order.  Chunks of _CHUNK candidates are tested against
-    the archive of kept points plus the chunk itself, in objectives 1 to
-    M - 1 only; dominance_mask has the argument.
+    lexicographic order.  Chunks of candidates are tested against the
+    archive of kept points plus the chunk itself, in objectives 1 to M - 1
+    only; dominance_mask has the argument.  A chunk takes at most _CHUNK
+    candidates, and as many as keep its block against archive + _CHUNK
+    within _SWEEP_BLOCK entries, one at least.
     """
     m, count = distinct.shape
     archive = np.empty_like(distinct)
     size = 0
     alive = np.empty(count, dtype=bool)
     earlier = np.tri(min(count, _CHUNK), k=-1, dtype=bool)  # [i, k]: k < i
-    for start in range(0, count, _CHUNK):
-        chunk = distinct[:, start:start + _CHUNK]
+    start = 0
+    while start < count:
+        step = max(1, min(_CHUNK, _SWEEP_BLOCK // (size + _CHUNK)))
+        chunk = distinct[:, start:start + step]
         rows = chunk.shape[1]
         # Every archive point and every earlier chunk row sorts first, so
         # its objective 0 is no larger and is not compared.  A later row
@@ -265,6 +275,7 @@ def _archive_sweep(distinct: np.ndarray) -> np.ndarray:
         kept = int(survive.sum())
         archive[:, size:size + kept] = chunk[:, survive]
         size += kept
+        start += rows
     return alive
 
 

@@ -320,7 +320,7 @@ def test_out_of_memory_exits_3_with_one_error_line(tmp_path, capsys, m2, monkeyp
         raise raised
 
     monkeypatch.setattr(gpdbench.cli, "pareto_set_sample", exhausted)
-    code, out, err = run(["pset", "--spec", str(m2), "--n", "100000000",
+    code, out, err = run(["pset", "--spec", str(m2), "--n", "1000000",
                           "--out", str(tmp_path / "pset.csv")], capsys)
     assert code == 3
     assert out == ""
@@ -472,11 +472,19 @@ def test_an_out_path_in_a_missing_directory_fails_before_any_work(command, tmp_p
     for name in ("_read_rows", "evaluate_arrays", "front_sample", "pareto_set_sample",
                  "_perturbed"):
         monkeypatch.setattr(gpdbench.cli, name, no_work)
-    dst = tmp_path / "missing" / "out.csv"
-    code, out, err = run([command, "--spec", str(m2), *flags, "--out", str(dst)], capsys)
-    assert (code, out) == (3, "")
-    assert err == f"error: [Errno 2] No such file or directory: '{dst}'\n"
-    assert not dst.parent.exists()
+    # A missing directory, an empty path, and a directory part that is a
+    # regular file, right above the output or further up.
+    x = tmp_path / "x.csv"
+    for dst, errno in ((tmp_path / "missing" / "out.csv", 2), ("", 2), (x / "out.csv", 20),
+                       (x / "sub" / "out.csv", 20)):
+        code, out, err = run([command, "--spec", str(m2), *flags, "--out", str(dst)], capsys)
+        assert (code, out) == (3, "")
+        with pytest.raises(OSError) as opened:
+            open(dst, "w")
+        assert opened.value.errno == errno
+        assert err == f"error: {opened.value}\n"
+    assert not (tmp_path / "missing").exists()
+    assert x.read_text() == "0.3,0.5\n"
 
 
 @pytest.mark.parametrize("argv, code, message", [
@@ -484,7 +492,12 @@ def test_an_out_path_in_a_missing_directory_fails_before_any_work(command, tmp_p
     (["perturb", "--spec", "{m2}", "--in", "{x}", "--radius", "0", "--samples", "5"], 3,
      "error: perturbation radius must lie in "),
     (["search", "--spec", "{m2}", "--budget", "0"], 3, "error: budget must be at least 1"),
-], ids=["spec", "perturbation", "budget"])
+    (["search", "--spec", "{m2}", "--budget", "5", "--resolution", "2000001"], 3,
+     "error: --resolution 2000001 asks for 2000001 front targets"),
+    (["front", "--spec", "{m2}", "--resolution", "2000001"], 3,
+     "error: --resolution 2000001 asks for 2000001 front targets"),
+    (["pset", "--spec", "{m2}", "--n", "100000000"], 3, "error: --n 100000000 asks for "),
+], ids=["spec", "perturbation", "budget", "search-resolution", "front-resolution", "n"])
 def test_checks_that_ran_first_still_come_before_the_out_check(argv, code, message,
                                                                tmp_path, capsys, m2):
     bad = tmp_path / "bad.spec"
@@ -495,6 +508,70 @@ def test_checks_that_ran_first_still_come_before_the_out_check(argv, code, messa
     got, out, err = run(argv, capsys)
     assert (got, out) == (code, "")
     assert err.startswith(message)
+
+
+M5_SPEC = "objectives = 5\ndistance_vars = 2\ndistance = robust\n"
+
+# Runs main under a 512 MiB address-space limit, which the child sets itself.
+BOUNDED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+from gpdbench.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (M3_SPEC, ["front", "--resolution", "3000"],
+     "--resolution 3000 asks for 9000000 front targets at M = 3, more than the 1500000 allowed"),
+    (M5_SPEC, ["front", "--resolution", "47"],
+     "--resolution 47 asks for 103823 front targets at M = 5, more than the 100000 allowed"),
+    (M3_SPEC, ["search", "--budget", "10", "--resolution", "3000"],
+     "--resolution 3000 asks for 9000000 front targets at M = 3, more than the 1500000 allowed"),
+    (M3_SPEC, ["pset", "--n", "100000000"],
+     "--n 100000000 asks for 3400000000 values at N = 34, more than the 8000000 allowed"),
+], ids=["front-m3", "front-m5", "search", "pset"])
+def test_requests_past_their_bound_exit_3_before_any_allocation(text, argv, message, tmp_path):
+    spec, dst = tmp_path / "p.spec", tmp_path / "out.csv"
+    spec.write_text(text)
+    # One thread for numpy's BLAS, so the child starts no other.
+    env = {**package_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", BOUNDED_MAIN, *argv, "--spec", str(spec),
+                           "--out", str(dst)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (3, "", f"error: {message}\n")
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("text, flag, at_bound", [
+    (M2_SPEC, "--resolution", 1500000),
+    (M3_SPEC, "--resolution", 1224),  # 1224**2 = 1498176
+    (M5_SPEC, "--resolution", 46),  # 46**3 = 97336
+    ("objectives = 4\ndistance_vars = 2\ndistance = robust\n", "--resolution", 46),
+    (M2_SPEC, "--n", 4000000),  # N = 2
+    (M3_SPEC, "--n", 235294),  # N = 34; 235295 * 34 = 8000030
+], ids=["front-m2", "front-m3", "front-m5", "front-m4", "pset-m2", "pset-m3"])
+def test_a_request_at_its_bound_is_taken_and_one_past_it_refused(text, flag, at_bound, tmp_path,
+                                                                 capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(spec, size):
+        raise Reached(size)
+
+    monkeypatch.setattr(gpdbench.cli, "front_sample", reached)
+    monkeypatch.setattr(gpdbench.cli, "pareto_set_sample", reached)
+    spec = tmp_path / "p.spec"
+    spec.write_text(text)
+    command = "pset" if flag == "--n" else "front"
+    argv = [command, "--spec", str(spec), "--out", str(tmp_path / "out.csv"), flag]
+    with pytest.raises(Reached) as taken:
+        main(argv + [str(at_bound)])
+    assert taken.value.args == (at_bound,)
+    code, out, err = run(argv + [str(at_bound + 1)], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {flag} {at_bound + 1} asks for ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", [

@@ -207,10 +207,34 @@ def test_dominance_mask_memory_from_four_objectives_up():
         tracemalloc.stop()
     # One float copy of the points is 2 MB.  Ranking holds 2-byte ranks
     # and one column's sort at a time, and the sweep two boolean blocks of
-    # _CHUNK rows against the archive: about 4.1 MiB in all.  Blocks of 512
-    # rows took 5.1 MiB; sorting a float copy of the rows and deduplicating
-    # it takes 8.5 MB.
+    # at most _CHUNK rows against the archive: about 4.0 MiB in all.  Blocks
+    # of 512 rows took 5.1 MiB; sorting a float copy of the rows and
+    # deduplicating it takes 8.5 MB.
     assert peak < 4.75 * 2**20, peak
+
+
+def test_dominance_mask_memory_on_a_nondominated_front():
+    # Points of the positive unit sphere are mutually nondominated, so the
+    # archive sweep's archive grows to every row.  Its two boolean blocks
+    # hold at most 2**18 entries each at any archive size here; at _CHUNK
+    # rows against the whole archive they took 8.0 and 16.0 MiB.
+    m, peaks = 6, {}
+    for n in (10000, 20000):
+        pts = np.abs(np.random.default_rng(n).normal(size=(n, m)))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            keep = dominance_mask(pts)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keep.all()
+    # Measured 1.53 and 2.23 MiB.
+    assert peaks[10000] < 1.75 * 2**20, peaks
+    assert peaks[20000] < 2.5 * 2**20, peaks
+    # What grows is the O(M n) part: the ranks in three copies (2 bytes
+    # each here) and a few index arrays, measured at 73 bytes a row.
+    assert peaks[20000] - peaks[10000] <= 10000 * 16 * m, peaks
 
 
 @pytest.mark.parametrize("m, bound_mib", ((2, 3.4), (3, 7.5)))

@@ -30,7 +30,7 @@ from gpdbench import (ProblemSpec, dominance_mask, evaluate, evaluate_arrays,
                       front_sample, igd, pareto_set_sample, perturb_experiment,
                       realize_position)
 from gpdbench.position import meta_variables
-from gpdbench.reference import _CHUNK, _SEED, _halton, _screen_terms
+from gpdbench.reference import _CHUNK, _SEED, _SWEEP_BLOCK, _halton, _screen_terms
 
 
 def all_pairs_nondominated(pts):
@@ -168,6 +168,35 @@ def test_dominance_mask_equals_all_pairs_oracle(kind, m, n, seed):
     got = dominance_mask(pts)
     assert got.dtype == bool and got.shape == (pts.shape[0],)
     np.testing.assert_array_equal(got, all_pairs_nondominated(pts))
+
+
+def test_dominance_mask_after_a_shrunken_step_boundary():
+    # Rows with f0 rising and f1 falling are mutually nondominated, so the
+    # archive sweep keeps every one and its archive passes 768 points, after
+    # which its chunks hold fewer than _CHUNK rows.  A dominator placed as the
+    # first row after the first shorter chunk covers the row right after it,
+    # in its own chunk, and the first row of the next chunk.
+    n = 1500
+    starts = [0]  # chunk starts while every row so far is kept
+    while starts[-1] < n:
+        size = starts[-1]
+        starts.append(size + max(1, min(_CHUNK, _SWEEP_BLOCK // (size + _CHUNK))))
+    i = next(i for i in range(len(starts) - 1) if starts[i + 1] - starts[i] < _CHUNK)
+    b, after = starts[i + 1], starts[i + 2]  # the next chunk, which the dominator opens
+    assert 768 < b < after - 1 < n
+    k = np.arange(n) / n
+    theta = np.random.default_rng(7).uniform(0.0, np.pi / 2, size=n)
+    base = np.column_stack([k, 1.0 - k, np.cos(theta), np.sin(theta)])
+    # In sweep order the dominator is row b, base row b - 1 + i is row b + i.
+    targets = base[[b, after - 1]]
+    dominator = np.concatenate([[base[b, 0] - 0.5 / n], targets[:, 1:].min(axis=0) - 1e-3])
+    pts = np.concatenate([base, [dominator]])
+    perm = np.random.default_rng(8).permutation(n + 1)
+    got = dominance_mask(pts[perm])
+    np.testing.assert_array_equal(got, all_pairs_nondominated(pts[perm]))
+    kept = np.empty(n + 1, dtype=bool)
+    kept[perm] = got
+    assert kept[:b].all() and kept[n] and not kept[b] and not kept[after - 1]
 
 
 M2_POINT_SETS = ("front", "grid", "signed", "nan_rows", "duplicated", "large")

@@ -3,6 +3,7 @@
 Neither the benchmark nor a traced test run is started here.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -54,6 +55,24 @@ def test_pair_bench_verdict_leaves_a_spread_wider_than_the_bound_unresolved(bett
 def test_pair_bench_ties_count_for_neither_side():
     v = pair_bench.verdict([2.0, 2.0, 3.0], [2.0, 2.0, 3.0], "lower", 0.1)
     assert (v["gain"], v["wins"], v["worse"]) == (0.0, 0, False)
+
+
+def test_pair_bench_reads_each_run_record_and_prints_the_setup_medians(tmp_path):
+    out = tmp_path / ".bench_out"
+    out.mkdir()
+    # Stub records: only the fields the line reads, in run.py's file names.
+    for seed, probes, factor in ((1, [0.2, 0.3, 0.25], 1.0), (2, [0.21, 0.22, 0.4], 1.5)):
+        (out / f"record-reference-suite-seed{seed}-trace0.json").write_text(
+            json.dumps({"setup_s": probes, "speed_factor": factor, "failed": 0}))
+    parent = [pair_bench.run_record(tmp_path, "reference-suite", seed) for seed in (1, 2)]
+    assert [r["speed_factor"] for r in parent] == [1.0, 1.5]
+    change = [{"setup_s": [0.2, 0.2, 0.2], "speed_factor": 1.3}]
+    line = pair_bench.setup_line("reference-suite", parent, change)
+    # The parent's six probes have median 0.235; its two factors, 1.25.
+    assert line.split() == ["reference-suite", "raw", "probes", "0.235", "->", "0.2", "s,",
+                            "speed", "factor", "1.25", "->", "1.3"]
+    with pytest.raises(FileNotFoundError):
+        pair_bench.run_record(tmp_path, "reference-suite", 3)
 
 
 SOURCE = '''"""Module docstring."""

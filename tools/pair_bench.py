@@ -17,6 +17,12 @@ metric left unresolved because REF's own quartiles lie further apart than
 the bound (unless every run of the change beats every run of REF), and a
 run that exited nonzero, failed an operation or read incorrect; any of
 these makes it exit 1.
+
+Under each workload's gated setup_s it also prints, per side, the median of
+the raw set-up probes and of the speed factor that scales them, both read
+from the record file each run leaves in its tree's .bench_out/.  They show
+whether a setup_s move comes from the probes or from the factor, which is
+calibrated later in the run; they decide nothing.
 """
 
 from __future__ import annotations
@@ -73,6 +79,23 @@ def bench_run(root: Path, command: list[str], workload: str, seed: int, seconds)
     return final_record(done.stdout)
 
 
+def run_record(root: Path, workload: str, seed: int) -> dict:
+    """The record file of an untraced bench run in root, as bench/run.py writes it."""
+    path = root / ".bench_out" / f"record-{workload}-seed{seed}-trace0.json"
+    return json.loads(path.read_text())
+
+
+def setup_line(workload: str, parent: list[dict], change: list[dict]) -> str:
+    """Each side's median raw set-up probe and speed factor, from run records."""
+    def medians(records):
+        return (float(np.median([s for r in records for s in r["setup_s"]])),
+                float(np.median([r["speed_factor"] for r in records])))
+
+    (p_setup, p_factor), (c_setup, c_factor) = medians(parent), medians(change)
+    return (f"{workload:16} {'':12} raw probes {p_setup:.4g} -> {c_setup:.4g} s, "
+            f"speed factor {p_factor:.4g} -> {c_factor:.4g}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("ref", help="git ref to compare the working tree against")
@@ -83,6 +106,8 @@ def main(argv=None) -> int:
     ok = True
     # runs[side][workload] holds one final JSON record per seed.
     runs = {side: {w: [] for w in workloads} for side in ("parent", "change")}
+    # records[side][workload] holds the record file of each run that finished.
+    records = {side: {w: [] for w in workloads} for side in ("parent", "change")}
     with exported(args.ref) as ref_tree:
         sides = [("parent", ref_tree), ("change", TREE)]
         for seed in range(1, PAIRS + 1):
@@ -96,6 +121,8 @@ def main(argv=None) -> int:
                     if record is None or record["failed"] or not record["correct"]:
                         print(f"FAILED RUN: {side} {workload} seed {seed}")
                         ok = False
+                    else:
+                        records[side][workload].append(run_record(root, workload, seed))
                     runs[side][workload].append(record)
     print(f"{PAIRS} pairs against {args.ref}: median [quartiles], parent -> change")
     for workload in workloads:
@@ -114,6 +141,9 @@ def main(argv=None) -> int:
                     if v["unresolved"] else "")
             print(f"{workload:16} {name:12} {spread(v['parent'])} -> {spread(v['change'])}"
                   f"  {v['gain']:+.1%} better, wins {v['wins']}/{len(pairs)}{flag}")
+            if name == "setup_s" and all(records[side][workload] for side in records):
+                print(setup_line(workload, records["parent"][workload],
+                                 records["change"][workload]))
     return 0 if ok else 1
 
 

@@ -7,7 +7,7 @@ carve regions out of the front.  Reference fronts and Pareto-set samples are
 available analytically, so quality indicators need no baseline runs.
 """
 
-from .constraints import ConstraintReport, evaluate_constraints
+from .constraints import ConstraintReport
 from .distance import ROBUST_MINIMIZER, ROBUST_STABLE_RANGE
 from .evaluator import (BatchError, Evaluation, EvaluationArrays, evaluate,
                         evaluate_arrays, evaluate_batch)
@@ -38,7 +38,6 @@ __all__ = [
     "evaluate",
     "evaluate_arrays",
     "evaluate_batch",
-    "evaluate_constraints",
     "front_sample",
     "generate_suite",
     "igd",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import math
 import os
 import stat
 import sys
@@ -30,18 +31,17 @@ from pathlib import Path
 import numpy as np
 
 from .evaluator import BatchError, evaluate_arrays
-from .reference import (_check_perturbation, _perturbed, dominance_filter,
-                        front_sample, igd, pareto_set_sample)
+from .reference import (_check_perturbation, _front_targets, _perturbed,
+                        dominance_filter, front_sample, igd, pareto_set_sample)
 from .spec import (SpecError, _fmt, generate_suite, parse_ranges, parse_spec,
                    render_spec)
 
 
 # The largest requests the CLI takes on; a larger one exits 3 before any
-# work.  On a 2-core x86-64 host one at its bound took 3-10 s, and 16 s for a
-# front at M = 20 (README has the timings).  A front's targets are
-# resolution**(M - 1) up to M = 4 and resolution**3 above.
+# work.  On a 2-core x86-64 host one at its bound took 2-10 s (README has
+# the timings).
 _MAX_TARGETS = 1_500_000  # front targets up to three objectives
-_MAX_SWEEP_TARGETS = 100_000  # front targets from four objectives up: a quadratic filter
+_MAX_SWEEP_WORK = 3 * 10**10  # targets**2 * (M - 1) from four up: the filter's pair work
 _MAX_PSET_VALUES = 8_000_000  # pset rows times decision variables, mostly CSV formatting
 
 
@@ -115,12 +115,16 @@ def _as_matrix(rows: np.ndarray | list[list[float]], path: str) -> np.ndarray:
 
 
 def _write_rows(path: str | None, header: list[str], rows) -> None:
-    """A '#' header line, then 17-digit rows; to stdout when path is None."""
+    """A '#' header line, then 17-digit rows; to stdout when path is None.
+
+    Each row becomes Python floats only as it is written, so the table is
+    never held as lists.
+    """
     with (nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8", newline="\n")) as fh:
         fh.write("# " + ",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n"
-                      for row in np.asarray(rows, dtype=float).tolist())
+        fh.writelines(",".join(map(_fmt, row.tolist())) + "\n"
+                      for row in np.asarray(rows, dtype=float))
 
 
 def _load_spec(path: str):
@@ -181,8 +185,8 @@ def _resolution(args, spec) -> int:
     resolution = args.resolution
     if resolution is None:
         return {2: 200, 3: 24, 4: 9}.get(m, 9)
-    targets = resolution ** (m - 1 if m <= 4 else 3)
-    bound = _MAX_TARGETS if m <= 3 else _MAX_SWEEP_TARGETS
+    targets = _front_targets(m, resolution)
+    bound = _MAX_TARGETS if m <= 3 else math.isqrt(_MAX_SWEEP_WORK // (m - 1))
     if targets > bound:
         raise ValueError(f"--resolution {resolution} asks for {targets} front targets "
                          f"at M = {m}, more than the {bound} allowed")

@@ -70,12 +70,3 @@ def constraint_table(f_p: np.ndarray, constraints) -> tuple[np.ndarray, np.ndarr
             raise ValueError(f"unknown constraint kind: {con.kind!r}")
     return phis, viol
 
-
-def evaluate_constraints(f_p: np.ndarray, constraints) -> ConstraintReport:
-    """Constraint report for a single position point."""
-    f_p = real_array(f_p)
-    if f_p.ndim != 1:
-        raise ValueError("evaluate_constraints takes a single point")
-    _, viol = constraint_table(f_p, constraints)
-    violations = tuple(viol.tolist())
-    return ConstraintReport(violations, all(v == 0.0 for v in violations))

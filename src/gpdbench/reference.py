@@ -125,6 +125,12 @@ def _set_targets(m: int, n: int) -> np.ndarray:
     return _halton(m, n)
 
 
+def _front_targets(m: int, resolution: int) -> int:
+    """The number of targets a front of M objectives samples at resolution."""
+    # Lattices explode past four objectives; switch to a low-discrepancy set.
+    return resolution ** (m - 1 if m <= 4 else 3)
+
+
 _CHUNK = 256  # candidate rows tested against the archive at a time, at most
 _SWEEP_BLOCK = 1 << 18  # comparison entries held at a time by the archive sweep
 _IGD_BLOCK = 1 << 16  # distance entries held at a time by igd
@@ -389,14 +395,10 @@ def _block_minima(rb, r0, a_cols, near, buf, screen, kept):
                 screen, r0, c0, total[:size].reshape(rows, cols),
                 mask[:size].reshape(rows, cols), kept):
             continue
-        # numpy loops fastest along the longer side, so it goes last.
-        if cols >= rows:
-            shape, axis, rb_, ab_ = (rows, cols), 1, rb[:, :, None], ab[:, None, :]
-        else:
-            shape, axis, rb_, ab_ = (cols, rows), 0, rb[:, None, :], ab[:, :, None]
-        acc = _squared_distances(rb_, ab_, total[:size].reshape(shape),
-                                 term[:size].reshape(shape))
-        np.minimum(near, acc.min(axis=axis), out=near)
+        acc = _squared_distances(rb[:, :, None], ab[:, None, :],
+                                 total[:size].reshape(rows, cols),
+                                 term[:size].reshape(rows, cols))
+        np.minimum(near, acc.min(axis=1), out=near)
 
 
 def _seed_minima(r_cols, a_cols, nearest, buf):
@@ -607,8 +609,7 @@ def front_sample(spec: ProblemSpec, resolution: int) -> FrontSample:
     """
     resolution = _count(resolution, "resolution", 2)
     m = spec.objectives
-    # Lattices explode past four objectives; switch to a low-discrepancy set.
-    targets = _set_targets(m, resolution ** (m - 1) if m <= 4 else resolution ** 3)
+    targets = _set_targets(m, _front_targets(m, resolution))
     f_p, phi = _position_stage(targets, spec)
     g = _landscape_g(_optimal_distance(targets[:1], spec, phi[:1]), phi[:1], spec)
     _, pts = _objective_stage(np.full_like(phi, g[0]), f_p, phi, spec)

@@ -13,7 +13,7 @@ import pytest
 
 import gpdbench
 from gpdbench import evaluate_batch, front_sample, parse_spec
-from gpdbench.cli import _read_rows, main
+from gpdbench.cli import _read_rows, _write_rows, main
 from gpdbench.spec import _fmt
 
 M2_SPEC = "objectives = 2\ndistance_vars = 1\ndistance = deceptive\nnorm_p = 2\n"
@@ -207,6 +207,23 @@ def test_read_rows_streams_the_file_into_the_array(tmp_path):
         tracemalloc.stop()
     assert got.tobytes() == rows.tobytes()
     assert peak < 1.5 * rows.nbytes
+
+
+def test_write_rows_holds_one_row_at_a_time(tmp_path):
+    # The write's peak does not grow with the table: 80,000 rows peak no
+    # higher than 20,000 of the same lines.
+    block = np.random.default_rng(6).random((1000, 4))
+    peaks = []
+    for n in (20000, 80000):
+        rows = np.tile(block, (n // 1000, 1))
+        tracemalloc.start()
+        try:
+            _write_rows(str(tmp_path / "rows.csv"), ["f1", "f2", "f3", "f4"], rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
+    assert read_rows(tmp_path / "rows.csv").tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("text, eval_error, igd_error", [
@@ -511,6 +528,8 @@ def test_checks_that_ran_first_still_come_before_the_out_check(argv, code, messa
 
 
 M5_SPEC = "objectives = 5\ndistance_vars = 2\ndistance = robust\n"
+M10_SPEC = "objectives = 10\ndistance_vars = 2\ndistance = robust\n"
+M20_SPEC = "objectives = 20\ndistance_vars = 2\ndistance = robust\n"
 
 # Runs main under a 512 MiB address-space limit, which the child sets itself.
 BOUNDED_MAIN = """
@@ -524,13 +543,17 @@ sys.exit(main(sys.argv[1:]))
 @pytest.mark.parametrize("text, argv, message", [
     (M3_SPEC, ["front", "--resolution", "3000"],
      "--resolution 3000 asks for 9000000 front targets at M = 3, more than the 1500000 allowed"),
-    (M5_SPEC, ["front", "--resolution", "47"],
-     "--resolution 47 asks for 103823 front targets at M = 5, more than the 100000 allowed"),
+    (M5_SPEC, ["front", "--resolution", "45"],
+     "--resolution 45 asks for 91125 front targets at M = 5, more than the 86602 allowed"),
+    (M10_SPEC, ["front", "--resolution", "39"],
+     "--resolution 39 asks for 59319 front targets at M = 10, more than the 57735 allowed"),
+    (M20_SPEC, ["front", "--resolution", "35"],
+     "--resolution 35 asks for 42875 front targets at M = 20, more than the 39735 allowed"),
     (M3_SPEC, ["search", "--budget", "10", "--resolution", "3000"],
      "--resolution 3000 asks for 9000000 front targets at M = 3, more than the 1500000 allowed"),
     (M3_SPEC, ["pset", "--n", "100000000"],
      "--n 100000000 asks for 3400000000 values at N = 34, more than the 8000000 allowed"),
-], ids=["front-m3", "front-m5", "search", "pset"])
+], ids=["front-m3", "front-m5", "front-m10", "front-m20", "search", "pset"])
 def test_requests_past_their_bound_exit_3_before_any_allocation(text, argv, message, tmp_path):
     spec, dst = tmp_path / "p.spec", tmp_path / "out.csv"
     spec.write_text(text)
@@ -547,11 +570,15 @@ def test_requests_past_their_bound_exit_3_before_any_allocation(text, argv, mess
 @pytest.mark.parametrize("text, flag, at_bound", [
     (M2_SPEC, "--resolution", 1500000),
     (M3_SPEC, "--resolution", 1224),  # 1224**2 = 1498176
-    (M5_SPEC, "--resolution", 46),  # 46**3 = 97336
+    # From M = 4 up, targets**2 * (M - 1) <= 3e10.
     ("objectives = 4\ndistance_vars = 2\ndistance = robust\n", "--resolution", 46),
+    (M5_SPEC, "--resolution", 44),  # 44**3 = 85184
+    (M10_SPEC, "--resolution", 38),  # 38**3 = 54872
+    (M20_SPEC, "--resolution", 34),  # 34**3 = 39304
     (M2_SPEC, "--n", 4000000),  # N = 2
     (M3_SPEC, "--n", 235294),  # N = 34; 235295 * 34 = 8000030
-], ids=["front-m2", "front-m3", "front-m5", "front-m4", "pset-m2", "pset-m3"])
+], ids=["front-m2", "front-m3", "front-m4", "front-m5", "front-m10", "front-m20", "pset-m2",
+        "pset-m3"])
 def test_a_request_at_its_bound_is_taken_and_one_past_it_refused(text, flag, at_bound, tmp_path,
                                                                  capsys, monkeypatch):
     class Reached(Exception):

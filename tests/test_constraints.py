@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpdbench import ConstraintSpec, ProblemSpec, evaluate_constraints
+from gpdbench import ConstraintSpec, ProblemSpec, evaluate_batch
 from gpdbench.constraints import constraint_table
 from gpdbench.distance import normalized_angle
 
@@ -15,6 +15,12 @@ DIAG3 = np.ones(3) / np.sqrt(3.0)
 def spec_with(*constraints):
     return ProblemSpec(objectives=3, distance_vars=2, distance_kind="robust",
                        constraints=tuple(constraints))
+
+
+def one_point(f, constraints):
+    """One position point's violations, and whether every one is exactly 0.0."""
+    _, viol = constraint_table(f, constraints)
+    return tuple(viol.tolist()), bool((viol == 0.0).all())
 
 
 def axis_angles(f):
@@ -101,21 +107,21 @@ def test_nearest_axis_violation_is_the_angular_gap_bit_for_bit(case):
 def test_min_angle_violation():
     c = ConstraintSpec(kind="min_angle", reference="diagonal", threshold_a=0.5)
     s = spec_with(c)
-    rep = evaluate_constraints(np.array([1.0, 0.0, 0.0]), s.constraints)
-    assert rep.violations == (0.0,)
-    assert rep.feasible is True
-    rep = evaluate_constraints(DIAG3, s.constraints)
-    assert rep.violations[0] == pytest.approx(0.5, abs=1e-7)
-    assert rep.feasible is False
+    violations, feasible = one_point(np.array([1.0, 0.0, 0.0]), s.constraints)
+    assert violations == (0.0,)
+    assert feasible is True
+    violations, feasible = one_point(DIAG3, s.constraints)
+    assert violations[0] == pytest.approx(0.5, abs=1e-7)
+    assert feasible is False
 
 
 def test_max_angle_violation():
     c = ConstraintSpec(kind="max_angle", reference="diagonal", threshold_a=0.5)
     s = spec_with(c)
-    assert evaluate_constraints(DIAG3, s.constraints).feasible is True
-    rep = evaluate_constraints(np.array([1.0, 0.0, 0.0]), s.constraints)
+    assert one_point(DIAG3, s.constraints)[1] is True
+    violations, _ = one_point(np.array([1.0, 0.0, 0.0]), s.constraints)
     # the axis sits at the orthant's widest angle from the diagonal
-    assert rep.violations[0] == pytest.approx(0.5, abs=1e-12)
+    assert violations[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_band_violation():
@@ -123,11 +129,11 @@ def test_band_violation():
                        threshold_a=0.3, threshold_b=0.7)
     s = spec_with(c)
     # phi = 0.8 overshoots the upper edge by 0.1; phi = 0.1 undershoots by 0.2
-    hi = evaluate_constraints(np.array([1.0, 0.05, 0.05]), s.constraints)
-    lo = evaluate_constraints(np.array([1.0, 0.9, 0.9]), s.constraints)
-    mid = evaluate_constraints(np.array([1.0, 0.4, 0.4]), s.constraints)
-    assert hi.feasible is False and lo.feasible is False
-    assert mid.feasible is True and mid.violations == (0.0,)
+    _, hi = one_point(np.array([1.0, 0.05, 0.05]), s.constraints)
+    _, lo = one_point(np.array([1.0, 0.9, 0.9]), s.constraints)
+    mid, mid_feasible = one_point(np.array([1.0, 0.4, 0.4]), s.constraints)
+    assert hi is False and lo is False
+    assert mid_feasible is True and mid == (0.0,)
 
 
 def test_band_violation_value():
@@ -137,22 +143,22 @@ def test_band_violation_value():
                      constraints=(c,))
     # M=2 on the 2-norm arc: phi(y) = |2y - 1|, so y = 0.9 lands at phi = 0.8
     f = np.array([np.cos(0.9 * np.pi / 2), np.sin(0.9 * np.pi / 2)])
-    rep = evaluate_constraints(f, s2.constraints)
-    assert rep.violations[0] == pytest.approx(0.1, abs=1e-12)
+    violations, _ = one_point(f, s2.constraints)
+    assert violations[0] == pytest.approx(0.1, abs=1e-12)
 
 
 def test_nearest_axis_constraint():
     c = ConstraintSpec(kind="nearest_axis", axis_j=1)
     s = spec_with(c)
-    ok = evaluate_constraints(np.array([0.9, 0.1, 0.2]), s.constraints)
-    assert ok.violations == (0.0,)
-    assert ok.feasible is True
-    bad = evaluate_constraints(np.array([0.1, 0.9, 0.2]), s.constraints)
-    assert bad.feasible is False
+    ok, ok_feasible = one_point(np.array([0.9, 0.1, 0.2]), s.constraints)
+    assert ok == (0.0,)
+    assert ok_feasible is True
+    bad, bad_feasible = one_point(np.array([0.1, 0.9, 0.2]), s.constraints)
+    assert bad_feasible is False
     assert nearest_axis_verdicts([0.1, 0.9, 0.2]).tolist() == [False, True, False]
     # the violation is the raw angular gap between the target and winning axes
     ang = axis_angles(np.array([0.1, 0.9, 0.2]))
-    assert bad.violations[0] == pytest.approx(ang[0] - ang.min(), rel=1e-12)
+    assert bad[0] == pytest.approx(ang[0] - ang.min(), rel=1e-12)
 
 
 def test_nearest_axis_phi_reports_angle_to_target_axis():
@@ -184,8 +190,12 @@ def test_feasible_iff_all_violations_zero():
           ConstraintSpec(kind="max_angle", reference="diagonal", threshold_a=0.8))
     s = spec_with(*cs)
     rng = np.random.default_rng(22)
-    for row in rng.uniform(0.01, 1.0, size=(100, 3)):
-        rep = evaluate_constraints(row, s.constraints)
+    r = s.position_dim
+    x = np.hstack([rng.uniform(-1.0, 1.0, size=(100, r)),
+                   rng.uniform(0.0, 1.0, size=(100, s.distance_vars))])
+    reports = [ev.report for ev in evaluate_batch(x, s)]
+    assert {rep.feasible for rep in reports} == {True, False}
+    for rep in reports:
         assert rep.feasible == all(v == 0.0 for v in rep.violations)
 
 
@@ -205,11 +215,16 @@ def test_angle_violations_are_lipschitz_in_phi():
         assert np.all(dv <= dphi + 1e-12)
 
 
-def test_evaluate_constraints_requires_single_point():
+def test_constraint_table_of_a_single_point_is_one_row_of_a_batch():
     c = ConstraintSpec(kind="min_angle", reference="diagonal", threshold_a=0.2)
     s = spec_with(c)
-    with pytest.raises(ValueError):
-        evaluate_constraints(np.ones((2, 3)), s.constraints)
+    f = np.array([[0.9, 0.1, 0.2], [1.0, 1.0, 1.0]])
+    phis, viol = constraint_table(f, s.constraints)
+    for row in range(2):
+        one_phis, one_viol = constraint_table(f[row], s.constraints)
+        assert one_phis.shape == one_viol.shape == (1,)
+        assert one_phis.tobytes() == phis[row].tobytes()
+        assert one_viol.tobytes() == viol[row].tobytes()
 
 
 def test_constraint_table_refuses_an_unvalidated_kind():

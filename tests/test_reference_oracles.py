@@ -595,6 +595,26 @@ def test_non_finite_low_dimensional_igd_takes_the_blocked_path(m, value, side):
     assert paths == ["blocked"]
 
 
+def test_blocked_igd_with_fewer_approximations_than_block_rows(monkeypatch):
+    # One infinite coordinate sends every row to the exact blocks, and 50
+    # approximations make each block 1310 rows by all 50 columns.
+    rng = np.random.default_rng(5)
+    a, r = rng.uniform(size=(50, 3)), rng.uniform(size=(3000, 3))
+    a[7, 1] = np.inf
+    shapes = []
+    real = gpdbench.reference._squared_distances
+
+    def recorded(rb, ab, acc, tmp):
+        shapes.append(acc.shape)
+        return real(rb, ab, acc, tmp)
+
+    monkeypatch.setattr(gpdbench.reference, "_squared_distances", recorded)
+    with igd_paths() as paths:
+        assert_same_igd(a, r)
+    assert paths == ["blocked"]
+    assert shapes == [(1310, 50), (1310, 50), (380, 50)]
+
+
 def test_seeded_igd_computes_few_pairs_on_reference_fronts(monkeypatch):
     # The reference fronts and Pareto-set samples of three instances, as the
     # reference benchmark builds them.  Without pruning every pair is computed.

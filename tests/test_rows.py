@@ -27,7 +27,7 @@ from test_stage_kernel_bits import same
 
 from gpdbench import ConstraintSpec, ProblemSpec, perturb_experiment
 from gpdbench import _rows
-from gpdbench.constraints import constraint_table, evaluate_constraints
+from gpdbench.constraints import constraint_table
 from gpdbench.distance import (compose, deceptive_g, deceptive_term, normalized_angle,
                                radial_profile, robust_g, robust_term, valley_center,
                                valley_radius)
@@ -157,7 +157,8 @@ KERNELS = {
     # The nearest-axis verdict alone: a point with a zero component.
     "nearest_axis": (constraint_table, ([[1, 2, 0]], BANDED[1:]), (0,)),
     "constraint_table": (constraint_table, ([[1, 2, 3]], BANDED), (0,)),
-    "evaluate_constraints": (evaluate_constraints, ([1, 2, 3], BANDED), (0,)),
+    # One point, a 1-D row.
+    "constraint_table_one_point": (constraint_table, ([1, 2, 3], BANDED), (0,)),
     "dominance_mask": (dominance_mask, ([[1, 2], [2, 1], [2, 2]],), (0,)),
     "dominance_filter": (dominance_filter, ([[1, 2], [2, 1], [2, 2]],), (0,)),
     "igd": (igd, ([[1, 2], [0, 1]], [[1, 1]]), (0, 1)),
